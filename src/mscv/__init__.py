@@ -27,6 +27,7 @@ from mscv.costvol import (
     census_transform,
     correlate_1d,
     hamming_cost_volume,
+    traditional_costs,
 )
 from mscv.disparity import (
     DiscontinuityMask,
@@ -90,6 +91,7 @@ __all__ = [
     "reduce_traditional",
     "rgb_to_yuv",
     "save_weights",
+    "traditional_costs",
     "unet_features",
     "warp_row",
     "write_image",

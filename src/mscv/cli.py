@@ -1,9 +1,9 @@
 """Command-line entry point and synthetic stereo-pair generation.
 
-Commands: synth | trad-match | infer | mask | loss | eval | bench |
-init-weights | describe.  Flag values override an optional key=value
-config file, which overrides built-in defaults.  Set MSCV_LOG for
-verbosity (DEBUG/INFO/WARNING).
+Commands: synth | trad-match | infer | mask | loss | eval | init-weights |
+describe.  Flag values override an optional key=value config file, which
+overrides built-in defaults.  Set MSCV_LOG for verbosity
+(DEBUG/INFO/WARNING).
 """
 
 from __future__ import annotations
@@ -12,18 +12,14 @@ import argparse
 import logging
 import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from mscv.costvol import (
-    CostVolume,
-    ad_cost_volume,
-    census_transform,
-    hamming_cost_volume,
-)
+from mscv.costvol import CENSUS_BITS, CostVolume, traditional_costs
+# Unused here: perfbench/test_perfbench.py looks up mscv.cli.census_transform.
+from mscv.costvol import census_transform  # noqa: F401
 from mscv.disparity import (
     DiscontinuityMask,
     LossParams,
@@ -36,11 +32,9 @@ from mscv.imagekit import (
     DisparityMap,
     Image,
     crop,
-    mean_pool_2x,
     pad_reflect,
     read_image,
     read_pfm,
-    rgb_to_yuv,
     write_image,
     write_pfm,
 )
@@ -51,7 +45,6 @@ from mscv.network import (
     init_weights,
     load_weights,
     save_weights,
-    unet_features,
     validate_store,
 )
 
@@ -64,7 +57,6 @@ COMMANDS = (
     "mask",
     "loss",
     "eval",
-    "bench",
     "init-weights",
     "describe",
 )
@@ -89,12 +81,9 @@ class RunConfig:
     lam: float = 0.5
     seed: int = 0
     threads: int = 1
-    threshold: float = 3.0
     width: int = 512
     height: int = 256
     plan: str = "8"
-    stage: str = "full"
-    repeat: int = 3
     kitti_rule: bool = False
 
     def __post_init__(self):
@@ -192,17 +181,9 @@ def traditional_match(
     """
     left_p, orig = pad_reflect(left, 2)
     right_p, _ = pad_reflect(right, 2)
-    lh = rgb_to_yuv(mean_pool_2x(left_p))
-    rh = rgb_to_yuv(mean_pool_2x(right_p))
-    chan = lambda img, c: Image(img.data[c : c + 1])
-    max_d = max(1, max_disp // 2)
-    census = hamming_cost_volume(
-        census_transform(chan(lh, 0)), census_transform(chan(rh, 0)), max_d
-    )
-    ad_u = ad_cost_volume(chan(lh, 1), chan(rh, 1), max_d)
-    ad_v = ad_cost_volume(chan(lh, 2), chan(rh, 2), max_d)
+    census, ad_u, ad_v, _ = traditional_costs(left_p, right_p, max(1, max_disp // 2))
     combined = CostVolume(
-        census.costs / 24.0 + ad_u.costs + ad_v.costs, "half", "matching-cost"
+        census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs, "half", "matching-cost"
     )
     half = wta_disparity(combined, "minimize")
     full = np.repeat(np.repeat(half.values, 2, axis=0), 2, axis=1)
@@ -307,48 +288,6 @@ def _cmd_describe(cfg: RunConfig) -> None:
     print(describe_architecture())
 
 
-def _bench_stages(cfg: RunConfig):
-    plan = parse_plan(cfg.plan, cfg.width)
-    left, right, _ = generate_synthetic_pair(
-        cfg.seed, cfg.width, cfg.height, plan, cfg.max_disp
-    )
-    lh = rgb_to_yuv(mean_pool_2x(pad_reflect(left, 2)[0]))
-    rh = rgb_to_yuv(mean_pool_2x(pad_reflect(right, 2)[0]))
-    lp, rp = Image(lh.data[0:1]), Image(rh.data[0:1])
-    stages = {
-        "census": lambda: census_transform(lp),
-        "hamming": lambda: hamming_cost_volume(
-            census_transform(lp), census_transform(rp), max(1, cfg.max_disp // 2)
-        ),
-        "trad-match": lambda: traditional_match(left, right, cfg.max_disp),
-    }
-    if cfg.weights:
-        store = load_weights(cfg.weights)
-        padded, _ = pad_reflect(left, 16)
-        stages["unet"] = lambda: unet_features(padded, store)
-        stages["full"] = lambda: full_forward(left, right, store, threads=cfg.threads)
-    return stages
-
-
-def _cmd_bench(cfg: RunConfig) -> None:
-    stages = _bench_stages(cfg)
-    if cfg.stage not in stages:
-        raise ConfigError(
-            f"unknown bench stage {cfg.stage!r} (have: {', '.join(sorted(stages))};"
-            " unet/full need --weights)"
-        )
-    fn = stages[cfg.stage]
-    times = []
-    for _ in range(cfg.repeat):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    print(
-        f"bench stage={cfg.stage} repeat={cfg.repeat} "
-        f"mean={np.mean(times):.4f}s min={min(times):.4f}s"
-    )
-
-
 _HANDLERS = {
     "synth": _cmd_synth,
     "trad-match": _cmd_trad_match,
@@ -356,7 +295,6 @@ _HANDLERS = {
     "mask": _cmd_mask,
     "loss": _cmd_loss,
     "eval": _cmd_eval,
-    "bench": _cmd_bench,
     "init-weights": _cmd_init_weights,
     "describe": _cmd_describe,
 }
@@ -381,10 +319,8 @@ _FIELD_TYPES = {
     "lam": float,
     "seed": int,
     "threads": int,
-    "threshold": float,
     "width": int,
     "height": int,
-    "repeat": int,
     "kitti_rule": lambda s: s.lower() in ("1", "true", "yes"),
 }
 
@@ -421,12 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lambda", dest="lam", type=float)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--threads", type=int)
-    parser.add_argument("--threshold", type=float)
     parser.add_argument("--width", type=int)
     parser.add_argument("--height", type=int)
     parser.add_argument("--plan")
-    parser.add_argument("--stage")
-    parser.add_argument("--repeat", type=int)
     parser.add_argument("--kitti-rule", dest="kitti_rule", action="store_true",
                         default=None)
     return parser

@@ -1,9 +1,11 @@
 """Construction of matching-cost and correlation cost volumes.
 
 Three traditional half-resolution volumes (census/Hamming on Y, absolute
-difference on U and V) are interleaved per disparity into a 288-channel
-volume and normalized to zero mean / unit variance.  Two correlation
-volumes come from CNN feature maps at 1/2 and 1/4 resolution.
+difference on U and V) come from one front end, ``traditional_costs``,
+shared by the classical matcher and the network; the network interleaves
+them per disparity into a 288-channel volume normalized to zero mean /
+unit variance.  Two correlation volumes come from CNN feature maps at
+1/2 and 1/4 resolution.
 
 Volume layout is (depth, height, width): depth indexes disparity
 candidates (kind="matching-cost" / "correlation") or feature channels
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mscv.imagekit import Image
+from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
 
 CENSUS_WINDOW = 5
 CENSUS_BITS = CENSUS_WINDOW * CENSUS_WINDOW - 1  # center-vs-center bit omitted
@@ -102,6 +104,20 @@ def census_transform(plane: Image, window: int = CENSUS_WINDOW) -> CensusPlane:
     return CensusPlane(desc)
 
 
+def _shifted(left, right, max_d, fill, cost) -> np.ndarray:
+    """(max_d, H, W) volume of ``cost`` between left(x) and right(x - d).
+
+    ``left``/``right`` share a shape ending in (H, W);
+    costs[d, :, d:] = cost(left[..., d:], right[..., :W - d]).  Columns
+    with x - d < 0 have no partner and keep ``fill``.
+    """
+    h, w = left.shape[-2:]
+    costs = np.full((max_d, h, w), fill, dtype=np.float64)
+    for d in range(min(max_d, w)):
+        costs[d, :, d:] = cost(left[..., d:], right[..., : w - d])
+    return costs
+
+
 def hamming_cost_volume(
     left: CensusPlane, right: CensusPlane, max_d: int = 96
 ) -> CostVolume:
@@ -114,13 +130,10 @@ def hamming_cost_volume(
         raise ValueError("census plane dimensions differ")
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
-    h, w = left.descriptors.shape
-    costs = np.full((max_d, h, w), float(CENSUS_BITS), dtype=np.float64)
-    for d in range(max_d):
-        if d >= w:
-            break
-        xor = left.descriptors[:, d:] ^ right.descriptors[:, : w - d]
-        costs[d, :, d:] = np.bitwise_count(xor)
+    costs = _shifted(
+        left.descriptors, right.descriptors, max_d, CENSUS_BITS,
+        lambda l, r: np.bitwise_count(l ^ r),
+    )
     return CostVolume(costs, scale="half", kind="matching-cost")
 
 
@@ -133,14 +146,32 @@ def ad_cost_volume(left: Image, right: Image, max_d: int = 96) -> CostVolume:
         raise ValueError("image dimensions differ")
     if left.channels != 1:
         raise ValueError("ad_cost_volume takes single-channel planes")
-    lp, rp = left.data[0], right.data[0]
-    h, w = lp.shape
-    costs = np.ones((max_d, h, w), dtype=np.float64)
-    for d in range(max_d):
-        if d >= w:
-            break
-        costs[d, :, d:] = np.abs(lp[:, d:] - rp[:, : w - d])
+    costs = _shifted(
+        left.data[0], right.data[0], max_d, 1.0, lambda l, r: np.abs(l - r)
+    )
     return CostVolume(costs, scale="half", kind="matching-cost")
+
+
+def traditional_costs(
+    left: Image, right: Image, max_d: int
+) -> tuple[CostVolume, CostVolume, CostVolume, Image]:
+    """Half-scale census and chroma-AD costs for an even-sized RGB pair.
+
+    Both images are mean-pooled 2x and converted to YUV; census Hamming
+    costs come from Y, absolute differences from U and V.  Returns
+    ``(census, ad_u, ad_v, left_half)`` with ``left_half`` the pooled RGB
+    left image.
+    """
+    left_half = mean_pool_2x(left)
+    lyuv = rgb_to_yuv(left_half)
+    ryuv = rgb_to_yuv(mean_pool_2x(right))
+    plane = lambda img, c: Image(img.data[c : c + 1])
+    census = hamming_cost_volume(
+        census_transform(plane(lyuv, 0)), census_transform(plane(ryuv, 0)), max_d
+    )
+    ad_u = ad_cost_volume(plane(lyuv, 1), plane(ryuv, 1), max_d)
+    ad_v = ad_cost_volume(plane(lyuv, 2), plane(ryuv, 2), max_d)
+    return census, ad_u, ad_v, left_half
 
 
 def assemble_traditional(
@@ -181,12 +212,10 @@ def correlate_1d(
         raise ValueError("feature tensor shapes differ")
     if f_left.ndim != 3:
         raise ValueError("feature tensors must be (C, H, W)")
-    n, h, w = f_left.shape
-    costs = np.zeros((max_d, h, w), dtype=np.float64)
-    fl = f_left.astype(np.float64)
-    fr = f_right.astype(np.float64)
-    for d in range(max_d):
-        if d >= w:
-            break
-        costs[d, :, d:] = (fl[:, :, d:] * fr[:, :, : w - d]).sum(axis=0) / n
+    n = f_left.shape[0]
+    costs = _shifted(
+        f_left.astype(np.float64), f_right.astype(np.float64), max_d, 0.0,
+        lambda l, r: (l * r).sum(axis=0) / n,
+    )
     return CostVolume(costs, scale=scale, kind="correlation")
+

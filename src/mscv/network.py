@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mscv.costvol import CostVolume, assemble_traditional, census_transform
-from mscv.costvol import ad_cost_volume, correlate_1d, hamming_cost_volume
-from mscv.imagekit import DisparityMap, Image, crop, mean_pool_2x, pad_reflect
-from mscv.imagekit import rgb_to_yuv
+from mscv.costvol import CostVolume, assemble_traditional, correlate_1d
+from mscv.costvol import traditional_costs
+from mscv.imagekit import DisparityMap, Image, crop, pad_reflect
 from mscv.tensorops import (
     ConvParams,
     batchnorm_relu,
@@ -280,21 +279,15 @@ def _conv(store, name, x, stride=1, bn=False, act=True, padding="same"):
             f"parameter {name!r} expects {p.in_channels} input channels, "
             f"got {x.shape[0]}"
         )
-    y = conv2d(x, p, padding)
-    if bn:
-        return batchnorm_relu(
-            y,
-            store[f"{name}.bn.mean"],
-            store[f"{name}.bn.var"],
-            store[f"{name}.bn.gamma"],
-            store[f"{name}.bn.beta"],
-        )
-    return relu(y) if act else y
+    return _activate(store, name, conv2d(x, p, padding), bn, act)
 
 
 def _deconv(store, name, x, bn=False, act=True):
     p = ConvParams(store[f"{name}.w"], store[f"{name}.b"], stride=2)
-    y = deconv2d_s2(x, p)
+    return _activate(store, name, deconv2d_s2(x, p), bn, act)
+
+
+def _activate(store, name, y, bn, act):
     if bn:
         return batchnorm_relu(
             y,
@@ -493,21 +486,6 @@ def _trace(trace, label, value):
         trace.append((label, int(value)))
 
 
-def _traditional_volume(left_p: Image, right_p: Image) -> tuple[CostVolume, Image]:
-    """Half-scale 288-channel volume and the pooled RGB left image."""
-    left_half = mean_pool_2x(left_p)
-    right_half = mean_pool_2x(right_p)
-    lyuv = rgb_to_yuv(left_half)
-    ryuv = rgb_to_yuv(right_half)
-    plane = lambda img, c: Image(img.data[c : c + 1])
-    c1 = hamming_cost_volume(
-        census_transform(plane(lyuv, 0)), census_transform(plane(ryuv, 0)), 96
-    )
-    c2 = ad_cost_volume(plane(lyuv, 1), plane(ryuv, 1), 96)
-    c3 = ad_cost_volume(plane(lyuv, 2), plane(ryuv, 2), 96)
-    return assemble_traditional(c1, c2, c3), left_half
-
-
 def full_forward(
     left: Image,
     right: Image,
@@ -529,13 +507,14 @@ def full_forward(
     right_p, _ = pad_reflect(right, 16)
 
     def trad_branch():
-        return _traditional_volume(left_p, right_p)
+        census, ad_u, ad_v, left_half = traditional_costs(left_p, right_p, 96)
+        return assemble_traditional(census, ad_u, ad_v), left_half
 
     def unet_branch(img):
         return unet_features(img, store)
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=3) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, 3)) as pool:
             fut_trad = pool.submit(trad_branch)
             fut_l = pool.submit(unet_branch, left_p)
             fut_r = pool.submit(unet_branch, right_p)

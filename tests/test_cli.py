@@ -142,12 +142,6 @@ class TestDispatch:
                      "--gt", str(out / "gt.pfm")]) == 0
         assert "loss=1.000000" in capsys.readouterr().out
 
-    def test_bench_prints_timing_line(self, capsys):
-        assert main(["bench", "--stage", "census", "--repeat", "2",
-                     "--width", "64", "--height", "32"]) == 0
-        out = capsys.readouterr().out
-        assert "bench stage=census" in out and "mean=" in out and "min=" in out
-
     def test_unknown_command_nonzero_exit(self, capsys):
         assert main(["frobnicate"]) != 0
 

@@ -10,8 +10,9 @@ from mscv.costvol import (
     census_transform,
     correlate_1d,
     hamming_cost_volume,
+    traditional_costs,
 )
-from mscv.imagekit import Image
+from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
 
 from oracles import (
     ad_volume_oracle,
@@ -78,12 +79,14 @@ class TestHammingVolume:
         assert (interior == k).mean() > 0.9
 
     def test_matches_brute_force(self, rng):
-        l = census_transform(plane(rng.random((16, 16)))).descriptors
-        r = census_transform(plane(rng.random((16, 16)))).descriptors
         from mscv.costvol import CensusPlane
 
-        vol = hamming_cost_volume(CensusPlane(l), CensusPlane(r), max_d=8)
-        np.testing.assert_array_equal(vol.costs, hamming_volume_oracle(l, r, 8))
+        # max_d > width: every column is out of range beyond d = width - 1.
+        for w, max_d in ((16, 8), (5, 9)):
+            l = census_transform(plane(rng.random((16, w)))).descriptors
+            r = census_transform(plane(rng.random((16, w)))).descriptors
+            vol = hamming_cost_volume(CensusPlane(l), CensusPlane(r), max_d=max_d)
+            np.testing.assert_array_equal(vol.costs, hamming_volume_oracle(l, r, max_d))
 
     def test_costs_bounded_and_integer(self, rng):
         l = census_transform(plane(rng.random((10, 10))))
@@ -112,10 +115,27 @@ class TestAdVolume:
         np.testing.assert_array_equal(vol.costs, 1.0)
 
     def test_matches_brute_force(self, rng):
-        l = rng.random((16, 16)) - 0.5
-        r = rng.random((16, 16)) - 0.5
-        vol = ad_cost_volume(plane(l), plane(r), max_d=8)
-        np.testing.assert_array_equal(vol.costs, ad_volume_oracle(l, r, 8))
+        for w, max_d in ((16, 8), (5, 9)):
+            l = rng.random((16, w)) - 0.5
+            r = rng.random((16, w)) - 0.5
+            vol = ad_cost_volume(plane(l), plane(r), max_d=max_d)
+            np.testing.assert_array_equal(vol.costs, ad_volume_oracle(l, r, max_d))
+
+
+class TestTraditionalCosts:
+    def test_matches_oracles_on_pooled_yuv(self, rng):
+        left = Image(rng.random((3, 20, 28)))
+        right = Image(rng.random((3, 20, 28)))
+        census, ad_u, ad_v, left_half = traditional_costs(left, right, 8)
+        lyuv = rgb_to_yuv(mean_pool_2x(left)).data
+        ryuv = rgb_to_yuv(mean_pool_2x(right)).data
+        np.testing.assert_array_equal(
+            census.costs,
+            hamming_volume_oracle(census_oracle(lyuv[0]), census_oracle(ryuv[0]), 8),
+        )
+        np.testing.assert_array_equal(ad_u.costs, ad_volume_oracle(lyuv[1], ryuv[1], 8))
+        np.testing.assert_array_equal(ad_v.costs, ad_volume_oracle(lyuv[2], ryuv[2], 8))
+        np.testing.assert_array_equal(left_half.data, mean_pool_2x(left).data)
 
 
 class TestAssembleTraditional:
@@ -171,10 +191,13 @@ class TestCorrelate1d:
         np.testing.assert_array_equal(best[:, k:], k)
 
     def test_matches_triple_loop_oracle(self, rng):
-        fl = rng.standard_normal((4, 5, 6))
-        fr = rng.standard_normal((4, 5, 6))
-        vol = correlate_1d(fl, fr, max_d=4, scale="half")
-        np.testing.assert_allclose(vol.costs, correlation_oracle(fl, fr, 4), atol=1e-6)
+        for max_d in (4, 9):  # 9 > width
+            fl = rng.standard_normal((4, 5, 6))
+            fr = rng.standard_normal((4, 5, 6))
+            vol = correlate_1d(fl, fr, max_d=max_d, scale="half")
+            np.testing.assert_allclose(
+                vol.costs, correlation_oracle(fl, fr, max_d), atol=1e-6
+            )
 
     def test_bilinear_in_left_argument(self, rng):
         fl = rng.standard_normal((3, 4, 5))

@@ -1,8 +1,11 @@
 """Weight container, initialization, and forward-pass shape/determinism."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import mscv.network
 from mscv.costvol import CostVolume
 from mscv.imagekit import Image
 from mscv.network import (
@@ -277,6 +280,22 @@ class TestFullForward:
         assert (a.values == b.values).all()
         assert (a.values == c.values).all()
         assert np.isfinite(a.values).all()
+
+    def test_worker_count_follows_threads(self, rng, store, monkeypatch):
+        workers = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(mscv.network, "ThreadPoolExecutor", Recording)
+        left = Image(rng.random((3, 32, 48)))
+        right = Image(rng.random((3, 32, 48)))
+        serial = full_forward(left, right, store, threads=1)
+        threaded = full_forward(left, right, store, threads=2)
+        assert workers == [2]
+        assert serial.values.tobytes() == threaded.values.tobytes()
 
     def test_trace_channels(self, rng, store):
         left = Image(rng.random((3, 32, 48)))
