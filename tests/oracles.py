@@ -16,17 +16,22 @@ def census_oracle(plane: np.ndarray, window: int = 5) -> np.ndarray:
     """
     h, w = plane.shape
     r = window // 2
+    # Python lists and clamp tables: scalar ndarray reads and per-neighbor
+    # min/max calls dominate the run time otherwise.
+    rows = np.asarray(plane).tolist()
+    clamp_u = {k: min(max(k, 0), h - 1) for k in range(-r, h + r)}
+    clamp_v = {k: min(max(k, 0), w - 1) for k in range(-r, w + r)}
     out = np.zeros((h, w), dtype=np.uint32)
     for u in range(h):
         for v in range(w):
+            center = rows[u][v]
             bits = 0
             for i in range(-r, r + 1):
+                row = rows[clamp_u[u + i]]
                 for j in range(-r, r + 1):
                     if i == 0 and j == 0:
                         continue
-                    ni = min(max(u + i, 0), h - 1)
-                    nj = min(max(v + j, 0), w - 1)
-                    bits = (bits << 1) | int(plane[u, v] > plane[ni, nj])
+                    bits = (bits << 1) | (center > row[clamp_v[v + j]])
             out[u, v] = bits
     return out
 
