@@ -196,8 +196,9 @@ def assemble_traditional(
     stacked[2::3] = c3.costs
     mean = stacked.mean()
     std = stacked.std()
-    normalized = (stacked - mean) / (std + 1e-8)
-    return CostVolume(normalized, scale="half", kind="feature")
+    stacked -= mean
+    stacked /= std + 1e-8
+    return CostVolume(stacked, scale="half", kind="feature")
 
 
 def correlate_1d(
@@ -215,7 +216,7 @@ def correlate_1d(
     n = f_left.shape[0]
     costs = _shifted(
         f_left.astype(np.float64), f_right.astype(np.float64), max_d, 0.0,
-        lambda l, r: (l * r).sum(axis=0) / n,
+        lambda l, r: np.einsum("chw,chw->hw", l, r) / n,
     )
     return CostVolume(costs, scale=scale, kind="correlation")
 

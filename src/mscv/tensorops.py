@@ -93,7 +93,10 @@ def deconv2d_s2(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Transposed convolution, 2x2 kernel, stride 2: doubles H and W.
 
     Adjoint of the stride-2 valid 2x2 convolution with transposed
-    channel axes.
+    channel axes.  Runs as one GEMM, like ``conv2d``: the four taps of
+    every output channel form a (O*4, I) matrix that multiplies the
+    (I, H*W) input, and each output pixel's 2x2 block is read back from
+    the four rows of its channel.
     """
     kh, kw = p.kernel
     if (kh, kw) != (2, 2) or p.stride != 2:
@@ -103,9 +106,12 @@ def deconv2d_s2(x: np.ndarray, p: ConvParams) -> np.ndarray:
             f"channel mismatch: input {x.shape[0]}, params {p.in_channels}"
         )
     _, h, w = x.shape
-    # Non-overlapping taps: out[2y:2y+2, 2x:2x+2] = sum_i w[:, i] * x[i, y, x]
-    spread = np.einsum("ihw,oiuv->ohuwv", x.astype(np.float32), p.weights)
-    out = spread.reshape(p.out_channels, 2 * h, 2 * w)
+    o, i = p.out_channels, p.in_channels
+    # Non-overlapping taps, out[o, 2y+u, 2x+v] = sum_i w[o, i, u, v] * x[i, y, x]:
+    # (O*4, I) @ (I, H*W) gives (O, u, v, H, W), interleaved to (O, 2H, 2W).
+    taps = p.weights.transpose(0, 2, 3, 1).reshape(o * 4, i)
+    flat = taps @ x.astype(np.float32, copy=False).reshape(i, h * w)
+    out = flat.reshape(o, 2, 2, h, w).transpose(0, 3, 1, 4, 2).reshape(o, 2 * h, 2 * w)
     return out + p.bias[:, None, None]
 
 
@@ -126,11 +132,11 @@ def batchnorm_relu(
     gamma = np.asarray(gamma, dtype=np.float32)[:, None, None]
     beta = np.asarray(beta, dtype=np.float32)[:, None, None]
     y = gamma * (x - mean) / np.sqrt(var + BN_EPS) + beta
-    return np.maximum(y, 0.0).astype(np.float32)
+    return np.maximum(y, 0.0).astype(np.float32, copy=False)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0).astype(np.float32)
+    return np.maximum(x, 0.0).astype(np.float32, copy=False)
 
 
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -103,6 +103,26 @@ def conv2d_oracle(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return out
 
 
+def deconv_oracle(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Loop 2x2 stride-2 transposed convolution in float64.
+
+    out[o, 2y+u, 2x+v] = bias[o] + sum_i weights[o, i, u, v] * x[i, y, x].
+    """
+    o, i, _, _ = weights.shape
+    _, h, w = x.shape
+    out = np.zeros((o, 2 * h, 2 * w))
+    for oc in range(o):
+        for y in range(h):
+            for xx in range(w):
+                for u in range(2):
+                    for v in range(2):
+                        acc = float(bias[oc])
+                        for ic in range(i):
+                            acc += float(weights[oc, ic, u, v]) * float(x[ic, y, xx])
+                        out[oc, 2 * y + u, 2 * xx + v] = acc
+    return out
+
+
 def bilinear_oracle(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Scalar half-pixel-center bilinear interpolation with edge clamp."""
     c, h, w = x.shape

@@ -14,7 +14,7 @@ from mscv.tensorops import (
     deconv2d_s2,
 )
 
-from oracles import bilinear_oracle, conv2d_oracle
+from oracles import bilinear_oracle, conv2d_oracle, deconv_oracle
 
 
 def random_params(rng, o, i, k, stride=1):
@@ -98,6 +98,31 @@ class TestDeconv2dS2:
         x = rng.random((3, 4, 7)).astype(np.float32)
         p = random_params(rng, 5, 3, 2, stride=2)
         assert deconv2d_s2(x, p).shape == (5, 8, 14)
+
+    @pytest.mark.parametrize(
+        "in_c, out_c, h, w",
+        [(3, 5, 4, 7), (6, 2, 5, 3), (4, 3, 1, 1), (1, 1, 2, 2)],
+        ids=["in_lt_out", "in_gt_out_tall", "1x1_spatial", "single_channel"],
+    )
+    def test_matches_loop_oracle(self, rng, in_c, out_c, h, w):
+        x = rng.standard_normal((in_c, h, w)).astype(np.float32)
+        p = random_params(rng, out_c, in_c, 2, stride=2)
+        out = deconv2d_s2(x, p)
+        assert out.dtype == np.float32
+        expected = deconv_oracle(x, p.weights, p.bias)
+        np.testing.assert_allclose(out, expected, atol=1e-5)
+
+    def test_asymmetric_taps_land_in_place(self, rng):
+        # Distinct taps per (u, v): a swapped u/v interleave would move them.
+        w = np.zeros((2, 3, 2, 2), dtype=np.float32)
+        w[..., 0, 1] = rng.standard_normal((2, 3))
+        w[..., 1, 0] = 5.0 * rng.standard_normal((2, 3)) + 1.0
+        assert (w[..., 0, 1] != w[..., 1, 0]).all()
+        p = ConvParams(w, np.array([0.5, -1.0], dtype=np.float32), stride=2)
+        x = rng.standard_normal((3, 3, 4)).astype(np.float32)
+        out = deconv2d_s2(x, p)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, deconv_oracle(x, w, p.bias), atol=1e-5)
 
     def test_adjoint_of_stride2_conv(self, rng):
         # <conv(x), z> == <x, deconv(z)> with transposed channel axes.
