@@ -2,10 +2,15 @@
 
 Each oracle evaluates its definition directly (explicit loops, direct
 index arithmetic) and stays independent of the vectorized code paths it
-checks.
+checks.  The whole-network reference ``forward_oracle`` restates the
+forward pass in float64 on top of vectorized float64 helpers, each of
+which the tests check against the loop oracles here.
 """
 
 import numpy as np
+
+from mscv.costvol import CostVolume, traditional_costs
+from mscv.imagekit import crop, pad_reflect
 
 
 def census_oracle(plane: np.ndarray, window: int = 5) -> np.ndarray:
@@ -183,3 +188,149 @@ def mask_oracle(d_row: np.ndarray, epsilon: float) -> np.ndarray:
             if end + 1 < n:
                 out[end + 1] = 0
     return out
+
+
+def assemble_traditional(c1, c2, c3) -> CostVolume:
+    """Interleave three 96-deep volumes per disparity and normalize.
+
+    Channel layout is [C1(d), C2(d), C3(d)] for d = 0..95 (288 channels
+    total).  Normalization subtracts the global mean and divides by the
+    global standard deviation (epsilon 1e-8 guards zero variance).  This
+    is the paper's 288-channel volume, which the network folds into its
+    first 1x1 reduction instead of building it.
+    """
+    vols = (c1, c2, c3)
+    for v in vols:
+        if v.depth != 96:
+            raise ValueError(f"expected depth 96, got {v.depth}")
+        if v.scale != "half":
+            raise ValueError("traditional volumes live at half scale")
+    h, w = c1.height, c1.width
+    stacked = np.empty((288, h, w), dtype=np.float64)
+    stacked[0::3] = c1.costs
+    stacked[1::3] = c2.costs
+    stacked[2::3] = c3.costs
+    mean = stacked.mean()
+    std = stacked.std()
+    stacked -= mean
+    stacked /= std + 1e-8
+    return CostVolume(stacked, scale="half", kind="feature")
+
+
+def conv2d_f64(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+               stride: int = 1) -> np.ndarray:
+    """"Same"-padded cross-correlation in float64, one kernel tap at a time."""
+    o, i, kh, kw = weights.shape
+    _, h, w = x.shape
+    out_h, out_w = -(-h // stride), -(-w // stride)
+    pad_h = max((out_h - 1) * stride + kh - h, 0)
+    pad_w = max((out_w - 1) * stride + kw - w, 0)
+    xp = np.pad(np.asarray(x, dtype=np.float64), (
+        (0, 0), (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2)
+    ))
+    out = np.zeros((o, out_h, out_w))
+    for ky in range(kh):
+        for kx in range(kw):
+            taps = xp[:, ky : ky + stride * out_h : stride, kx : kx + stride * out_w : stride]
+            out += np.tensordot(np.asarray(weights[:, :, ky, kx], np.float64), taps, axes=1)
+    return out + np.asarray(bias, np.float64)[:, None, None]
+
+
+def deconv_f64(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 transposed convolution in float64, one tap at a time."""
+    o = weights.shape[0]
+    _, h, w = x.shape
+    out = np.empty((o, 2 * h, 2 * w))
+    for u in range(2):
+        for v in range(2):
+            out[:, u::2, v::2] = np.tensordot(
+                np.asarray(weights[:, :, u, v], np.float64), x, axes=1
+            )
+    return out + np.asarray(bias, np.float64)[:, None, None]
+
+
+def correlation_f64(fl: np.ndarray, fr: np.ndarray, max_d: int) -> np.ndarray:
+    """Channel-normalized inner product per disparity in float64, fill = 0."""
+    fl, fr = np.asarray(fl, np.float64), np.asarray(fr, np.float64)
+    n, h, w = fl.shape
+    out = np.zeros((max_d, h, w))
+    for d in range(min(max_d, w)):
+        out[d, :, d:] = (fl[:, :, d:] * fr[:, :, : w - d]).sum(axis=0) / n
+    return out
+
+
+def forward_oracle(left, right, store):
+    """Float64 restatement of ``mscv.network.full_forward``.
+
+    Same topology and padding; every layer runs on the float64 helpers
+    above with the float32 weights widened, and the traditional branch
+    builds the normalized 288-channel volume with ``assemble_traditional``.
+    Returns ``(refined, disparity)``: the 32-channel half-scale features
+    that enter the head, and the clamped full-resolution disparity map.
+    """
+    param = lambda key: np.asarray(store[key], dtype=np.float64)
+
+    def finish(name, y, bn, act):
+        if bn:
+            g = lambda k: param(f"{name}.bn.{k}")[:, None, None]
+            y = g("gamma") * (y - g("mean")) / np.sqrt(g("var") + 1e-5) + g("beta")
+        return np.maximum(y, 0.0) if bn or act else y
+
+    def conv(name, x, stride=1, bn=False, act=True):
+        return finish(name, conv2d_f64(x, param(f"{name}.w"), param(f"{name}.b"), stride), bn, act)
+
+    def deconv(name, x, bn=False):
+        return finish(name, deconv_f64(x, param(f"{name}.w"), param(f"{name}.b")), bn, True)
+
+    def unet(x):
+        s_full = conv("unet.enc0", x, bn=True)
+        s_half = conv("unet.enc1", conv("unet.down1", s_full, 2, bn=True), bn=True)
+        s_quarter = conv("unet.enc2", conv("unet.down2", s_half, 2, bn=True), bn=True)
+        bottom = conv("unet.enc3", conv("unet.down3", s_quarter, 2, bn=True), bn=True)
+        u2 = deconv("unet.up2.deconv", bottom, bn=True)
+        u2 = conv("unet.up2.fuse", np.concatenate([u2, s_quarter]), bn=True)
+        f_quarter = conv("unet.up2.harvest", u2, bn=True)
+        u1 = deconv("unet.up1.deconv", f_quarter, bn=True)
+        u1 = conv("unet.up1.fuse", np.concatenate([u1, s_half]), bn=True)
+        return conv("unet.up1.harvest", u1, bn=True), f_quarter
+
+    def hourglass(x, stage, guides):
+        downs = 2 if stage == 1 else 3
+        y = conv(f"hg{stage}.entry", x)
+        for i in range(downs):
+            pre = f"hg{stage}.down{i}"
+            z = conv(f"{pre}.c2", conv(f"{pre}.c1", y, 2), act=False)
+            y = np.maximum(z + conv(f"{pre}.sc", y, 2, act=False), 0.0)
+            pre = f"hg{stage}.res{i}"
+            z = conv(f"{pre}.c2", conv(f"{pre}.c1", y), act=False)
+            y = np.maximum(z + y, 0.0)
+        y = conv(f"hg{stage}.bottleneck", np.concatenate([y, guides[-1]]))
+        for i in range(downs):
+            y = deconv(f"hg{stage}.up{i}.deconv", y)
+            y = conv(f"hg{stage}.up{i}.fuse", np.concatenate([y, guides[-2 - i]]))
+            y = conv(f"hg{stage}.up{i}.conv", y)
+        return y
+
+    left_p, orig = pad_reflect(left, 16)
+    right_p, _ = pad_reflect(right, 16)
+    census, ad_u, ad_v, left_half = traditional_costs(left_p, right_p, 96)
+    x = assemble_traditional(census, ad_u, ad_v).costs
+    for i in range(4):
+        x = conv(f"trad.red{i}", x)
+    x = np.concatenate([x, left_half.data])
+    for i in range(3):
+        x = conv(f"trad.harvest{i}", x)
+    trad32 = x
+    fl_half, fl_quarter = unet(left_p.data)
+    fr_half, fr_quarter = unet(right_p.data)
+    corr32 = conv("corr.reduce", correlation_f64(fl_half, fr_half, 96))
+    corr48 = correlation_f64(fl_quarter, fr_quarter, 48)
+    guides = [conv("guide.s0", trad32)]  # 1/2, 1/4, 1/8, 1/16
+    for i in (1, 2, 3):
+        guides.append(conv(f"guide.d{i}.b", conv(f"guide.d{i}.a", guides[-1], 2)))
+    h1 = hourglass(corr48, 1, guides)
+    fused = np.concatenate([deconv("casc.up", h1), corr32, trad32])
+    refined = hourglass(conv("casc.fuse", fused), 2, guides)
+    d = conv("head.conv", refined, act=False)
+    full = bilinear_oracle(d, 2 * d.shape[1], 2 * d.shape[2])
+    return refined, np.maximum(crop(full[0], orig), 0.0)
