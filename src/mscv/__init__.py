@@ -23,7 +23,6 @@ from mscv.costvol import (
     CensusPlane,
     CostVolume,
     ad_cost_volume,
-    assemble_traditional,
     census_transform,
     correlate_1d,
     hamming_cost_volume,
@@ -65,7 +64,6 @@ __all__ = [
     "MAX_DISPARITY",
     "WeightStore",
     "ad_cost_volume",
-    "assemble_traditional",
     "cascade_forward",
     "census_transform",
     "correlate_1d",

@@ -1,11 +1,12 @@
 """Construction of matching-cost and correlation cost volumes.
 
-Three traditional half-resolution volumes (census/Hamming on Y, absolute
-difference on U and V) come from one front end, ``traditional_costs``,
-shared by the classical matcher and the network; the network interleaves
-them per disparity into a 288-channel volume normalized to zero mean /
-unit variance.  Two correlation volumes come from CNN feature maps at
-1/2 and 1/4 resolution.
+Three traditional half-resolution float64 volumes (census/Hamming on Y,
+absolute difference on U and V) come from one front end,
+``traditional_costs``, shared by the classical matcher and the network;
+the network folds their normalized per-disparity interleave (the
+paper's 288-channel volume) into its first 1x1 reduction
+(``network.reduce_traditional``).  Two correlation volumes come from CNN
+feature maps at 1/2 and 1/4 resolution, in the features' dtype.
 
 Volume layout is (depth, height, width): depth indexes disparity
 candidates (kind="matching-cost" / "correlation") or feature channels
@@ -104,15 +105,15 @@ def census_transform(plane: Image, window: int = CENSUS_WINDOW) -> CensusPlane:
     return CensusPlane(desc)
 
 
-def _shifted(left, right, max_d, fill, cost) -> np.ndarray:
-    """(max_d, H, W) volume of ``cost`` between left(x) and right(x - d).
+def _shifted(left, right, max_d, fill, cost, dtype=np.float64) -> np.ndarray:
+    """(max_d, H, W) ``dtype`` volume of ``cost`` between left(x) and right(x - d).
 
     ``left``/``right`` share a shape ending in (H, W);
     costs[d, :, d:] = cost(left[..., d:], right[..., :W - d]).  Columns
     with x - d < 0 have no partner and keep ``fill``.
     """
     h, w = left.shape[-2:]
-    costs = np.full((max_d, h, w), fill, dtype=np.float64)
+    costs = np.full((max_d, h, w), fill, dtype=dtype)
     for d in range(min(max_d, w)):
         costs[d, :, d:] = cost(left[..., d:], right[..., : w - d])
     return costs
@@ -174,49 +175,25 @@ def traditional_costs(
     return census, ad_u, ad_v, left_half
 
 
-def assemble_traditional(
-    c1: CostVolume, c2: CostVolume, c3: CostVolume
-) -> CostVolume:
-    """Interleave three 96-deep volumes per disparity and normalize.
-
-    Channel layout is [C1(d), C2(d), C3(d)] for d = 0..95 (288 channels
-    total).  Normalization subtracts the global mean and divides by the
-    global standard deviation (epsilon 1e-8 guards zero variance).
-    """
-    vols = (c1, c2, c3)
-    for v in vols:
-        if v.depth != 96:
-            raise ValueError(f"expected depth 96, got {v.depth}")
-        if v.scale != "half":
-            raise ValueError("traditional volumes live at half scale")
-    h, w = c1.height, c1.width
-    stacked = np.empty((288, h, w), dtype=np.float64)
-    stacked[0::3] = c1.costs
-    stacked[1::3] = c2.costs
-    stacked[2::3] = c3.costs
-    mean = stacked.mean()
-    std = stacked.std()
-    stacked -= mean
-    stacked /= std + 1e-8
-    return CostVolume(stacked, scale="half", kind="feature")
-
-
 def correlate_1d(
     f_left: np.ndarray, f_right: np.ndarray, max_d: int, scale: str
 ) -> CostVolume:
     """Channel-normalized inner product at horizontal offsets 0..max_d-1.
 
     C(d, y, x) = <f_l(y, x), f_r(y, x - d)> / N with N the channel
-    count; out-of-range columns are filled with 0.
+    count; out-of-range columns are filled with 0.  Computed in the
+    features' float dtype, float32 at least: float32 network features
+    give a float32 volume.
     """
     if f_left.shape != f_right.shape:
         raise ValueError("feature tensor shapes differ")
     if f_left.ndim != 3:
         raise ValueError("feature tensors must be (C, H, W)")
     n = f_left.shape[0]
+    dtype = np.result_type(f_left.dtype, f_right.dtype, np.float32)
     costs = _shifted(
-        f_left.astype(np.float64), f_right.astype(np.float64), max_d, 0.0,
-        lambda l, r: np.einsum("chw,chw->hw", l, r) / n,
+        f_left.astype(dtype, copy=False), f_right.astype(dtype, copy=False),
+        max_d, 0.0, lambda l, r: np.einsum("chw,chw->hw", l, r) / n, dtype,
     )
     return CostVolume(costs, scale=scale, kind="correlation")
 

@@ -10,6 +10,8 @@ grayscale PFM ("Pf", little-endian on write, rows bottom-to-top).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -176,19 +178,21 @@ def read_pfm(path) -> DisparityMap:
         if magic != b"Pf":
             raise FormatError(f"bad magic {magic!r}")
         dims = f.readline().split()
-        if len(dims) != 2:
-            raise FormatError("bad dimensions line")
+        if len(dims) != 2 or not all(d.isdigit() for d in dims):
+            raise FormatError(f"bad dimensions line {b' '.join(dims)!r}")
         width, height = int(dims[0]), int(dims[1])
+        if width < 1 or height < 1:
+            raise FormatError(f"dimensions must be positive, got {width}x{height}")
         try:
             scale = float(f.readline())
         except ValueError as exc:
             raise FormatError(f"bad scale line: {exc}") from exc
-        if scale == 0:
-            raise FormatError("scale must be nonzero")
+        if scale == 0 or not math.isfinite(scale):
+            raise FormatError(f"scale must be finite and nonzero, got {scale}")
         endian = "<f4" if scale < 0 else ">f4"
+        if 4 * width * height > os.fstat(f.fileno()).st_size - f.tell():
+            raise FormatError("truncated PFM payload")
         payload = f.read(4 * width * height)
-    if len(payload) != 4 * width * height:
-        raise FormatError("truncated PFM payload")
     rows = np.frombuffer(payload, dtype=endian).reshape(height, width)
     values = np.flipud(rows).astype(np.float64)  # stored bottom-to-top
     return DisparityMap(values)

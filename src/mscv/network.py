@@ -1,11 +1,12 @@
 """Forward pass of the stereo network.
 
-Pipeline: Unet feature extractor -> 1D correlation volumes at 1/2 and
-1/4 resolution; traditional 288-channel volume reduced to 32 channels;
-a guide encoder turning the traditional volume into features at 1/2,
-1/4, 1/8 and 1/16 scale; two cascade hourglass networks fusing
-everything; a 1x1 head regressing disparity, bilinearly upsampled to
-full resolution.
+Pipeline: Unet feature extractor -> float32 1D correlation volumes at
+1/2 and 1/4 resolution; the census/U/V traditional volumes reduced to
+32 channels, with the normalized 288-channel interleave folded into the
+first 1x1 conv; a guide encoder turning the traditional volume into
+features at 1/2, 1/4, 1/8 and 1/16 scale; two cascade hourglass
+networks fusing everything; a 1x1 head regressing disparity, bilinearly
+upsampled to full resolution.
 
 All parameters live in a WeightStore serialized as the "MSCV1" binary
 container.  Only the Unet layers use batch normalization; everything
@@ -14,14 +15,15 @@ else is conv + ReLU (the head is linear).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from mscv.costvol import CostVolume, assemble_traditional, correlate_1d
-from mscv.costvol import traditional_costs
+from mscv.costvol import CostVolume, correlate_1d, traditional_costs
 from mscv.imagekit import DisparityMap, Image, crop, pad_reflect
 from mscv.tensorops import (
     ConvParams,
@@ -248,21 +250,30 @@ def save_weights(store: WeightStore, path) -> None:
 
 
 def load_weights(path) -> WeightStore:
+    """Read an MSCV1 container; a malformed file raises ``WeightError``."""
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
+        left = os.fstat(f.fileno()).st_size
+
+        def take(n, what):
+            # Sizes come from the file: check them against the bytes left
+            # before reading, so no short read or huge allocation happens.
+            nonlocal left
+            if n > left:
+                raise WeightError(f"truncated {what}")
+            left -= n
+            return f.read(n)
+
+        magic = take(len(MAGIC), "magic")
         if magic != MAGIC:
             raise WeightError(f"bad magic {magic!r}")
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = struct.unpack("<I", take(4, "entry count"))
         store = WeightStore()
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", f.read(1))
-            dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
-            size = int(np.prod(dims)) if rank else 1
-            payload = f.read(4 * size)
-            if len(payload) != 4 * size:
-                raise WeightError(f"truncated payload for parameter {name!r}")
+            (name_len,) = struct.unpack("<H", take(2, "name length"))
+            name = take(name_len, "parameter name").decode("utf-8")
+            (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
+            payload = take(4 * math.prod(dims), f"payload for parameter {name!r}")
             store.entries[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
     return store
 
@@ -272,14 +283,14 @@ def load_weights(path) -> WeightStore:
 # ---------------------------------------------------------------------------
 
 
-def _conv(store, name, x, stride=1, bn=False, act=True, padding="same"):
+def _conv(store, name, x, stride=1, bn=False, act=True):
     p = ConvParams(store[f"{name}.w"], store[f"{name}.b"], stride)
     if p.in_channels != x.shape[0]:
         raise WeightError(
             f"parameter {name!r} expects {p.in_channels} input channels, "
             f"got {x.shape[0]}"
         )
-    return _activate(store, name, conv2d(x, p, padding), bn, act)
+    return _activate(store, name, conv2d(x, p), bn, act)
 
 
 def _deconv(store, name, x, bn=False, act=True):
@@ -330,20 +341,46 @@ def unet_features(image: Image, store: WeightStore) -> tuple[np.ndarray, np.ndar
 
 
 def reduce_traditional(
-    vol288: CostVolume, left_half: Image, store: WeightStore, trace=None
+    census: CostVolume, ad_u: CostVolume, ad_v: CostVolume,
+    left_half: Image, store: WeightStore, trace=None,
 ) -> CostVolume:
-    """Reduce the normalized 288-channel volume to 32 channels.
+    """Reduce the census, U and V 96-deep volumes to 32 channels.
 
-    Four 1x1 convs (288-144-72-36-32), concat of the half-resolution
-    left image, then three 3x3 harvesting convs.
+    ``trad.red0`` is a 1x1 conv over the paper's 288-channel volume
+    [C(d), U(d), V(d)], normalized by its global mean and std (+1e-8).
+    The interleave only permutes red0's input columns and the
+    normalization is affine, so red0 runs as one float32 GEMM per volume
+    (``W[:, k::3]``) on its centered costs, scaled by 1/(std + 1e-8).
+    Centering before the GEMM keeps zero-variance volumes exact, and the
+    variance, summed from the centered values, stays accurate however
+    small it is against the mean.  Then 1x1 convs 144-72-36-32, concat
+    of the half-resolution left image, three 3x3 harvesting convs.
     """
-    if vol288.depth != 288 or vol288.scale != "half":
-        raise ValueError("expected a 288-channel half-scale volume")
-    if (left_half.height, left_half.width) != (vol288.height, vol288.width):
+    vols = (census, ad_u, ad_v)
+    if any(v.depth != 96 or v.scale != "half" or v.costs.shape != census.costs.shape
+           for v in vols):
+        raise ValueError("expected three equal-shape 96-deep half-scale volumes")
+    if (left_half.height, left_half.width) != (census.height, census.width):
         raise ValueError("left image does not match volume scale")
-    x = vol288.costs.astype(np.float32)
+    p = ConvParams(store["trad.red0.w"], store["trad.red0.b"])
+    if p.weights.shape[1:] != (288, 1, 1):
+        raise WeightError(f"parameter 'trad.red0.w' has shape {p.weights.shape}")
     _trace(trace, "traditional_volume_channels", 288)
-    for i in range(4):
+    n = 3 * census.costs.size
+    mean = sum(v.costs.sum() for v in vols) / n
+    w = p.weights.reshape(p.out_channels, 288)
+    centered = np.empty((96, census.height * census.width), dtype=np.float32)
+    x = np.zeros((p.out_channels, centered.shape[1]), dtype=np.float32)
+    squares = 0.0
+    for k, v in enumerate(vols):
+        np.subtract(v.costs.reshape(96, -1), mean, out=centered, casting="unsafe")
+        squares += np.einsum("ij,ij->", centered, centered, dtype=np.float64)
+        x += w[:, k::3] @ centered
+    x *= np.float32(1.0 / (np.sqrt(squares / n) + 1e-8))
+    x += p.bias[:, None]
+    x = relu(x.reshape(p.out_channels, census.height, census.width))
+    _trace(trace, "traditional_reduction_0_channels", x.shape[0])
+    for i in range(1, 4):
         x = _conv(store, f"trad.red{i}", x)
         _trace(trace, f"traditional_reduction_{i}_channels", x.shape[0])
     x = concat_channels([x, left_half.data.astype(np.float32)])
@@ -356,7 +393,7 @@ def reduce_correlation(vol96: CostVolume, store: WeightStore) -> CostVolume:
     """1x1 conv collapsing the 96-candidate correlation volume to 32."""
     if vol96.depth != 96:
         raise ValueError(f"expected depth 96, got {vol96.depth}")
-    x = _conv(store, "corr.reduce", vol96.costs.astype(np.float32))
+    x = _conv(store, "corr.reduce", vol96.costs.astype(np.float32, copy=False))
     return CostVolume(x, scale=vol96.scale, kind="feature")
 
 
@@ -381,7 +418,7 @@ def guide_encoder(trad32: CostVolume, store: WeightStore) -> GuideSet:
     """
     if trad32.depth != 32 or trad32.scale != "half":
         raise ValueError("guide encoder takes the 32-channel half-scale volume")
-    g_half = _conv(store, "guide.s0", trad32.costs.astype(np.float32))
+    g_half = _conv(store, "guide.s0", trad32.costs.astype(np.float32, copy=False))
     g_quarter = _conv(store, "guide.d1.b", _conv(store, "guide.d1.a", g_half, stride=2))
     g_eighth = _conv(store, "guide.d2.b", _conv(store, "guide.d2.a", g_quarter, stride=2))
     g_sixteenth = _conv(
@@ -455,11 +492,10 @@ def cascade_forward(
     upsampled output is fused (concat + 1x1 conv) with both 1/2-scale
     32-channel volumes to feed stage 2.
     """
-    h1 = hourglass_forward(corr48_quarter.costs.astype(np.float32), guides, store, 1)
+    as32 = lambda vol: vol.costs.astype(np.float32, copy=False)
+    h1 = hourglass_forward(as32(corr48_quarter), guides, store, 1)
     u = _deconv(store, "casc.up", h1)
-    fused = concat_channels(
-        [u, corr32_half.costs.astype(np.float32), trad32.costs.astype(np.float32)]
-    )
+    fused = concat_channels([u, as32(corr32_half), as32(trad32)])
     stage2_in = _conv(store, "casc.fuse", fused)
     refined = hourglass_forward(stage2_in, guides, store, 2)
     _trace(trace, "refined_channels", refined.shape[0])
@@ -508,7 +544,7 @@ def full_forward(
 
     def trad_branch():
         census, ad_u, ad_v, left_half = traditional_costs(left_p, right_p, 96)
-        return assemble_traditional(census, ad_u, ad_v), left_half
+        return reduce_traditional(census, ad_u, ad_v, left_half, store, trace=trace)
 
     def unet_branch(img):
         return unet_features(img, store)
@@ -518,15 +554,14 @@ def full_forward(
             fut_trad = pool.submit(trad_branch)
             fut_l = pool.submit(unet_branch, left_p)
             fut_r = pool.submit(unet_branch, right_p)
-            vol288, left_half = fut_trad.result()
+            trad32 = fut_trad.result()
             fl_half, fl_quarter = fut_l.result()
             fr_half, fr_quarter = fut_r.result()
     else:
-        vol288, left_half = trad_branch()
+        trad32 = trad_branch()
         fl_half, fl_quarter = unet_branch(left_p)
         fr_half, fr_quarter = unet_branch(right_p)
 
-    trad32 = reduce_traditional(vol288, left_half, store, trace=trace)
     corr96 = correlate_1d(fl_half, fr_half, 96, "half")
     corr32 = reduce_correlation(corr96, store)
     corr48 = correlate_1d(fl_quarter, fr_quarter, 48, "quarter")

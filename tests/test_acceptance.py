@@ -14,7 +14,6 @@ from mscv.costvol import (
     CensusPlane,
     CostVolume,
     ad_cost_volume,
-    assemble_traditional,
     census_transform,
     correlate_1d,
     hamming_cost_volume,
@@ -55,6 +54,7 @@ from mscv.tensorops import (
 
 from oracles import (
     ad_volume_oracle,
+    assemble_traditional,
     bilinear_oracle,
     census_oracle,
     conv2d_oracle,

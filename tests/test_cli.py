@@ -156,6 +156,24 @@ class TestDispatch:
         assert main(["mask", "--gt", str(bad), "--out",
                      str(tmp_path / "m.pgm")]) == 2
 
+    def test_infer_with_malformed_weights_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        main(["synth", "--out", str(out), "--width", "32", "--height", "16"])
+        good = tmp_path / "w.bin"
+        assert main(["init-weights", "--out", str(good), "--seed", "1"]) == 0
+        huge = (b"MSCV1" + (1).to_bytes(4, "little") + (1).to_bytes(2, "little")
+                + b"k" + (2).to_bytes(1, "little") + (100000).to_bytes(4, "little") * 2)
+        raw = good.read_bytes()
+        for i, content in enumerate([raw[:5], raw[:7], raw[:12], raw[:-1], huge]):
+            bad = tmp_path / f"bad{i}.bin"
+            bad.write_bytes(content)
+            assert main([
+                "infer", "--left", str(out / "left.ppm"),
+                "--right", str(out / "right.ppm"),
+                "--weights", str(bad), "--out", str(tmp_path / "d.pfm"),
+            ]) == 2
+            assert "error:" in capsys.readouterr().err
+
     def test_describe_emits_table(self, capsys):
         assert main(["describe"]) == 0
         out = capsys.readouterr().out

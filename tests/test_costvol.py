@@ -6,7 +6,6 @@ import pytest
 from mscv.costvol import (
     CostVolume,
     ad_cost_volume,
-    assemble_traditional,
     census_transform,
     correlate_1d,
     hamming_cost_volume,
@@ -16,6 +15,7 @@ from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
 
 from oracles import (
     ad_volume_oracle,
+    assemble_traditional,
     census_oracle,
     correlation_oracle,
     hamming_volume_oracle,

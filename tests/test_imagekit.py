@@ -110,6 +110,36 @@ class TestPfmCodec:
         with pytest.raises(FormatError, match="scale"):
             read_pfm(path)
 
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf"])
+    def test_non_finite_scale_rejected(self, tmp_path, scale):
+        path = tmp_path / "s.pfm"
+        path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + b"\x00" * 4)
+        with pytest.raises(FormatError, match="scale"):
+            read_pfm(path)
+
+    @pytest.mark.parametrize("dims", [b"1.5 1", b"1 x", b"0x1 1", b"-2 1", b"+2 1"])
+    def test_non_integer_dims_rejected(self, tmp_path, dims):
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n" + dims + b"\n-1.0\n" + b"\x00" * 8)
+        with pytest.raises(FormatError, match="dimensions"):
+            read_pfm(path)
+
+    @pytest.mark.parametrize("dims", [b"0 1", b"1 0", b"00 00"])
+    def test_non_positive_dims_rejected(self, tmp_path, dims):
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n" + dims + b"\n-1.0\n" + b"\x00" * 8)
+        with pytest.raises(FormatError, match="positive"):
+            read_pfm(path)
+
+    @pytest.mark.parametrize("dims", [b"2 2", b"100000 100000"])
+    def test_payload_beyond_file_rejected(self, tmp_path, dims):
+        # Checked against the file length before reading: a huge header
+        # never reaches an allocation of 4*w*h bytes.
+        path = tmp_path / "t.pfm"
+        path.write_bytes(b"Pf\n" + dims + b"\n-1.0\n" + b"\x00" * 12)
+        with pytest.raises(FormatError, match="truncated"):
+            read_pfm(path)
+
     def test_big_endian_scale(self, tmp_path):
         path = tmp_path / "be.pfm"
         path.write_bytes(b"Pf\n1 1\n1.0\n" + np.array([7.0], dtype=">f4").tobytes())

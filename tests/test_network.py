@@ -8,7 +8,9 @@ import pytest
 import mscv.network
 from mscv.costvol import CostVolume
 from mscv.imagekit import Image
+from mscv.tensorops import concat_channels
 from oracles import (
+    assemble_traditional,
     conv2d_f64,
     conv2d_oracle,
     correlation_f64,
@@ -19,6 +21,7 @@ from oracles import (
 )
 from mscv.network import (
     WeightError,
+    _conv,
     WeightStore,
     architecture_manifest,
     cascade_forward,
@@ -100,6 +103,37 @@ class TestWeightContainer:
             load_weights(path)
 
 
+    def test_truncation_at_every_offset_rejected(self, tmp_path):
+        small = WeightStore({
+            "a": np.float32([1.5]).reshape(()),
+            "bb": np.arange(6, dtype=np.float32).reshape(2, 3),
+        })
+        path = tmp_path / "small.bin"
+        save_weights(small, path)
+        raw = path.read_bytes()
+        assert load_weights(path).manifest == small.manifest
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(WeightError, match="truncated"):
+                load_weights(path)
+
+    def test_huge_declared_dims_rejected_before_reading(self, tmp_path):
+        raw = (
+            b"MSCV1"
+            + (1).to_bytes(4, "little")
+            + (1).to_bytes(2, "little")
+            + b"k"
+            + (2).to_bytes(1, "little")
+            + (100000).to_bytes(4, "little")
+            + (100000).to_bytes(4, "little")
+            + b"\x00" * 16
+        )
+        path = tmp_path / "huge.bin"
+        path.write_bytes(raw)
+        with pytest.raises(WeightError, match="'k'"):
+            load_weights(path)
+
+
 class TestInitWeights:
     def test_deterministic_across_calls(self):
         a, b = init_weights(3), init_weights(3)
@@ -165,20 +199,68 @@ class TestUnetFeatures:
 
 
 class TestReductions:
-    def test_traditional_channel_trace_and_shape(self, rng, store):
-        vol = CostVolume(
-            rng.standard_normal((288, 8, 12)), "half", "feature"
+    @staticmethod
+    def trad_volumes(rng, h=8, w=12, depth=96, scale="half"):
+        census = rng.integers(0, 25, (depth, h, w)).astype(np.float64)
+        return tuple(
+            CostVolume(c, scale, "matching-cost")
+            for c in (census, rng.random((depth, h, w)), rng.random((depth, h, w)))
         )
+
+    @staticmethod
+    def reduce_reference(vols, left_half, store):
+        # trad.red0 ... trad.harvest2 applied to the normalized, interleaved
+        # 288-channel volume.
+        x = assemble_traditional(*vols).costs.astype(np.float32)
+        for i in range(4):
+            x = _conv(store, f"trad.red{i}", x)
+        x = concat_channels([x, left_half.data.astype(np.float32)])
+        for i in range(3):
+            x = _conv(store, f"trad.harvest{i}", x)
+        return x
+
+    def test_traditional_channel_trace_and_shape(self, rng, store):
         left_half = Image(rng.random((3, 8, 12)))
         trace = []
-        out = reduce_traditional(vol, left_half, store, trace=trace)
+        out = reduce_traditional(*self.trad_volumes(rng), left_half, store, trace=trace)
         assert out.costs.shape == (32, 8, 12)
         assert [v for _, v in trace] == [288, 144, 72, 36, 32]
 
     def test_traditional_scale_mismatch_rejected(self, rng, store):
-        vol = CostVolume(rng.standard_normal((288, 8, 12)), "half", "feature")
+        vols = self.trad_volumes(rng)
         with pytest.raises(ValueError):
-            reduce_traditional(vol, Image(rng.random((3, 4, 6))), store)
+            reduce_traditional(*vols, Image(rng.random((3, 4, 6))), store)
+        left_half = Image(rng.random((3, 8, 12)))
+        for bad in (
+            self.trad_volumes(rng, depth=95)[0],
+            self.trad_volumes(rng, scale="quarter")[0],
+            self.trad_volumes(rng, w=13)[0],
+        ):
+            with pytest.raises(ValueError):
+                reduce_traditional(vols[0], bad, vols[2], left_half, store)
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_traditional_matches_assembled_reference(self, rng, seed):
+        weights = init_weights(seed)
+        left_half = Image(rng.random((3, 8, 12)))
+        near = lambda eps: tuple(
+            CostVolume(3.0 + eps * rng.random((96, 8, 12)), "half", "matching-cost")
+            for _ in range(3)
+        )
+        # Random and near-constant volumes (spread 1e-3 .. 1e-9 around 3):
+        # float32 rounding only, against outputs of about 0.1.
+        for vols in (self.trad_volumes(rng), near(1e-3), near(1e-6), near(1e-9)):
+            np.testing.assert_allclose(
+                reduce_traditional(*vols, left_half, weights).costs,
+                self.reduce_reference(vols, left_half, weights),
+                rtol=0, atol=1e-6,
+            )
+        # Zero variance: both sides see an all-zero normalized volume.
+        const = near(0.0)
+        np.testing.assert_array_equal(
+            reduce_traditional(*const, left_half, weights).costs,
+            self.reduce_reference(const, left_half, weights),
+        )
 
     def test_correlation_reduce_shape_and_linearity(self, rng, store):
         costs = rng.standard_normal((96, 6, 10))
@@ -326,9 +408,9 @@ class TestFullForward:
 
 
 # Largest |full_forward - forward_oracle| allowed on `refined` and on the
-# disparity map: about 8 float32 epsilons, against outputs that reach
-# 0.17 on these frames (measured error 4e-8).
-FORWARD_ATOL = 1e-6
+# disparity map, as a fraction of the largest |refined| value: float32
+# rounding through ~80 layers (measured up to 1e-6).
+FORWARD_RTOL = 1e-5
 
 
 class TestForwardOracle:
@@ -362,12 +444,21 @@ class TestForwardOracle:
 
     @pytest.mark.parametrize("h,w", [(32, 64), (40, 72)])
     @pytest.mark.parametrize("seed", [0, 7, 11])
-    def test_full_forward_matches_reference(self, monkeypatch, h, w, seed):
+    @pytest.mark.parametrize("gain", [1.0, 6 ** 0.5])
+    def test_full_forward_matches_reference(self, monkeypatch, h, w, seed, gain):
+        # init_weights' fan-in bound shrinks the signal about 2.4x per
+        # layer, which hides deep paths (a 32x error in the correlation
+        # volume moves the output by 1e-9); gain sqrt(6) is He scaling,
+        # which keeps every branch visible in the output.
         weights = init_weights(seed)
+        for name, arr in weights.entries.items():
+            if name.endswith(".w"):
+                weights.entries[name] = arr * np.float32(gain)
         r = np.random.default_rng(seed + h)
         left, right = Image(r.random((3, h, w))), Image(r.random((3, h, w)))
         ref_refined, ref_disp = forward_oracle(left, right, weights)
         assert np.abs(ref_refined).max() > 0.05  # a live, non-trivial reference
+        atol = FORWARD_RTOL * np.abs(ref_refined).max()
         captured = []
         head = mscv.network.disparity_head
         monkeypatch.setattr(
@@ -376,5 +467,5 @@ class TestForwardOracle:
         )
         for threads in (1, 2):
             dmap = full_forward(left, right, weights, threads=threads)
-            np.testing.assert_allclose(captured.pop(), ref_refined, rtol=0, atol=FORWARD_ATOL)
-            np.testing.assert_allclose(dmap.values, ref_disp, rtol=0, atol=FORWARD_ATOL)
+            np.testing.assert_allclose(captured.pop(), ref_refined, rtol=0, atol=atol)
+            np.testing.assert_allclose(dmap.values, ref_disp, rtol=0, atol=atol)
