@@ -265,6 +265,8 @@ def forward_oracle(left, right, store):
     Same topology and padding; every layer runs on the float64 helpers
     above with the float32 weights widened, and the traditional branch
     builds the normalized 288-channel volume with ``assemble_traditional``.
+    Padding, cropping and the census/AD front end (float64 already, and
+    checked against the loop oracles) come from the package.
     Returns ``(refined, disparity)``: the 32-channel half-scale features
     that enter the head, and the clamped full-resolution disparity map.
     """
