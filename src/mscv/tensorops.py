@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 BN_EPS = 1e-5
+_BAND_PIXELS = 1024  # conv2d band size, measured: the buffer stays near L2 size
 
 
 @dataclass
@@ -52,6 +53,10 @@ def conv2d(x: np.ndarray, p: ConvParams, padding: str = "same") -> np.ndarray:
 
     "same" zero-pads so output dims are ceil(in / stride); extra padding
     goes to the bottom/right.  "valid" uses no padding.
+
+    Banded im2col: each band of output rows (``_BAND_PIXELS`` pixels, at
+    least one row) copies its windows into an (I, kh, kw, rows, out_w)
+    buffer for one GEMM, (O, I*kh*kw) @ (I*kh*kw, rows*out_w).
     """
     if x.ndim != 3:
         raise ValueError("input must be (C, H, W)")
@@ -82,21 +87,31 @@ def conv2d(x: np.ndarray, p: ConvParams, padding: str = "same") -> np.ndarray:
             raise ValueError("input smaller than kernel under valid padding")
     x = np.ascontiguousarray(x, dtype=np.float32)
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::s, ::s][:, :out_h, :out_w]
-    # (O, I*kh*kw) @ (I*kh*kw, out_h*out_w)
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(p.in_channels * kh * kw, -1)
-    flat = p.weights.reshape(p.out_channels, -1) @ cols
-    return flat.reshape(p.out_channels, out_h, out_w) + p.bias[:, None, None]
+    windows = windows[:, ::s, ::s][:, :out_h, :out_w].transpose(0, 3, 4, 1, 2)
+    # One flat buffer per call (convs run concurrently under threads > 1);
+    # a prefix of it keeps the short last band contiguous.
+    k = p.in_channels * kh * kw
+    rows = min(max(_BAND_PIXELS // out_w, 1), out_h)
+    buf = np.empty(k * rows * out_w, dtype=np.float32)
+    w2 = p.weights.reshape(p.out_channels, k)
+    out = np.empty((p.out_channels, out_h * out_w), dtype=np.float32)
+    for y in range(0, out_h, rows):
+        n = min(rows, out_h - y)
+        cols = buf[: k * n * out_w].reshape(p.in_channels, kh, kw, n, out_w)
+        np.copyto(cols, windows[:, :, :, y : y + n])
+        np.matmul(w2, cols.reshape(k, -1), out=out[:, y * out_w : (y + n) * out_w])
+    out += p.bias[:, None]
+    return out.reshape(p.out_channels, out_h, out_w)
 
 
 def deconv2d_s2(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Transposed convolution, 2x2 kernel, stride 2: doubles H and W.
 
     Adjoint of the stride-2 valid 2x2 convolution with transposed
-    channel axes.  Runs as one GEMM, like ``conv2d``: the four taps of
-    every output channel form a (O*4, I) matrix that multiplies the
-    (I, H*W) input, and each output pixel's 2x2 block is read back from
-    the four rows of its channel.
+    channel axes.  Runs as one GEMM: the four taps of every output
+    channel form a (O*4, I) matrix that multiplies the (I, H*W) input,
+    and each output pixel's 2x2 block is read back from the four rows
+    of its channel.
     """
     kh, kw = p.kernel
     if (kh, kw) != (2, 2) or p.stride != 2:
@@ -131,8 +146,11 @@ def batchnorm_relu(
     var = np.asarray(var, dtype=np.float32)[:, None, None]
     gamma = np.asarray(gamma, dtype=np.float32)[:, None, None]
     beta = np.asarray(beta, dtype=np.float32)[:, None, None]
-    y = gamma * (x - mean) / np.sqrt(var + BN_EPS) + beta
-    return np.maximum(y, 0.0).astype(np.float32, copy=False)
+    y = np.subtract(x, mean, dtype=np.float32)
+    y *= gamma
+    y /= np.sqrt(var + BN_EPS)
+    y += beta
+    return np.maximum(y, 0.0, out=y)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -1,11 +1,15 @@
 """Convolution engine vs brute-force oracles and algebraic identities."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mscv.tensorops import (
+    _BAND_PIXELS,
     ConvParams,
     batchnorm_relu,
     bilinear_resize,
@@ -14,7 +18,7 @@ from mscv.tensorops import (
     deconv2d_s2,
 )
 
-from oracles import bilinear_oracle, conv2d_oracle, deconv_oracle
+from oracles import bilinear_oracle, conv2d_f64, conv2d_oracle, deconv_oracle
 
 
 def random_params(rng, o, i, k, stride=1):
@@ -86,6 +90,53 @@ class TestConv2d:
         p = random_params(rng, 4, 3, 3)
         a, b = conv2d(x, p), conv2d(x, p)
         assert (a == b).all()
+
+
+# The five kernel classes of the network's architecture: (k, stride).
+KERNEL_CLASSES = [(3, 1), (3, 2), (2, 2), (1, 1), (1, 2)]
+
+
+class TestConv2dBands:
+    """Frames whose output spans several bands of ``_BAND_PIXELS`` pixels."""
+
+    @pytest.mark.parametrize("k,stride", KERNEL_CLASSES)
+    @pytest.mark.parametrize("out_h,out_w", [
+        (3 * (_BAND_PIXELS // 100) - 3, 100),  # two full bands, a short third
+        (3, _BAND_PIXELS + 13),                # wider than a band: one row each
+    ], ids=["short_last_band", "row_per_band"])
+    def test_matches_f64_reference(self, rng, k, stride, out_h, out_w):
+        x = rng.standard_normal((3, out_h * stride, out_w * stride)).astype(np.float32)
+        p = random_params(rng, 4, 3, k, stride=stride)
+        out = conv2d(x, p)
+        assert out.shape == (4, out_h, out_w) and out.dtype == np.float32
+        np.testing.assert_allclose(
+            out, conv2d_f64(x, p.weights, p.bias, stride), rtol=0, atol=1e-5
+        )
+
+    def test_valid_padding_matches_oracle(self, rng):
+        x = rng.standard_normal((2, 40, 70)).astype(np.float32)
+        rows = _BAND_PIXELS // 68  # 38x68 outputs: full bands, then a short one
+        assert 38 > rows and 38 % rows
+        p = random_params(rng, 2, 2, 3)
+        expected = conv2d_oracle(
+            x.astype(np.float64), p.weights.astype(np.float64),
+            p.bias.astype(np.float64), padding="valid",
+        )
+        np.testing.assert_allclose(conv2d(x, p, "valid"), expected, atol=1e-5)
+
+    def test_concurrent_calls_match_serial(self, rng):
+        x = rng.standard_normal((16, 64, 200)).astype(np.float32)
+        p = random_params(rng, 16, 16, 3)
+        serial = conv2d(x, p)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(conv2d, x, p) for _ in range(32)]
+                outs = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(o, serial) for o in outs)
 
 
 class TestDeconv2dS2:
@@ -170,6 +221,18 @@ class TestBatchnormRelu:
                         / np.sqrt(var[c] + 1e-5) + beta[c],
                     )
                     assert abs(out[c, y, xx] - expected) < 1e-5
+
+    def test_equals_unfused_expression(self, rng):
+        x = (3 * rng.standard_normal((5, 9, 11))).astype(np.float32)
+        x_before = x.copy()
+        mean, gamma, beta = rng.standard_normal((3, 5)).astype(np.float32)
+        var = (rng.random(5) + 0.01).astype(np.float32)
+        out = batchnorm_relu(x, mean, var, gamma, beta)
+        m, v, g, b = (a[:, None, None] for a in (mean, var, gamma, beta))
+        expected = np.maximum(g * (x - m) / np.sqrt(v + 1e-5) + b, 0.0)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, expected)
+        assert np.array_equal(x, x_before)
 
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
