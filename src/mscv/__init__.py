@@ -40,17 +40,11 @@ from mscv.disparity import (
 from mscv.metrics import EvalReport, d1_metrics, epe, evaluate, outlier_rate
 from mscv.network import (
     WeightStore,
-    cascade_forward,
     describe_architecture,
-    disparity_head,
     full_forward,
-    guide_encoder,
     init_weights,
     load_weights,
-    reduce_correlation,
-    reduce_traditional,
     save_weights,
-    unet_features,
 )
 
 __all__ = [
@@ -64,17 +58,14 @@ __all__ = [
     "MAX_DISPARITY",
     "WeightStore",
     "ad_cost_volume",
-    "cascade_forward",
     "census_transform",
     "correlate_1d",
     "d1_metrics",
     "describe_architecture",
     "discontinuity_mask",
-    "disparity_head",
     "epe",
     "evaluate",
     "full_forward",
-    "guide_encoder",
     "hamming_cost_volume",
     "init_weights",
     "load_weights",
@@ -85,12 +76,9 @@ __all__ = [
     "pad_reflect",
     "read_image",
     "read_pfm",
-    "reduce_correlation",
-    "reduce_traditional",
     "rgb_to_yuv",
     "save_weights",
     "traditional_costs",
-    "unet_features",
     "warp_row",
     "write_image",
     "write_pfm",

@@ -175,18 +175,20 @@ def traditional_match(
 
     Census alone produces zero-cost collisions wherever two window
     centers are both local extrema, so the chroma AD volumes are summed
-    in (census normalized to [0,1]) to disambiguate.  Output values are
-    in full-resolution pixel units; nearest-neighbor upsampling back to
-    the input dimensions.
+    in (census normalized to [0,1]) to disambiguate, one row band at a
+    time.  Output values are in full-resolution pixel units;
+    nearest-neighbor upsampling back to the input dimensions.
     """
     left_p, orig = pad_reflect(left, 2)
     right_p, _ = pad_reflect(right, 2)
-    census, ad_u, ad_v, _ = traditional_costs(left_p, right_p, max(1, max_disp // 2))
-    combined = CostVolume(
-        census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs, "half", "matching-cost"
-    )
-    half = wta_disparity(combined, "minimize")
-    full = np.repeat(np.repeat(half.values, 2, axis=0), 2, axis=1)
+    left_half, bands = traditional_costs(left_p, right_p, max(1, max_disp // 2))
+    half = np.empty((left_half.height, left_half.width))
+    for y0, census, ad_u, ad_v in bands:
+        combined = census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs
+        half[y0 : y0 + census.height] = wta_disparity(
+            CostVolume(combined, "half", "matching-cost"), "minimize"
+        ).values
+    full = np.repeat(np.repeat(half, 2, axis=0), 2, axis=1)
     values = crop(full, orig)
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 
@@ -262,7 +264,7 @@ def _cmd_loss(cfg: RunConfig) -> None:
     pred = read_pfm(cfg.pred)
     gt = read_pfm(cfg.gt)
     mask = discontinuity_mask(gt, cfg.epsilon)
-    params = LossParams(tau=cfg.tau, lam=cfg.lam, max_disp=cfg.max_disp)
+    params = LossParams(tau=cfg.tau, lam=cfg.lam)
     mean, _ = loss_eval(pred, gt, mask, params)
     print(f"loss={mean:.6f}")
 

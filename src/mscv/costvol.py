@@ -2,8 +2,10 @@
 
 Three traditional half-resolution float64 volumes (census/Hamming on Y,
 absolute difference on U and V) come from one front end,
-``traditional_costs``, shared by the classical matcher and the network;
-the network folds their normalized per-disparity interleave (the
+``traditional_costs``, shared by the classical matcher and the network.
+Disparity shifts only along x, so the costs are per row: the front end
+yields them in bands of ``_BAND_ROWS`` rows and no consumer holds a whole
+volume.  The network folds their normalized per-disparity interleave (the
 paper's 288-channel volume) into its first 1x1 reduction
 (``network.reduce_traditional``).  Two correlation volumes come from CNN
 feature maps at 1/2 and 1/4 resolution, in the features' dtype.
@@ -15,6 +17,7 @@ candidates (kind="matching-cost" / "correlation") or feature channels
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
 
 CENSUS_WINDOW = 5
 CENSUS_BITS = CENSUS_WINDOW * CENSUS_WINDOW - 1  # center-vs-center bit omitted
+_BAND_ROWS = 16  # half-scale rows per traditional cost band
 
 
 @dataclass
@@ -35,14 +39,6 @@ class CensusPlane:
     """
 
     descriptors: np.ndarray  # uint32, (H, W)
-
-    @property
-    def height(self) -> int:
-        return self.descriptors.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.descriptors.shape[1]
 
 
 @dataclass
@@ -155,24 +151,34 @@ def ad_cost_volume(left: Image, right: Image, max_d: int = 96) -> CostVolume:
 
 def traditional_costs(
     left: Image, right: Image, max_d: int
-) -> tuple[CostVolume, CostVolume, CostVolume, Image]:
+) -> tuple[Image, Iterator[tuple[int, CostVolume, CostVolume, CostVolume]]]:
     """Half-scale census and chroma-AD costs for an even-sized RGB pair.
 
-    Both images are mean-pooled 2x and converted to YUV; census Hamming
-    costs come from Y, absolute differences from U and V.  Returns
-    ``(census, ad_u, ad_v, left_half)`` with ``left_half`` the pooled RGB
-    left image.
+    Both images are mean-pooled 2x and converted to YUV once, and the
+    census descriptors of Y are computed on the whole plane (the window
+    reaches into neighbor rows).  Returns ``(left_half, bands)``, the
+    pooled RGB left image and an iterator yielding ``(y0, census, ad_u,
+    ad_v)`` for each band of ``_BAND_ROWS`` rows from row ``y0`` (the last
+    may be shorter): Hamming costs on Y, absolute differences on U and V.
     """
     left_half = mean_pool_2x(left)
-    lyuv = rgb_to_yuv(left_half)
-    ryuv = rgb_to_yuv(mean_pool_2x(right))
-    plane = lambda img, c: Image(img.data[c : c + 1])
-    census = hamming_cost_volume(
-        census_transform(plane(lyuv, 0)), census_transform(plane(ryuv, 0)), max_d
-    )
-    ad_u = ad_cost_volume(plane(lyuv, 1), plane(ryuv, 1), max_d)
-    ad_v = ad_cost_volume(plane(lyuv, 2), plane(ryuv, 2), max_d)
-    return census, ad_u, ad_v, left_half
+    lyuv = rgb_to_yuv(left_half).data
+    ryuv = rgb_to_yuv(mean_pool_2x(right)).data
+    lcen = census_transform(Image(lyuv[:1])).descriptors
+    rcen = census_transform(Image(ryuv[:1])).descriptors
+
+    def bands():
+        for y0 in range(0, left_half.height, _BAND_ROWS):
+            rows = slice(y0, y0 + _BAND_ROWS)
+            ad = lambda c: ad_cost_volume(
+                Image(lyuv[c : c + 1, rows]), Image(ryuv[c : c + 1, rows]), max_d
+            )
+            census = hamming_cost_volume(
+                CensusPlane(lcen[rows]), CensusPlane(rcen[rows]), max_d
+            )
+            yield y0, census, ad(1), ad(2)
+
+    return left_half, bands()
 
 
 def correlate_1d(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mscv.costvol import CostVolume
-from mscv.imagekit import MAX_DISPARITY, DisparityMap
+from mscv.imagekit import DisparityMap
 
 LOSS_EXPONENT = 0.125
 
@@ -28,7 +28,6 @@ LOSS_EXPONENT = 0.125
 class LossParams:
     tau: float = 1.0
     lam: float = 0.5
-    max_disp: int = MAX_DISPARITY
 
     def __post_init__(self):
         if self.tau < 0:

@@ -19,6 +19,7 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,24 +208,18 @@ def init_weights(seed: int) -> WeightStore:
     rng = np.random.default_rng(seed)
     store = WeightStore()
     for l in architecture():
-        fan_in = l.in_c * l.kh * l.kw
-        bound = float(np.sqrt(1.0 / fan_in))
-        shape = (l.out_c, l.in_c, l.kh, l.kw)
-        store.entries[f"{l.name}.w"] = rng.uniform(-bound, bound, shape).astype(
-            np.float32
-        )
-        store.entries[f"{l.name}.b"] = rng.uniform(-bound, bound, l.out_c).astype(
-            np.float32
-        )
+        bound = float(np.sqrt(1.0 / (l.in_c * l.kh * l.kw)))
+        params = {
+            "w": rng.uniform(-bound, bound, (l.out_c, l.in_c, l.kh, l.kw)),
+            "b": rng.uniform(-bound, bound, l.out_c),
+        }
         if l.bn:
-            store.entries[f"{l.name}.bn.gamma"] = rng.uniform(
-                0.9, 1.1, l.out_c
-            ).astype(np.float32)
-            store.entries[f"{l.name}.bn.beta"] = rng.uniform(
-                -0.1, 0.1, l.out_c
-            ).astype(np.float32)
-            store.entries[f"{l.name}.bn.mean"] = np.zeros(l.out_c, dtype=np.float32)
-            store.entries[f"{l.name}.bn.var"] = np.ones(l.out_c, dtype=np.float32)
+            params["bn.gamma"] = rng.uniform(0.9, 1.1, l.out_c)
+            params["bn.beta"] = rng.uniform(-0.1, 0.1, l.out_c)
+            params["bn.mean"] = np.zeros(l.out_c)
+            params["bn.var"] = np.ones(l.out_c)
+        for key, value in params.items():
+            store.entries[f"{l.name}.{key}"] = value.astype(np.float32)
     return store
 
 
@@ -270,11 +265,18 @@ def load_weights(path) -> WeightStore:
         store = WeightStore()
         for _ in range(count):
             (name_len,) = struct.unpack("<H", take(2, "name length"))
-            name = take(name_len, "parameter name").decode("utf-8")
+            raw = take(name_len, "parameter name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise WeightError(f"parameter name {raw!r} is not UTF-8") from None
             (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
             dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
             payload = take(4 * math.prod(dims), f"payload for parameter {name!r}")
-            store.entries[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
+            try:
+                store.entries[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
+            except ValueError as exc:  # more dims, or more elements, than NumPy allows
+                raise WeightError(f"bad shape {dims} for {name!r}: {exc}") from None
     return store
 
 
@@ -341,44 +343,56 @@ def unet_features(image: Image, store: WeightStore) -> tuple[np.ndarray, np.ndar
 
 
 def reduce_traditional(
-    census: CostVolume, ad_u: CostVolume, ad_v: CostVolume,
+    bands: Iterable[tuple[int, CostVolume, CostVolume, CostVolume]],
     left_half: Image, store: WeightStore, trace=None,
 ) -> CostVolume:
     """Reduce the census, U and V 96-deep volumes to 32 channels.
 
-    ``trad.red0`` is a 1x1 conv over the paper's 288-channel volume
-    [C(d), U(d), V(d)], normalized by its global mean and std (+1e-8).
-    The interleave only permutes red0's input columns and the
-    normalization is affine, so red0 runs as one float32 GEMM per volume
-    (``W[:, k::3]``) on its centered costs, scaled by 1/(std + 1e-8).
-    Centering before the GEMM keeps zero-variance volumes exact, and the
-    variance, summed from the centered values, stays accurate however
-    small it is against the mean.  Then 1x1 convs 144-72-36-32, concat
-    of the half-resolution left image, three 3x3 harvesting convs.
+    The volumes arrive as row bands ``(y0, census, ad_u, ad_v)`` from
+    ``costvol.traditional_costs``.  ``trad.red0`` is a 1x1 conv over the
+    paper's 288-channel volume [C(d), U(d), V(d)] normalized by its mean
+    μ and std σ (+1e-8).  The interleave only permutes red0's input
+    columns and the normalization is affine, so red0 runs per band as
+    one float32 GEMM per volume (``W[:, k::3]``) on the costs centered at
+    the first band's mean μ̃, with Σ(x-μ̃) and Σ(x-μ̃)² summed in float64
+    (shifted data: Chan, Golub & LeVeque 1983).  Then (μ-μ̃)·W·1 is
+    subtracted and the output scaled by 1/(σ+1e-8).  As |μ̃-μ| <=
+    σ·√(N/n₁) (Cauchy-Schwarz, n₁ of the N values in the first band), the
+    float32 centering error stays within ε₃₂·(|x-μ| + √bands·σ) for any
+    input, and a constant volume stays exact.  Then 1x1 convs
+    144-72-36-32, concat of the half-resolution left image, three 3x3
+    harvesting convs.
     """
-    vols = (census, ad_u, ad_v)
-    if any(v.depth != 96 or v.scale != "half" or v.costs.shape != census.costs.shape
-           for v in vols):
-        raise ValueError("expected three equal-shape 96-deep half-scale volumes")
-    if (left_half.height, left_half.width) != (census.height, census.width):
-        raise ValueError("left image does not match volume scale")
+    h, w = left_half.height, left_half.width
     p = ConvParams(store["trad.red0.w"], store["trad.red0.b"])
     if p.weights.shape[1:] != (288, 1, 1):
         raise WeightError(f"parameter 'trad.red0.w' has shape {p.weights.shape}")
     _trace(trace, "traditional_volume_channels", 288)
-    n = 3 * census.costs.size
-    mean = sum(v.costs.sum() for v in vols) / n
-    w = p.weights.reshape(p.out_channels, 288)
-    centered = np.empty((96, census.height * census.width), dtype=np.float32)
-    x = np.zeros((p.out_channels, centered.shape[1]), dtype=np.float32)
-    squares = 0.0
-    for k, v in enumerate(vols):
-        np.subtract(v.costs.reshape(96, -1), mean, out=centered, casting="unsafe")
-        squares += np.einsum("ij,ij->", centered, centered, dtype=np.float64)
-        x += w[:, k::3] @ centered
-    x *= np.float32(1.0 / (np.sqrt(squares / n) + 1e-8))
+    wmat = p.weights.reshape(p.out_channels, 288)
+    x = np.empty((p.out_channels, h * w), dtype=np.float32)
+    shift, rows, sums, squares = None, 0, 0.0, 0.0
+    for y0, *vols in bands:
+        shape = vols[0].costs.shape
+        if (y0 != rows or shape[0] != 96 or shape[2] != w or rows + shape[1] > h
+                or any(v.scale != "half" or v.costs.shape != shape for v in vols)):
+            raise ValueError(f"band at row {y0} does not fit 96-deep {h}x{w} volumes")
+        shift = sum(v.costs.mean() for v in vols) / 3 if shift is None else shift
+        centered = [v.costs.reshape(96, -1) - shift for v in vols]
+        sums += sum(c.sum() for c in centered)
+        squares += sum(np.vdot(c, c) for c in centered)
+        rows += shape[1]
+        x[:, y0 * w : rows * w] = sum(
+            wmat[:, k::3] @ c.astype(np.float32) for k, c in enumerate(centered)
+        )
+    if rows != h:
+        raise ValueError(f"bands cover {rows} of {h} rows")
+    n = 288 * h * w
+    offset = sums / n  # μ - μ̃
+    sigma = np.sqrt(max(squares / n - offset * offset, 0.0))
+    x -= (offset * wmat.sum(axis=1, dtype=np.float64)).astype(np.float32)[:, None]
+    x *= np.float32(1.0 / (sigma + 1e-8))
     x += p.bias[:, None]
-    x = relu(x.reshape(p.out_channels, census.height, census.width))
+    x = relu(x.reshape(p.out_channels, h, w))
     _trace(trace, "traditional_reduction_0_channels", x.shape[0])
     for i in range(1, 4):
         x = _conv(store, f"trad.red{i}", x)
@@ -405,9 +419,6 @@ class GuideSet:
     quarter: np.ndarray
     eighth: np.ndarray
     sixteenth: np.ndarray
-
-    def at(self, scale: str) -> np.ndarray:
-        return getattr(self, scale)
 
 
 def guide_encoder(trad32: CostVolume, store: WeightStore) -> GuideSet:
@@ -454,27 +465,24 @@ def hourglass_forward(
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
     downs = 2 if stage == 1 else 3
-    up_scales = ["eighth", "quarter"] if stage == 1 else ["eighth", "quarter", "half"]
     pre = f"hg{stage}"
     y = _conv(store, f"{pre}.entry", x)
     for i in range(downs):
         y = _residual_down(store, f"{pre}.down{i}", y)
         y = _residual(store, f"{pre}.res{i}", y)
-    g16 = guides.sixteenth
-    if g16.shape[1:] != y.shape[1:]:
-        raise ValueError(
-            f"guide scale mismatch at bottleneck: {g16.shape[1:]} vs {y.shape[1:]}"
-        )
-    y = _conv(store, f"{pre}.bottleneck", concat_channels([y, g16]))
-    for i, scale in enumerate(up_scales):
-        y = _deconv(store, f"{pre}.up{i}.deconv", y)
-        g = guides.at(scale)
+
+    def fuse(name, scale, y, g):
         if g.shape[1:] != y.shape[1:]:
             raise ValueError(
                 f"guide scale mismatch at {scale}: {g.shape[1:]} vs {y.shape[1:]}"
             )
-        y = _conv(store, f"{pre}.up{i}.fuse", concat_channels([y, g]))
-        y = _conv(store, f"{pre}.up{i}.conv", y)
+        return _conv(store, name, concat_channels([y, g]))
+
+    y = fuse(f"{pre}.bottleneck", "bottleneck", y, guides.sixteenth)
+    ups = (("eighth", guides.eighth), ("quarter", guides.quarter), ("half", guides.half))
+    for i, (scale, g) in enumerate(ups[:downs]):
+        y = _deconv(store, f"{pre}.up{i}.deconv", y)
+        y = _conv(store, f"{pre}.up{i}.conv", fuse(f"{pre}.up{i}.fuse", scale, y, g))
     return y
 
 
@@ -543,24 +551,21 @@ def full_forward(
     right_p, _ = pad_reflect(right, 16)
 
     def trad_branch():
-        census, ad_u, ad_v, left_half = traditional_costs(left_p, right_p, 96)
-        return reduce_traditional(census, ad_u, ad_v, left_half, store, trace=trace)
-
-    def unet_branch(img):
-        return unet_features(img, store)
+        left_half, bands = traditional_costs(left_p, right_p, 96)
+        return reduce_traditional(bands, left_half, store, trace=trace)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=min(threads, 3)) as pool:
             fut_trad = pool.submit(trad_branch)
-            fut_l = pool.submit(unet_branch, left_p)
-            fut_r = pool.submit(unet_branch, right_p)
+            fut_l = pool.submit(unet_features, left_p, store)
+            fut_r = pool.submit(unet_features, right_p, store)
             trad32 = fut_trad.result()
             fl_half, fl_quarter = fut_l.result()
             fr_half, fr_quarter = fut_r.result()
     else:
         trad32 = trad_branch()
-        fl_half, fl_quarter = unet_branch(left_p)
-        fr_half, fr_quarter = unet_branch(right_p)
+        fl_half, fl_quarter = unet_features(left_p, store)
+        fr_half, fr_quarter = unet_features(right_p, store)
 
     corr96 = correlate_1d(fl_half, fr_half, 96, "half")
     corr32 = reduce_correlation(corr96, store)

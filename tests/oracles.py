@@ -9,8 +9,22 @@ which the tests check against the loop oracles here.
 
 import numpy as np
 
-from mscv.costvol import CostVolume, traditional_costs
-from mscv.imagekit import crop, pad_reflect
+from mscv.costvol import (
+    CENSUS_BITS,
+    CostVolume,
+    ad_cost_volume,
+    census_transform,
+    hamming_cost_volume,
+)
+from mscv.disparity import wta_disparity
+from mscv.imagekit import (
+    DisparityMap,
+    Image,
+    crop,
+    mean_pool_2x,
+    pad_reflect,
+    rgb_to_yuv,
+)
 
 
 def census_oracle(plane: np.ndarray, window: int = 5) -> np.ndarray:
@@ -217,6 +231,40 @@ def assemble_traditional(c1, c2, c3) -> CostVolume:
     return CostVolume(stacked, scale="half", kind="feature")
 
 
+def traditional_volumes(left, right, max_d):
+    """Whole-plane census and chroma-AD volumes: the census/AD front end
+    without row bands.
+
+    Pools both images 2x, converts to YUV and runs ``census_transform``,
+    ``hamming_cost_volume`` and ``ad_cost_volume`` once on whole planes.
+    Returns ``(census, ad_u, ad_v, left_half)``.
+    """
+    left_half = mean_pool_2x(left)
+    lyuv = rgb_to_yuv(left_half).data
+    ryuv = rgb_to_yuv(mean_pool_2x(right)).data
+    plane = lambda yuv, c: Image(yuv[c : c + 1])
+    census = hamming_cost_volume(
+        census_transform(plane(lyuv, 0)), census_transform(plane(ryuv, 0)), max_d
+    )
+    ad_u = ad_cost_volume(plane(lyuv, 1), plane(ryuv, 1), max_d)
+    ad_v = ad_cost_volume(plane(lyuv, 2), plane(ryuv, 2), max_d)
+    return census, ad_u, ad_v, left_half
+
+
+def traditional_match_reference(left, right, max_disp):
+    """``cli.traditional_match`` on whole volumes: normalized census plus
+    U and V costs, one winner-take-all, nearest-neighbor upsampling."""
+    left_p, orig = pad_reflect(left, 2)
+    right_p, _ = pad_reflect(right, 2)
+    census, ad_u, ad_v, _ = traditional_volumes(left_p, right_p, max(1, max_disp // 2))
+    combined = CostVolume(
+        census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs, "half", "matching-cost"
+    )
+    half = wta_disparity(combined, "minimize").values
+    full = crop(np.repeat(np.repeat(half, 2, axis=0), 2, axis=1), orig)
+    return DisparityMap(full, valid=np.ones_like(full, dtype=bool))
+
+
 def conv2d_f64(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                stride: int = 1) -> np.ndarray:
     """"Same"-padded cross-correlation in float64, one kernel tap at a time."""
@@ -265,8 +313,9 @@ def forward_oracle(left, right, store):
     Same topology and padding; every layer runs on the float64 helpers
     above with the float32 weights widened, and the traditional branch
     builds the normalized 288-channel volume with ``assemble_traditional``.
-    Padding, cropping and the census/AD front end (float64 already, and
-    checked against the loop oracles) come from the package.
+    The census/AD volumes come whole from ``traditional_volumes``, so no
+    band code is shared; padding, cropping and the cost builders (float64
+    already, and checked against the loop oracles) come from the package.
     Returns ``(refined, disparity)``: the 32-channel half-scale features
     that enter the head, and the clamped full-resolution disparity map.
     """
@@ -315,7 +364,7 @@ def forward_oracle(left, right, store):
 
     left_p, orig = pad_reflect(left, 16)
     right_p, _ = pad_reflect(right, 16)
-    census, ad_u, ad_v, left_half = traditional_costs(left_p, right_p, 96)
+    census, ad_u, ad_v, left_half = traditional_volumes(left_p, right_p, 96)
     x = assemble_traditional(census, ad_u, ad_v).costs
     for i in range(4):
         x = conv(f"trad.red{i}", x)

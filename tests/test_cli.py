@@ -15,6 +15,8 @@ from mscv.imagekit import read_image, read_pfm
 from mscv.metrics import epe
 from mscv.network import init_weights, save_weights
 
+from oracles import traditional_match_reference
+
 
 class TestPlanParsing:
     def test_single_disparity_covers_width(self):
@@ -187,3 +189,19 @@ class TestDispatch:
         a = traditional_match(left, right)
         b = traditional_match(left, right)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestTraditionalMatchBands:
+    # Half-scale heights around the band size and with a short last band;
+    # max_disp 192 asks for 96 half-scale candidates on 12 columns.
+    @pytest.mark.parametrize("max_disp", [16, 192])
+    @pytest.mark.parametrize("half_h", [1, 15, 16, 17, 40])
+    def test_equals_whole_volume_reference(self, rng, half_h, max_disp):
+        from mscv.imagekit import Image
+
+        left = Image(rng.random((3, 2 * half_h, 23)))
+        right = Image(rng.random((3, 2 * half_h, 23)))
+        got = traditional_match(left, right, max_disp)
+        want = traditional_match_reference(left, right, max_disp)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.valid, want.valid)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mscv.costvol import (
+    _BAND_ROWS,
     CostVolume,
     ad_cost_volume,
     census_transform,
@@ -124,17 +125,21 @@ class TestAdVolume:
 
 class TestTraditionalCosts:
     def test_matches_oracles_on_pooled_yuv(self, rng):
-        left = Image(rng.random((3, 20, 28)))
-        right = Image(rng.random((3, 20, 28)))
-        census, ad_u, ad_v, left_half = traditional_costs(left, right, 8)
+        # 20 half-scale rows: a full band of _BAND_ROWS and a short one.
+        left = Image(rng.random((3, 40, 28)))
+        right = Image(rng.random((3, 40, 28)))
+        left_half, bands = traditional_costs(left, right, 8)
+        y0s, census, ad_u, ad_v = zip(*bands)
+        assert y0s == (0, _BAND_ROWS)
+        concat = lambda vols: np.concatenate([v.costs for v in vols], axis=1)
         lyuv = rgb_to_yuv(mean_pool_2x(left)).data
         ryuv = rgb_to_yuv(mean_pool_2x(right)).data
         np.testing.assert_array_equal(
-            census.costs,
+            concat(census),
             hamming_volume_oracle(census_oracle(lyuv[0]), census_oracle(ryuv[0]), 8),
         )
-        np.testing.assert_array_equal(ad_u.costs, ad_volume_oracle(lyuv[1], ryuv[1], 8))
-        np.testing.assert_array_equal(ad_v.costs, ad_volume_oracle(lyuv[2], ryuv[2], 8))
+        np.testing.assert_array_equal(concat(ad_u), ad_volume_oracle(lyuv[1], ryuv[1], 8))
+        np.testing.assert_array_equal(concat(ad_v), ad_volume_oracle(lyuv[2], ryuv[2], 8))
         np.testing.assert_array_equal(left_half.data, mean_pool_2x(left).data)
 
 

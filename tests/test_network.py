@@ -1,14 +1,16 @@
 """Weight container, initialization, and forward-pass shape/determinism."""
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import mscv.network
-from mscv.costvol import CostVolume
+from mscv.costvol import _BAND_ROWS, CostVolume
 from mscv.imagekit import Image
 from mscv.network import (
+    GuideSet,
     WeightError,
     WeightStore,
     _conv,
@@ -133,6 +135,26 @@ class TestWeightContainer:
         with pytest.raises(WeightError, match="'k'"):
             load_weights(path)
 
+    @pytest.mark.parametrize("name, dims", [
+        (b"\xff", (1,)),  # name not UTF-8
+        (b"k", (1,) * 65),  # more dims than NumPy allows
+        (b"k", (2**32 - 1,) * 3 + (0,)),  # no elements, but too large a shape
+    ])
+    def test_malformed_entry_rejected(self, tmp_path, name, dims):
+        raw = (
+            b"MSCV1"
+            + (1).to_bytes(4, "little")
+            + len(name).to_bytes(2, "little")
+            + name
+            + len(dims).to_bytes(1, "little")
+            + b"".join(d.to_bytes(4, "little") for d in dims)
+            + b"\x00" * (4 * math.prod(dims))
+        )
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw)
+        with pytest.raises(WeightError):
+            load_weights(path)
+
 
 class TestInitWeights:
     def test_deterministic_across_calls(self):
@@ -200,6 +222,16 @@ class TestUnetFeatures:
 
 class TestReductions:
     @staticmethod
+    def bands(vols):
+        # Row bands as costvol.traditional_costs yields them.
+        h = vols[0].height
+        return [
+            (y0, *(CostVolume(v.costs[:, y0 : y0 + _BAND_ROWS], v.scale, v.kind)
+                   for v in vols))
+            for y0 in range(0, h, _BAND_ROWS)
+        ]
+
+    @staticmethod
     def trad_volumes(rng, h=8, w=12, depth=96, scale="half"):
         census = rng.integers(0, 25, (depth, h, w)).astype(np.float64)
         return tuple(
@@ -222,14 +254,16 @@ class TestReductions:
     def test_traditional_channel_trace_and_shape(self, rng, store):
         left_half = Image(rng.random((3, 8, 12)))
         trace = []
-        out = reduce_traditional(*self.trad_volumes(rng), left_half, store, trace=trace)
+        out = reduce_traditional(
+            self.bands(self.trad_volumes(rng)), left_half, store, trace=trace
+        )
         assert out.costs.shape == (32, 8, 12)
         assert [v for _, v in trace] == [288, 144, 72, 36, 32]
 
     def test_traditional_scale_mismatch_rejected(self, rng, store):
         vols = self.trad_volumes(rng)
         with pytest.raises(ValueError):
-            reduce_traditional(*vols, Image(rng.random((3, 4, 6))), store)
+            reduce_traditional(self.bands(vols), Image(rng.random((3, 4, 6))), store)
         left_half = Image(rng.random((3, 8, 12)))
         for bad in (
             self.trad_volumes(rng, depth=95)[0],
@@ -237,30 +271,37 @@ class TestReductions:
             self.trad_volumes(rng, w=13)[0],
         ):
             with pytest.raises(ValueError):
-                reduce_traditional(vols[0], bad, vols[2], left_half, store)
+                reduce_traditional(self.bands((vols[0], bad, vols[2])), left_half, store)
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_traditional_matches_assembled_reference(self, rng, seed):
         weights = init_weights(seed)
-        left_half = Image(rng.random((3, 8, 12)))
-        near = lambda eps: tuple(
-            CostVolume(3.0 + eps * rng.random((96, 8, 12)), "half", "matching-cost")
-            for _ in range(3)
-        )
-        # Random and near-constant volumes (spread 1e-3 .. 1e-9 around 3):
-        # float32 rounding only, against outputs of about 0.1.
-        for vols in (self.trad_volumes(rng), near(1e-3), near(1e-6), near(1e-9)):
-            np.testing.assert_allclose(
-                reduce_traditional(*vols, left_half, weights).costs,
-                self.reduce_reference(vols, left_half, weights),
-                rtol=0, atol=1e-6,
+        # 8 rows fit in one band; 40 span two full bands and a short third.
+        for h in (8, 40):
+            left_half = Image(rng.random((3, h, 12)))
+            reduce = lambda vols: reduce_traditional(self.bands(vols), left_half, weights)
+            near = lambda eps: tuple(
+                CostVolume(3.0 + eps * rng.random((96, h, 12)), "half", "matching-cost")
+                for _ in range(3)
             )
-        # Zero variance: both sides see an all-zero normalized volume.
-        const = near(0.0)
-        np.testing.assert_array_equal(
-            reduce_traditional(*const, left_half, weights).costs,
-            self.reduce_reference(const, left_half, weights),
-        )
+            # The first band's mean lies far from the global one.
+            offset = self.trad_volumes(rng, h=h)
+            for v in offset:
+                v.costs[:, :_BAND_ROWS] += 5.0
+            # Random and near-constant volumes (spread 1e-3 .. 1e-9 around
+            # 3): float32 rounding only, against outputs of about 0.1.
+            for vols in (self.trad_volumes(rng, h=h), near(1e-3), near(1e-6),
+                         near(1e-9), offset):
+                np.testing.assert_allclose(
+                    reduce(vols).costs,
+                    self.reduce_reference(vols, left_half, weights),
+                    rtol=0, atol=1e-6,
+                )
+            # Zero variance: both sides see an all-zero normalized volume.
+            const = near(0.0)
+            np.testing.assert_array_equal(
+                reduce(const).costs, self.reduce_reference(const, left_half, weights),
+            )
 
     def test_correlation_reduce_shape_and_linearity(self, rng, store):
         costs = rng.standard_normal((96, 6, 10))
@@ -315,6 +356,15 @@ class TestCascade:
         trad, corr32, corr48, guides = self.inputs(rng, store)
         refined = cascade_forward(trad, corr32, corr48, guides, store)
         assert refined.shape == (32, 16, 24)
+
+    @pytest.mark.parametrize("scale", ["sixteenth", "quarter", "half"])
+    def test_guide_mismatch_names_scale(self, rng, store, scale):
+        trad, corr32, corr48, guides = self.inputs(rng, store)
+        fields = {f: getattr(guides, f) for f in ("half", "quarter", "eighth", "sixteenth")}
+        fields[scale] = fields[scale][:, :-1]
+        where = "bottleneck" if scale == "sixteenth" else scale
+        with pytest.raises(ValueError, match=f"guide scale mismatch at {where}"):
+            cascade_forward(trad, corr32, corr48, GuideSet(**fields), store)
 
     def test_residual_identity_with_zero_weights(self, rng, store):
         # Zeroing both convs of an identity-shortcut block leaves its
