@@ -11,8 +11,7 @@ paper's 288-channel volume) into its first 1x1 reduction
 feature maps at 1/2 and 1/4 resolution, in the features' dtype.
 
 Volume layout is (depth, height, width): depth indexes disparity
-candidates (kind="matching-cost" / "correlation") or feature channels
-(kind="feature").
+candidates (kind="matching-cost" or "correlation").
 """
 
 from __future__ import annotations
@@ -43,11 +42,10 @@ class CensusPlane:
 
 @dataclass
 class CostVolume:
-    """3-D cost/feature grid at a stated resolution scale.
+    """3-D cost grid, one plane per disparity, at a stated resolution scale.
 
     costs: (depth, H, W); scale: "half" or "quarter"; kind:
-    "matching-cost" (lower is better), "correlation" (higher is better)
-    or "feature" (no per-depth semantics).
+    "matching-cost" (lower is better) or "correlation" (higher is better).
     """
 
     costs: np.ndarray
@@ -59,7 +57,7 @@ class CostVolume:
             raise ValueError("cost volume must be (D, H, W)")
         if self.scale not in ("half", "quarter"):
             raise ValueError(f"unknown scale {self.scale!r}")
-        if self.kind not in ("matching-cost", "correlation", "feature"):
+        if self.kind not in ("matching-cost", "correlation"):
             raise ValueError(f"unknown kind {self.kind!r}")
 
     @property
@@ -106,11 +104,13 @@ def _shifted(left, right, max_d, fill, cost, dtype=np.float64) -> np.ndarray:
 
     ``left``/``right`` share a shape ending in (H, W);
     costs[d, :, d:] = cost(left[..., d:], right[..., :W - d]).  Columns
-    with x - d < 0 have no partner and keep ``fill``.
+    with x - d < 0 have no partner and get ``fill``, written only there.
     """
     h, w = left.shape[-2:]
-    costs = np.full((max_d, h, w), fill, dtype=dtype)
+    costs = np.empty((max_d, h, w), dtype=dtype)
+    costs[w:] = fill
     for d in range(min(max_d, w)):
+        costs[d, :, :d] = fill
         costs[d, :, d:] = cost(left[..., d:], right[..., : w - d])
     return costs
 

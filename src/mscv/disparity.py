@@ -61,8 +61,6 @@ def wta_disparity(vol: CostVolume, objective: str = "minimize") -> DisparityMap:
     stay at the volume's scale; values are multiplied by the scale
     factor (2 at half, 4 at quarter).
     """
-    if vol.kind == "feature":
-        raise ValueError("WTA needs a matching-cost or correlation volume")
     if objective == "minimize":
         best = np.argmin(vol.costs, axis=0)
     elif objective == "maximize":

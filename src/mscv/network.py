@@ -9,8 +9,10 @@ networks fusing everything; a 1x1 head regressing disparity, bilinearly
 upsampled to full resolution.
 
 All parameters live in a WeightStore serialized as the "MSCV1" binary
-container.  Only the Unet layers use batch normalization; everything
-else is conv + ReLU (the head is linear).
+container.  The architecture table decides each layer's stride, batch
+norm, deconvolution and ReLU.  Only the Unet layers use batch norm; at
+inference it is a per-channel affine map, folded into the conv weights
+and bias when the layer is applied.  Blocks pass plain float32 arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from mscv.costvol import CostVolume, correlate_1d, traditional_costs
 from mscv.imagekit import DisparityMap, Image, crop, pad_reflect
 from mscv.tensorops import (
     ConvParams,
-    batchnorm_relu,
     bilinear_resize,
     concat_channels,
     conv2d,
@@ -37,6 +38,7 @@ from mscv.tensorops import (
 )
 
 MAGIC = b"MSCV1"
+BN_EPS = 1e-5
 
 
 class WeightError(ValueError):
@@ -78,6 +80,7 @@ class LayerDef:
     stride: int = 1
     bn: bool = False
     deconv: bool = False
+    act: bool = True
 
 
 def _unet_layers() -> list[LayerDef]:
@@ -133,10 +136,10 @@ def _hourglass_layers(stage: int) -> list[LayerDef]:
     for i in range(downs):
         layers += [
             LayerDef(f"{pre}.down{i}.c1", 32, 32, 3, 3, stride=2),
-            LayerDef(f"{pre}.down{i}.c2", 32, 32, 3, 3),
-            LayerDef(f"{pre}.down{i}.sc", 32, 32, 1, 1, stride=2),
+            LayerDef(f"{pre}.down{i}.c2", 32, 32, 3, 3, act=False),
+            LayerDef(f"{pre}.down{i}.sc", 32, 32, 1, 1, stride=2, act=False),
             LayerDef(f"{pre}.res{i}.c1", 32, 32, 3, 3),
-            LayerDef(f"{pre}.res{i}.c2", 32, 32, 3, 3),
+            LayerDef(f"{pre}.res{i}.c2", 32, 32, 3, 3, act=False),
         ]
     layers.append(LayerDef(f"{pre}.bottleneck", 32, 64, 1, 1))
     for i in range(downs):
@@ -161,8 +164,11 @@ def architecture() -> list[LayerDef]:
             LayerDef("casc.fuse", 32, 96, 1, 1),
         ]
         + _hourglass_layers(2)
-        + [LayerDef("head.conv", 1, 32, 1, 1)]
+        + [LayerDef("head.conv", 1, 32, 1, 1, act=False)]
     )
+
+
+_LAYERS = {l.name: l for l in architecture()}
 
 
 def architecture_manifest() -> list[tuple[str, tuple[int, ...]]]:
@@ -285,31 +291,22 @@ def load_weights(path) -> WeightStore:
 # ---------------------------------------------------------------------------
 
 
-def _conv(store, name, x, stride=1, bn=False, act=True):
-    p = ConvParams(store[f"{name}.w"], store[f"{name}.b"], stride)
-    if p.in_channels != x.shape[0]:
-        raise WeightError(
-            f"parameter {name!r} expects {p.in_channels} input channels, "
-            f"got {x.shape[0]}"
-        )
-    return _activate(store, name, conv2d(x, p), bn, act)
+def _layer(store, name, x):
+    """Apply architecture layer ``name`` to ``x`` as its table entry says.
 
-
-def _deconv(store, name, x, bn=False, act=True):
-    p = ConvParams(store[f"{name}.w"], store[f"{name}.b"], stride=2)
-    return _activate(store, name, deconv2d_s2(x, p), bn, act)
-
-
-def _activate(store, name, y, bn, act):
-    if bn:
-        return batchnorm_relu(
-            y,
-            store[f"{name}.bn.mean"],
-            store[f"{name}.bn.var"],
-            store[f"{name}.bn.gamma"],
-            store[f"{name}.bn.beta"],
-        )
-    return relu(y) if act else y
+    Batch norm is folded into the weights and bias in float64:
+    s = gamma / sqrt(var + eps) scales the output axis (axis 0 for conv
+    and deconv alike), and the bias becomes (b - mean)·s + beta.
+    """
+    l = _LAYERS[name]
+    w, b = store[f"{name}.w"], store[f"{name}.b"]
+    if l.bn:
+        bn = lambda k: store[f"{name}.bn.{k}"].astype(np.float64)
+        s = bn("gamma") / np.sqrt(bn("var") + BN_EPS)
+        w, b = w * s[:, None, None, None], (b - bn("mean")) * s + bn("beta")
+    p = ConvParams(w, b, l.stride)
+    y = deconv2d_s2(x, p) if l.deconv else conv2d(x, p)
+    return relu(y) if l.act else y
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +322,23 @@ def unet_features(image: Image, store: WeightStore) -> tuple[np.ndarray, np.ndar
     h, w = image.height, image.width
     if h % 16 or w % 16:
         raise ValueError(f"dims must divide 16, got {h}x{w}")
-    x = image.data.astype(np.float32)
-    s_full = _conv(store, "unet.enc0", x, bn=True)
-    d1 = _conv(store, "unet.down1", s_full, stride=2, bn=True)
-    s_half = _conv(store, "unet.enc1", d1, bn=True)
-    d2 = _conv(store, "unet.down2", s_half, stride=2, bn=True)
-    s_quarter = _conv(store, "unet.enc2", d2, bn=True)
-    d3 = _conv(store, "unet.down3", s_quarter, stride=2, bn=True)
-    bottom = _conv(store, "unet.enc3", d3, bn=True)
-    u2 = _deconv(store, "unet.up2.deconv", bottom, bn=True)
-    u2 = _conv(store, "unet.up2.fuse", concat_channels([u2, s_quarter]), bn=True)
-    f_quarter = _conv(store, "unet.up2.harvest", u2, bn=True)
-    u1 = _deconv(store, "unet.up1.deconv", f_quarter, bn=True)
-    u1 = _conv(store, "unet.up1.fuse", concat_channels([u1, s_half]), bn=True)
-    f_half = _conv(store, "unet.up1.harvest", u1, bn=True)
+    layer = lambda name, x: _layer(store, f"unet.{name}", x)
+    s_full = layer("enc0", image.data.astype(np.float32))
+    s_half = layer("enc1", layer("down1", s_full))
+    s_quarter = layer("enc2", layer("down2", s_half))
+    bottom = layer("enc3", layer("down3", s_quarter))
+    u2 = layer("up2.deconv", bottom)
+    f_quarter = layer("up2.harvest", layer("up2.fuse", concat_channels([u2, s_quarter])))
+    u1 = layer("up1.deconv", f_quarter)
+    f_half = layer("up1.harvest", layer("up1.fuse", concat_channels([u1, s_half])))
     return f_half, f_quarter
 
 
 def reduce_traditional(
     bands: Iterable[tuple[int, CostVolume, CostVolume, CostVolume]],
     left_half: Image, store: WeightStore, trace=None,
-) -> CostVolume:
-    """Reduce the census, U and V 96-deep volumes to 32 channels.
+) -> np.ndarray:
+    """Reduce the census, U and V 96-deep volumes to 32 float32 channels.
 
     The volumes arrive as row bands ``(y0, census, ad_u, ad_v)`` from
     ``costvol.traditional_costs``.  ``trad.red0`` is a 1x1 conv over the
@@ -395,20 +387,19 @@ def reduce_traditional(
     x = relu(x.reshape(p.out_channels, h, w))
     _trace(trace, "traditional_reduction_0_channels", x.shape[0])
     for i in range(1, 4):
-        x = _conv(store, f"trad.red{i}", x)
+        x = _layer(store, f"trad.red{i}", x)
         _trace(trace, f"traditional_reduction_{i}_channels", x.shape[0])
     x = concat_channels([x, left_half.data.astype(np.float32)])
     for i in range(3):
-        x = _conv(store, f"trad.harvest{i}", x)
-    return CostVolume(x, scale="half", kind="feature")
+        x = _layer(store, f"trad.harvest{i}", x)
+    return x
 
 
-def reduce_correlation(vol96: CostVolume, store: WeightStore) -> CostVolume:
+def reduce_correlation(corr96: np.ndarray, store: WeightStore) -> np.ndarray:
     """1x1 conv collapsing the 96-candidate correlation volume to 32."""
-    if vol96.depth != 96:
-        raise ValueError(f"expected depth 96, got {vol96.depth}")
-    x = _conv(store, "corr.reduce", vol96.costs.astype(np.float32, copy=False))
-    return CostVolume(x, scale=vol96.scale, kind="feature")
+    if corr96.shape[0] != 96:
+        raise ValueError(f"expected depth 96, got {corr96.shape[0]}")
+    return _layer(store, "corr.reduce", corr96)
 
 
 @dataclass
@@ -421,35 +412,30 @@ class GuideSet:
     sixteenth: np.ndarray
 
 
-def guide_encoder(trad32: CostVolume, store: WeightStore) -> GuideSet:
-    """Multi-scale guides from the traditional volume.
+def guide_encoder(trad32: np.ndarray, store: WeightStore) -> GuideSet:
+    """Multi-scale guides from the 32-channel half-scale traditional volume.
 
     One stride-1 block at 1/2, then three down blocks (stride-2 conv +
     stride-1 conv) reaching 1/16.
     """
-    if trad32.depth != 32 or trad32.scale != "half":
+    if trad32.shape[0] != 32:
         raise ValueError("guide encoder takes the 32-channel half-scale volume")
-    g_half = _conv(store, "guide.s0", trad32.costs.astype(np.float32, copy=False))
-    g_quarter = _conv(store, "guide.d1.b", _conv(store, "guide.d1.a", g_half, stride=2))
-    g_eighth = _conv(store, "guide.d2.b", _conv(store, "guide.d2.a", g_quarter, stride=2))
-    g_sixteenth = _conv(
-        store, "guide.d3.b", _conv(store, "guide.d3.a", g_eighth, stride=2)
-    )
-    return GuideSet(g_half, g_quarter, g_eighth, g_sixteenth)
+    guides = [_layer(store, "guide.s0", trad32)]
+    for i in (1, 2, 3):
+        g = _layer(store, f"guide.d{i}.a", guides[-1])
+        guides.append(_layer(store, f"guide.d{i}.b", g))
+    return GuideSet(*guides)
 
 
 def _residual_down(store, prefix, x):
     # Projection-shortcut block halving spatial dims.
-    y = _conv(store, f"{prefix}.c1", x, stride=2)
-    y = _conv(store, f"{prefix}.c2", y, act=False)
-    sc = _conv(store, f"{prefix}.sc", x, stride=2, act=False)
-    return relu(y + sc)
+    y = _layer(store, f"{prefix}.c2", _layer(store, f"{prefix}.c1", x))
+    return relu(y + _layer(store, f"{prefix}.sc", x))
 
 
 def _residual(store, prefix, x):
     # Identity-shortcut block: zero conv weights leave x (if x >= 0).
-    y = _conv(store, f"{prefix}.c1", x)
-    y = _conv(store, f"{prefix}.c2", y, act=False)
+    y = _layer(store, f"{prefix}.c2", _layer(store, f"{prefix}.c1", x))
     return relu(y + x)
 
 
@@ -466,7 +452,7 @@ def hourglass_forward(
         raise ValueError("stage must be 1 or 2")
     downs = 2 if stage == 1 else 3
     pre = f"hg{stage}"
-    y = _conv(store, f"{pre}.entry", x)
+    y = _layer(store, f"{pre}.entry", x)
     for i in range(downs):
         y = _residual_down(store, f"{pre}.down{i}", y)
         y = _residual(store, f"{pre}.res{i}", y)
@@ -476,20 +462,20 @@ def hourglass_forward(
             raise ValueError(
                 f"guide scale mismatch at {scale}: {g.shape[1:]} vs {y.shape[1:]}"
             )
-        return _conv(store, name, concat_channels([y, g]))
+        return _layer(store, name, concat_channels([y, g]))
 
     y = fuse(f"{pre}.bottleneck", "bottleneck", y, guides.sixteenth)
     ups = (("eighth", guides.eighth), ("quarter", guides.quarter), ("half", guides.half))
     for i, (scale, g) in enumerate(ups[:downs]):
-        y = _deconv(store, f"{pre}.up{i}.deconv", y)
-        y = _conv(store, f"{pre}.up{i}.conv", fuse(f"{pre}.up{i}.fuse", scale, y, g))
+        y = _layer(store, f"{pre}.up{i}.deconv", y)
+        y = _layer(store, f"{pre}.up{i}.conv", fuse(f"{pre}.up{i}.fuse", scale, y, g))
     return y
 
 
 def cascade_forward(
-    trad32: CostVolume,
-    corr32_half: CostVolume,
-    corr48_quarter: CostVolume,
+    trad32: np.ndarray,
+    corr32_half: np.ndarray,
+    corr48_quarter: np.ndarray,
     guides: GuideSet,
     store: WeightStore,
     trace=None,
@@ -500,11 +486,9 @@ def cascade_forward(
     upsampled output is fused (concat + 1x1 conv) with both 1/2-scale
     32-channel volumes to feed stage 2.
     """
-    as32 = lambda vol: vol.costs.astype(np.float32, copy=False)
-    h1 = hourglass_forward(as32(corr48_quarter), guides, store, 1)
-    u = _deconv(store, "casc.up", h1)
-    fused = concat_channels([u, as32(corr32_half), as32(trad32)])
-    stage2_in = _conv(store, "casc.fuse", fused)
+    h1 = hourglass_forward(corr48_quarter, guides, store, 1)
+    u = _layer(store, "casc.up", h1)
+    stage2_in = _layer(store, "casc.fuse", concat_channels([u, corr32_half, trad32]))
     refined = hourglass_forward(stage2_in, guides, store, 2)
     _trace(trace, "refined_channels", refined.shape[0])
     _trace(trace, "refined_height", refined.shape[1])
@@ -518,7 +502,7 @@ def disparity_head(
     """1x1 regression head, bilinear upsample to full res, crop, clamp."""
     if refined.shape[0] != 32:
         raise ValueError("head expects 32-channel input")
-    d = _conv(store, "head.conv", refined, act=False)
+    d = _layer(store, "head.conv", refined)
     full = bilinear_resize(d, 2 * d.shape[1], 2 * d.shape[2])
     cropped = crop(full[0], original_dims)
     values = np.maximum(cropped.astype(np.float64), 0.0)
@@ -567,9 +551,8 @@ def full_forward(
         fl_half, fl_quarter = unet_features(left_p, store)
         fr_half, fr_quarter = unet_features(right_p, store)
 
-    corr96 = correlate_1d(fl_half, fr_half, 96, "half")
-    corr32 = reduce_correlation(corr96, store)
-    corr48 = correlate_1d(fl_quarter, fr_quarter, 48, "quarter")
+    corr32 = reduce_correlation(correlate_1d(fl_half, fr_half, 96, "half").costs, store)
+    corr48 = correlate_1d(fl_quarter, fr_quarter, 48, "quarter").costs
     guides = guide_encoder(trad32, store)
     refined = cascade_forward(trad32, corr32, corr48, guides, store, trace=trace)
     return disparity_head(refined, orig, store)

@@ -1,7 +1,8 @@
 """Minimal deterministic convolution engine (inference only).
 
 Tensors are numpy float32 arrays of shape (channels, height, width).
-Every op is a pure function; repeated evaluation is bit-identical.
+Every op but ``relu``, which works in place, is a pure function;
+repeated evaluation is bit-identical.
 No autodiff: the network is forward-only.
 """
 
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BN_EPS = 1e-5
 _BAND_PIXELS = 1024  # conv2d band size, measured: the buffer stays near L2 size
 
 
@@ -130,31 +130,9 @@ def deconv2d_s2(x: np.ndarray, p: ConvParams) -> np.ndarray:
     return out + p.bias[:, None, None]
 
 
-def batchnorm_relu(
-    x: np.ndarray,
-    mean: np.ndarray,
-    var: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-) -> np.ndarray:
-    """Inference-mode batch normalization followed by ReLU."""
-    c = x.shape[0]
-    for name, arr in (("mean", mean), ("var", var), ("gamma", gamma), ("beta", beta)):
-        if np.asarray(arr).shape != (c,):
-            raise ValueError(f"{name} must have length {c}")
-    mean = np.asarray(mean, dtype=np.float32)[:, None, None]
-    var = np.asarray(var, dtype=np.float32)[:, None, None]
-    gamma = np.asarray(gamma, dtype=np.float32)[:, None, None]
-    beta = np.asarray(beta, dtype=np.float32)[:, None, None]
-    y = np.subtract(x, mean, dtype=np.float32)
-    y *= gamma
-    y /= np.sqrt(var + BN_EPS)
-    y += beta
-    return np.maximum(y, 0.0, out=y)
-
-
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0).astype(np.float32, copy=False)
+    """ReLU in place: ``np.maximum(x, 0, out=x)``; returns ``x``."""
+    return np.maximum(x, 0, out=x)
 
 
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -204,7 +204,7 @@ def mask_oracle(d_row: np.ndarray, epsilon: float) -> np.ndarray:
     return out
 
 
-def assemble_traditional(c1, c2, c3) -> CostVolume:
+def assemble_traditional(c1, c2, c3) -> np.ndarray:
     """Interleave three 96-deep volumes per disparity and normalize.
 
     Channel layout is [C1(d), C2(d), C3(d)] for d = 0..95 (288 channels
@@ -228,7 +228,7 @@ def assemble_traditional(c1, c2, c3) -> CostVolume:
     std = stacked.std()
     stacked -= mean
     stacked /= std + 1e-8
-    return CostVolume(stacked, scale="half", kind="feature")
+    return stacked
 
 
 def traditional_volumes(left, right, max_d):
@@ -365,7 +365,7 @@ def forward_oracle(left, right, store):
     left_p, orig = pad_reflect(left, 16)
     right_p, _ = pad_reflect(right, 16)
     census, ad_u, ad_v, left_half = traditional_volumes(left_p, right_p, 96)
-    x = assemble_traditional(census, ad_u, ad_v).costs
+    x = assemble_traditional(census, ad_u, ad_v)
     for i in range(4):
         x = conv(f"trad.red{i}", x)
     x = np.concatenate([x, left_half.data])

@@ -39,6 +39,7 @@ from mscv.imagekit import (
 from mscv.metrics import d1_metrics, epe, outlier_rate
 from mscv.network import (
     WeightStore,
+    _layer,
     full_forward,
     init_weights,
     load_weights,
@@ -46,7 +47,6 @@ from mscv.network import (
 )
 from mscv.tensorops import (
     ConvParams,
-    batchnorm_relu,
     bilinear_resize,
     conv2d,
     deconv2d_s2,
@@ -57,8 +57,10 @@ from oracles import (
     assemble_traditional,
     bilinear_oracle,
     census_oracle,
+    conv2d_f64,
     conv2d_oracle,
     correlation_oracle,
+    deconv_f64,
     hamming_volume_oracle,
     mask_oracle,
 )
@@ -152,11 +154,11 @@ def test_criterion_05_normalization():
     rng = np.random.default_rng(105)
     mk = lambda: CostVolume(rng.random((96, 10, 14)) * 24, "half", "matching-cost")
     out = assemble_traditional(mk(), mk(), mk())
-    assert abs(out.costs.mean()) < 1e-6
-    assert abs(out.costs.var() - 1.0) < 1e-5
+    assert abs(out.mean()) < 1e-6
+    assert abs(out.var() - 1.0) < 1e-5
     const = lambda: CostVolume(np.full((96, 4, 4), 3.0), "half", "matching-cost")
     zero = assemble_traditional(const(), const(), const())
-    assert (zero.costs == 0.0).all()
+    assert (zero == 0.0).all()
     ok(5, "288-channel normalization statistics and zero-variance guard hold")
 
 
@@ -263,21 +265,34 @@ def test_criterion_09_convolution_engine():
         (xc * deconv2d_s2(z, ConvParams(w.transpose(1, 0, 2, 3), np.zeros(3), 2))).sum()
     )
     assert abs(lhs - rhs) < 1e-5 * max(1.0, abs(lhs))
-    xb = rng.standard_normal((3, 4, 4)).astype(np.float32)
-    mean, var = rng.standard_normal(3), rng.random(3) + 0.1
-    gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
-    got = batchnorm_relu(xb, mean, var, gamma, beta)
-    want = np.maximum(
-        gamma[:, None, None] * (xb - mean[:, None, None])
-        / np.sqrt(var[:, None, None] + 1e-5) + beta[:, None, None],
-        0.0,
-    )
-    np.testing.assert_allclose(got, want, atol=1e-5)
+    # Batch norm folded into a conv and a deconv layer, against the
+    # float64 layer followed by the batch-norm formula and ReLU.
+    for name, shape, layer_f64 in (
+        ("unet.enc0", (16, 3, 3, 3), conv2d_f64),
+        ("unet.up2.deconv", (64, 128, 2, 2), deconv_f64),
+    ):
+        o, i = shape[:2]
+        bound = 1.0 / np.sqrt(np.prod(shape[1:]))
+        params = {
+            "w": rng.uniform(-bound, bound, shape), "b": rng.standard_normal(o),
+            "bn.mean": rng.standard_normal(o), "bn.var": rng.random(o) + 0.1,
+            "bn.gamma": rng.standard_normal(o), "bn.beta": rng.standard_normal(o),
+        }
+        params = {k: v.astype(np.float32) for k, v in params.items()}
+        xb = rng.standard_normal((i, 4, 4)).astype(np.float32)
+        store = WeightStore({f"{name}.{k}": v for k, v in params.items()})
+        bn = {k: params[f"bn.{k}"].astype(np.float64)[:, None, None]
+              for k in ("mean", "var", "gamma", "beta")}
+        y = layer_f64(xb, params["w"], params["b"])
+        want = np.maximum(
+            bn["gamma"] * (y - bn["mean"]) / np.sqrt(bn["var"] + 1e-5) + bn["beta"], 0.0
+        )
+        np.testing.assert_allclose(_layer(store, name, xb), want, atol=1e-5)
     xr = rng.random((2, 5, 4)).astype(np.float32)
     np.testing.assert_allclose(
         bilinear_resize(xr, 9, 7), bilinear_oracle(xr, 9, 7), atol=1e-5
     )
-    ok(9, "conv/deconv/batchnorm/bilinear match oracles; adjoint identity holds")
+    ok(9, "conv/deconv/folded batchnorm/bilinear match oracles; adjoint identity holds")
 
 
 @pytest.mark.slow

@@ -152,21 +152,21 @@ class TestAssembleTraditional:
     def test_interleaved_layout(self, rng):
         c1, c2, c3 = self.volumes(rng)
         out = assemble_traditional(c1, c2, c3)
-        stacked = np.empty_like(out.costs)
+        stacked = np.empty_like(out)
         stacked[0::3], stacked[1::3], stacked[2::3] = c1.costs, c2.costs, c3.costs
         mean, std = stacked.mean(), stacked.std()
-        np.testing.assert_allclose(out.costs[0], (c1.costs[0] - mean) / (std + 1e-8))
-        np.testing.assert_allclose(out.costs[287], (c3.costs[95] - mean) / (std + 1e-8))
+        np.testing.assert_allclose(out[0], (c1.costs[0] - mean) / (std + 1e-8))
+        np.testing.assert_allclose(out[287], (c3.costs[95] - mean) / (std + 1e-8))
 
     def test_normalization_statistics(self, rng):
         out = assemble_traditional(*self.volumes(rng))
-        assert abs(out.costs.mean()) < 1e-6
-        assert abs(out.costs.var() - 1.0) < 1e-5
+        assert abs(out.mean()) < 1e-6
+        assert abs(out.var() - 1.0) < 1e-5
 
     def test_zero_variance_guard(self):
         const = lambda: CostVolume(np.full((96, 4, 4), 7.0), "half", "matching-cost")
         out = assemble_traditional(const(), const(), const())
-        np.testing.assert_array_equal(out.costs, 0.0)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_wrong_depth_rejected(self, rng):
         bad = CostVolume(rng.random((95, 4, 4)), "half", "matching-cost")

@@ -53,9 +53,8 @@ class TestWta:
         np.testing.assert_array_equal(wta_disparity(vol).values, 0.0)
 
     def test_feature_volume_rejected(self, rng):
-        vol = CostVolume(rng.random((4, 2, 2)), "half", "feature")
-        with pytest.raises(ValueError):
-            wta_disparity(vol)
+        with pytest.raises(ValueError, match="kind"):
+            CostVolume(rng.random((4, 2, 2)), "half", "feature")
 
 
 class TestWarpRow:

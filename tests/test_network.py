@@ -13,7 +13,8 @@ from mscv.network import (
     GuideSet,
     WeightError,
     WeightStore,
-    _conv,
+    _layer,
+    architecture,
     architecture_manifest,
     cascade_forward,
     describe_architecture,
@@ -188,6 +189,12 @@ class TestInitWeights:
         with pytest.raises(WeightError, match="unet.enc0.b"):
             validate_store(broken)
 
+    def test_validate_store_flags_bn_length(self, store):
+        broken = WeightStore(dict(store.entries))
+        broken.entries["unet.up2.deconv.bn.var"] = np.ones(63, dtype=np.float32)
+        with pytest.raises(WeightError, match="unet.up2.deconv.bn.var"):
+            validate_store(broken)
+
 
 class TestDescribe:
     def test_lists_every_parameter_and_total(self, store):
@@ -195,6 +202,52 @@ class TestDescribe:
         for name, _ in architecture_manifest():
             assert name in text
         assert str(store.param_count()) in text
+
+
+class TestLayer:
+    """Batch norm folded by ``_layer`` against the float64 formula."""
+
+    LAYERS = [
+        pytest.param("unet.enc0", conv2d_f64, 3, id="unet.enc0"),
+        pytest.param("unet.up2.deconv", deconv_f64, 128, id="unet.up2.deconv"),
+    ]
+
+    @staticmethod
+    def run(rng, store, name, layer_f64, in_c, **bn):
+        # bn: running statistics and affine parameters, float64 per channel.
+        o = store[f"{name}.b"].shape[0]
+        stats = {"mean": np.zeros(o), "var": np.ones(o), "gamma": np.ones(o),
+                 "beta": np.zeros(o), **bn}
+        layer = WeightStore(dict(store.entries))
+        for k, v in stats.items():
+            layer.entries[f"{name}.bn.{k}"] = v.astype(np.float32)
+        x = rng.standard_normal((in_c, 4, 6)).astype(np.float32)
+        y = layer_f64(x, store[f"{name}.w"], store[f"{name}.b"])
+        g = {k: layer[f"{name}.bn.{k}"].astype(np.float64)[:, None, None] for k in stats}
+        want = g["gamma"] * (y - g["mean"]) / np.sqrt(g["var"] + 1e-5) + g["beta"]
+        return _layer(layer, name, x), np.maximum(want, 0.0)
+
+    @pytest.mark.parametrize("name,layer_f64,in_c", LAYERS)
+    def test_bn_identity_parameters(self, rng, store, name, layer_f64, in_c):
+        got, want = self.run(rng, store, name, layer_f64, in_c)
+        np.testing.assert_allclose(got, want, atol=1e-6)
+
+    @pytest.mark.parametrize("name,layer_f64,in_c", LAYERS)
+    def test_bn_large_negative_beta_floors_to_zero(self, rng, store, name, layer_f64, in_c):
+        o = store[f"{name}.b"].shape[0]
+        got, _ = self.run(rng, store, name, layer_f64, in_c, beta=np.full(o, -1e6))
+        np.testing.assert_array_equal(got, 0.0)
+
+    @pytest.mark.parametrize("name,layer_f64,in_c", LAYERS)
+    def test_bn_matches_scalar_formula(self, rng, store, name, layer_f64, in_c):
+        o = store[f"{name}.b"].shape[0]
+        got, want = self.run(
+            rng, store, name, layer_f64, in_c,
+            mean=rng.standard_normal(o), var=rng.random(o) + 0.1,
+            gamma=rng.standard_normal(o), beta=rng.standard_normal(o),
+        )
+        assert (want > 0).any() and (want == 0).any()
+        np.testing.assert_allclose(got, want, atol=1e-5)
 
 
 class TestUnetFeatures:
@@ -243,12 +296,12 @@ class TestReductions:
     def reduce_reference(vols, left_half, store):
         # trad.red0 ... trad.harvest2 applied to the normalized, interleaved
         # 288-channel volume.
-        x = assemble_traditional(*vols).costs.astype(np.float32)
+        x = assemble_traditional(*vols).astype(np.float32)
         for i in range(4):
-            x = _conv(store, f"trad.red{i}", x)
+            x = _layer(store, f"trad.red{i}", x)
         x = concat_channels([x, left_half.data.astype(np.float32)])
         for i in range(3):
-            x = _conv(store, f"trad.harvest{i}", x)
+            x = _layer(store, f"trad.harvest{i}", x)
         return x
 
     def test_traditional_channel_trace_and_shape(self, rng, store):
@@ -257,7 +310,7 @@ class TestReductions:
         out = reduce_traditional(
             self.bands(self.trad_volumes(rng)), left_half, store, trace=trace
         )
-        assert out.costs.shape == (32, 8, 12)
+        assert out.shape == (32, 8, 12)
         assert [v for _, v in trace] == [288, 144, 72, 36, 32]
 
     def test_traditional_scale_mismatch_rejected(self, rng, store):
@@ -293,41 +346,39 @@ class TestReductions:
             for vols in (self.trad_volumes(rng, h=h), near(1e-3), near(1e-6),
                          near(1e-9), offset):
                 np.testing.assert_allclose(
-                    reduce(vols).costs,
+                    reduce(vols),
                     self.reduce_reference(vols, left_half, weights),
                     rtol=0, atol=1e-6,
                 )
             # Zero variance: both sides see an all-zero normalized volume.
             const = near(0.0)
             np.testing.assert_array_equal(
-                reduce(const).costs, self.reduce_reference(const, left_half, weights),
+                reduce(const), self.reduce_reference(const, left_half, weights),
             )
 
     def test_correlation_reduce_shape_and_linearity(self, rng, store):
-        costs = rng.standard_normal((96, 6, 10))
-        out1 = reduce_correlation(CostVolume(costs, "half", "correlation"), store)
-        assert out1.costs.shape == (32, 6, 10)
+        costs = rng.standard_normal((96, 6, 10)).astype(np.float32)
+        out1 = reduce_correlation(costs, store)
+        assert out1.shape == (32, 6, 10)
         # 1x1 conv + ReLU: doubling a non-negatively-mapped input scales
         # positive outputs; check the underlying per-pixel matmul instead.
         w = store["corr.reduce.w"].reshape(32, 96).astype(np.float64)
         b = store["corr.reduce.b"].astype(np.float64)
         expected = np.maximum(
-            (w @ costs.astype(np.float32).astype(np.float64).reshape(96, -1)
+            (w @ costs.astype(np.float64).reshape(96, -1)
              ).reshape(32, 6, 10) + b[:, None, None],
             0.0,
         )
-        np.testing.assert_allclose(out1.costs, expected, atol=1e-4)
+        np.testing.assert_allclose(out1, expected, atol=1e-4)
 
     def test_correlation_wrong_depth_rejected(self, rng, store):
         with pytest.raises(ValueError):
-            reduce_correlation(
-                CostVolume(rng.random((48, 6, 10)), "half", "correlation"), store
-            )
+            reduce_correlation(rng.random((48, 6, 10)).astype(np.float32), store)
 
 
 class TestGuideEncoder:
     def test_four_scales_halving(self, rng, store):
-        trad = CostVolume(rng.standard_normal((32, 16, 24)), "half", "feature")
+        trad = rng.standard_normal((32, 16, 24)).astype(np.float32)
         guides = guide_encoder(trad, store)
         assert guides.half.shape == (32, 16, 24)
         assert guides.quarter.shape == (32, 8, 12)
@@ -335,7 +386,7 @@ class TestGuideEncoder:
         assert guides.sixteenth.shape == (32, 2, 3)
 
     def test_deterministic(self, rng, store):
-        trad = CostVolume(rng.standard_normal((32, 8, 8)), "half", "feature")
+        trad = rng.standard_normal((32, 8, 8)).astype(np.float32)
         a = guide_encoder(trad, store)
         b = guide_encoder(trad, store)
         assert (a.sixteenth == b.sixteenth).all()
@@ -344,11 +395,9 @@ class TestGuideEncoder:
 class TestCascade:
     @staticmethod
     def inputs(rng, store, hh=16, hw=24):
-        trad = CostVolume(rng.standard_normal((32, hh, hw)), "half", "feature")
-        corr32 = CostVolume(rng.standard_normal((32, hh, hw)), "half", "feature")
-        corr48 = CostVolume(
-            rng.standard_normal((48, hh // 2, hw // 2)), "quarter", "correlation"
-        )
+        feats = lambda c, h, w: rng.standard_normal((c, h, w)).astype(np.float32)
+        trad, corr32 = feats(32, hh, hw), feats(32, hh, hw)
+        corr48 = feats(48, hh // 2, hw // 2)
         guides = guide_encoder(trad, store)
         return trad, corr32, corr48, guides
 
@@ -450,6 +499,23 @@ class TestFullForward:
         assert ("refined_height", 16) in trace
         assert ("refined_width", 24) in trace
 
+    def test_every_layer_applied_once_in_table_order(self, rng, store, monkeypatch):
+        # The architecture table is the one place that decides each layer's
+        # stride, batch norm, deconvolution and ReLU: every layer but
+        # trad.red0 (run as band GEMMs) goes through _layer, once per use.
+        applied = []
+        layer = mscv.network._layer
+        monkeypatch.setattr(
+            mscv.network, "_layer",
+            lambda store, name, x: applied.append(name) or layer(store, name, x),
+        )
+        full_forward(Image(rng.random((3, 32, 48))), Image(rng.random((3, 32, 48))), store)
+        names = [l.name for l in architecture() if l.name != "trad.red0"]
+        unet = [n for n in names if n.startswith("unet.")]
+        # The feature extractor runs once per image of the pair.
+        assert [n for n in applied if n in unet] == unet * 2
+        assert [n for n in applied if n not in unet] == [n for n in names if n not in unet]
+
     def test_dim_mismatch_rejected(self, rng, store):
         with pytest.raises(ValueError):
             full_forward(
@@ -492,10 +558,14 @@ class TestForwardOracle:
             rtol=0, atol=1e-12,
         )
 
-    @pytest.mark.parametrize("h,w", [(32, 64), (40, 72)])
+    @pytest.mark.parametrize("h,w,random_bn", [
+        pytest.param(32, 64, False, id="32-64"),
+        pytest.param(40, 72, False, id="40-72"),
+        pytest.param(32, 64, True, id="32-64-random_bn"),
+    ])
     @pytest.mark.parametrize("seed", [0, 7, 11])
     @pytest.mark.parametrize("gain", [1.0, 6 ** 0.5])
-    def test_full_forward_matches_reference(self, monkeypatch, h, w, seed, gain):
+    def test_full_forward_matches_reference(self, monkeypatch, h, w, random_bn, seed, gain):
         # init_weights' fan-in bound shrinks the signal about 2.4x per
         # layer, which hides deep paths (a 32x error in the correlation
         # volume moves the output by under 3e-8, float32 rounding); gain
@@ -505,6 +575,17 @@ class TestForwardOracle:
             if name.endswith(".w"):
                 weights.entries[name] = arr * np.float32(gain)
         r = np.random.default_rng(seed + h)
+        if random_bn:
+            # init_weights leaves mean 0 and var 1, under which a batch-norm
+            # fold along the wrong weight axis would go unseen.
+            draw = {"mean": lambda n: r.normal(0.0, 0.2, n),
+                    "var": lambda n: r.uniform(0.5, 2.0, n),
+                    "gamma": lambda n: r.uniform(0.5, 1.5, n),
+                    "beta": lambda n: r.normal(0.0, 0.1, n)}
+            for name, arr in weights.entries.items():
+                if ".bn." in name:
+                    draw_k = draw[name.rsplit(".", 1)[1]]
+                    weights.entries[name] = draw_k(arr.size).astype(np.float32)
         left, right = Image(r.random((3, h, w))), Image(r.random((3, h, w)))
         ref_refined, ref_disp = forward_oracle(left, right, weights)
         assert np.abs(ref_refined).max() > 0.05  # a live, non-trivial reference

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mscv.tensorops import (
     _BAND_PIXELS,
     ConvParams,
-    batchnorm_relu,
     bilinear_resize,
     concat_channels,
     conv2d,
@@ -190,55 +189,6 @@ class TestDeconv2dS2:
         p = random_params(rng, 2, 2, 3, stride=2)
         with pytest.raises(ValueError):
             deconv2d_s2(rng.random((2, 3, 3)).astype(np.float32), p)
-
-
-class TestBatchnormRelu:
-    def test_identity_parameters(self, rng):
-        x = rng.random((3, 4, 4)).astype(np.float32)  # non-negative
-        out = batchnorm_relu(x, np.zeros(3), np.ones(3), np.ones(3), np.zeros(3))
-        np.testing.assert_allclose(out, x / np.sqrt(1 + 1e-5), atol=1e-6)
-
-    def test_large_negative_beta_floors_to_zero(self, rng):
-        x = rng.random((2, 3, 3)).astype(np.float32)
-        out = batchnorm_relu(
-            x, np.zeros(2), np.ones(2), np.ones(2), np.full(2, -1e6)
-        )
-        np.testing.assert_array_equal(out, 0.0)
-
-    def test_matches_scalar_formula(self, rng):
-        x = rng.standard_normal((3, 2, 2)).astype(np.float32)
-        mean = rng.standard_normal(3)
-        var = rng.random(3) + 0.1
-        gamma = rng.standard_normal(3)
-        beta = rng.standard_normal(3)
-        out = batchnorm_relu(x, mean, var, gamma, beta)
-        for c in range(3):
-            for y in range(2):
-                for xx in range(2):
-                    expected = max(
-                        0.0,
-                        gamma[c] * (float(x[c, y, xx]) - mean[c])
-                        / np.sqrt(var[c] + 1e-5) + beta[c],
-                    )
-                    assert abs(out[c, y, xx] - expected) < 1e-5
-
-    def test_equals_unfused_expression(self, rng):
-        x = (3 * rng.standard_normal((5, 9, 11))).astype(np.float32)
-        x_before = x.copy()
-        mean, gamma, beta = rng.standard_normal((3, 5)).astype(np.float32)
-        var = (rng.random(5) + 0.01).astype(np.float32)
-        out = batchnorm_relu(x, mean, var, gamma, beta)
-        m, v, g, b = (a[:, None, None] for a in (mean, var, gamma, beta))
-        expected = np.maximum(g * (x - m) / np.sqrt(v + 1e-5) + b, 0.0)
-        assert out.dtype == np.float32
-        assert np.array_equal(out, expected)
-        assert np.array_equal(x, x_before)
-
-    def test_length_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError):
-            batchnorm_relu(
-                rng.random((3, 2, 2)), np.zeros(2), np.ones(3), np.ones(3), np.zeros(3)
-            )
 
 
 class TestBilinearResize:
