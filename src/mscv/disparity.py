@@ -1,11 +1,13 @@
 """Disparity extraction, discontinuity masking, and the training loss.
 
 The discontinuity mask flags boundary pixels of non-monotone runs in
-the warped coordinate sequence Y(x) = x - d(x).  Per row: take the
-running maximum of Y, mark pixels strictly below it, then mark run
-boundaries by differencing the mark sequence against its one-pixel
-shifts.  A run whose successor recovers by more than epsilon (or that
-reaches the row end) keeps only its leading boundary pair.
+the warped coordinates Y(x) = x - d(x) of each row.  The whole map is
+processed at once, every step along axis 1 so that rows never mix:
+mark pixels strictly below the running maximum of their row, then flag
+run boundaries by comparing the marks with their left and right
+neighbours (unmarked beyond each row end).  A run whose successor
+recovers by more than epsilon (or that reaches the row end) keeps only
+its leading boundary pair.
 
 The loss per valid pixel is max(tau, |d_gt - d_hat| * (1 - lambda *
 mask)) ** (1/8); with tau = 1 and disparities below 192 it lies in
@@ -71,47 +73,34 @@ def wta_disparity(vol: CostVolume, objective: str = "minimize") -> DisparityMap:
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 
 
-def warp_row(d_row: np.ndarray) -> np.ndarray:
-    """Warped target coordinates Y(x) = x - d(x) for one row."""
-    d_row = np.asarray(d_row, dtype=np.float64)
-    return np.arange(d_row.size) - d_row
+def warp_row(d: np.ndarray) -> np.ndarray:
+    """Warped target coordinates Y(x) = x - d(x), x counted along the last axis.
 
-
-def _mask_row(d_row: np.ndarray, epsilon: float) -> np.ndarray:
-    y = warp_row(d_row)
-    n = y.size
-    y_max = np.maximum.accumulate(y)
-    m = (y_max - y > 0).astype(np.int8)
-    right = np.concatenate(([0], m[:-1]))  # m shifted right by one
-    left = np.concatenate((m[1:], [0]))  # m shifted left by one
-    out = np.clip(np.abs(right - m) + np.abs(left - m), 0, 1).astype(np.uint8)
-    # Epsilon rule: a run whose successor jumps by more than epsilon
-    # (or that has no successor) keeps only the leading boundary pair.
-    x = 0
-    while x < n:
-        if m[x]:
-            end = x
-            while end + 1 < n and m[end + 1]:
-                end += 1
-            k = end + 1
-            if k >= n or y[k] - y[end] > epsilon:
-                out[end] = 0
-                if k < n:
-                    out[k] = 0
-            x = k + 1
-        else:
-            x += 1
-    return out
+    Takes one row or a whole (H, W) map.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    return np.arange(d.shape[-1]) - d
 
 
 def discontinuity_mask(d_map: DisparityMap, epsilon: float = 3.0) -> DiscontinuityMask:
-    """Flag disparity-discontinuity boundary pixels, row by row."""
+    """Flag disparity-discontinuity boundary pixels of the whole map at once."""
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    flags = np.zeros((d_map.height, d_map.width), dtype=np.uint8)
-    for row in range(d_map.height):
-        flags[row] = _mask_row(d_map.values[row], epsilon)
-    return DiscontinuityMask(flags)
+    y = warp_row(d_map.values)
+    below = y < np.maximum.accumulate(y, axis=1)
+    edge = np.zeros((below.shape[0], 1), dtype=bool)
+    left = np.hstack((edge, below[:, :-1]))
+    right = np.hstack((below[:, 1:], edge))
+    flags = (below ^ left) | (below ^ right)
+    # Epsilon rule: a run that reaches the row end, or whose successor
+    # jumps by more than epsilon, keeps only its leading boundary pair.
+    flags[:, -1:] &= ~below[:, -1:]
+    rows, ends = np.nonzero(below[:, :-1] & ~below[:, 1:])
+    far = y[rows, ends + 1] - y[rows, ends] > epsilon
+    rows, ends = rows[far], ends[far]
+    flags[rows, ends] = False
+    flags[rows, ends + 1] = False
+    return DiscontinuityMask(flags.astype(np.uint8))
 
 
 def _loss_terms(d_hat, d_gt, mask, p):
@@ -160,13 +149,10 @@ def loss_grad(
     """
     valid, weighted, clamped = _loss_terms(d_hat, d_gt, mask, p)
     active = valid & (weighted > p.tau)
-    grad = np.zeros_like(d_hat.values)
     sign = np.sign(d_hat.values - d_gt.values)
     factor = 1.0 - p.lam * mask.flags
-    grad[active] = (
-        LOSS_EXPONENT
-        * clamped[active] ** (LOSS_EXPONENT - 1.0)
-        * factor[active]
-        * sign[active]
-    )
-    return grad
+    # Inactive pixels may hold u = 0 (tau = 0, zero error): their inf/nan
+    # is discarded by the where, so its warnings are silenced.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = LOSS_EXPONENT * clamped ** (LOSS_EXPONENT - 1.0) * factor * sign
+    return np.where(active, grad, 0.0)

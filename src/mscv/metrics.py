@@ -84,6 +84,20 @@ def _d1_outliers(err, gt_values, kitti_rule):
     return out
 
 
+def _d1_rates(err, valid, gt_values, fg_mask, kitti_rule):
+    fg_mask = np.asarray(fg_mask, dtype=bool)
+    if fg_mask.shape != err.shape:
+        raise ValueError("foreground mask dimensions differ")
+    out = _d1_outliers(err, gt_values, kitti_rule)
+
+    def rate(sel):
+        if not sel.any():
+            return None
+        return float(100.0 * out[sel].mean())
+
+    return rate(valid & ~fg_mask), rate(valid & fg_mask), rate(valid)
+
+
 def d1_metrics(
     pred: DisparityMap,
     gt: DisparityMap,
@@ -96,19 +110,7 @@ def d1_metrics(
     is None; d1_all is always computed.
     """
     err, valid = _errors(pred, gt)
-    fg_mask = np.asarray(fg_mask, dtype=bool)
-    if fg_mask.shape != err.shape:
-        raise ValueError("foreground mask dimensions differ")
-    out = _d1_outliers(err, gt.values, kitti_rule)
-
-    def rate(region):
-        sel = valid & region
-        if not sel.any():
-            return None
-        return float(100.0 * out[sel].mean())
-
-    d1_all = rate(np.ones_like(valid))
-    return rate(~fg_mask), rate(fg_mask), d1_all
+    return _d1_rates(err, valid, gt.values, fg_mask, kitti_rule)
 
 
 def evaluate(
@@ -121,13 +123,14 @@ def evaluate(
     err, valid = _errors(pred, gt)
     if fg_mask is None:
         fg_mask = np.zeros_like(valid)
-    d1_bg, d1_fg, d1_all = d1_metrics(pred, gt, fg_mask, kitti_rule)
+    d1_bg, d1_fg, d1_all = _d1_rates(err, valid, gt.values, fg_mask, kitti_rule)
+    err_valid = err[valid]
     return EvalReport(
-        epe=float(err[valid].mean()),
-        outlier_3px=float(100.0 * (err[valid] > 3.0).mean()),
-        outlier_5px=float(100.0 * (err[valid] > 5.0).mean()),
+        epe=float(err_valid.mean()),
+        outlier_3px=float(100.0 * (err_valid > 3.0).mean()),
+        outlier_5px=float(100.0 * (err_valid > 5.0).mean()),
         d1_bg=d1_bg,
         d1_fg=d1_fg,
         d1_all=d1_all,
-        valid_count=int(valid.sum()),
+        valid_count=err_valid.size,
     )

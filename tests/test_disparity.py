@@ -1,5 +1,7 @@
 """WTA, warped coordinates, discontinuity mask, loss and gradient."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,46 @@ class TestDiscontinuityMask:
             discontinuity_mask(dmap_from_rows([np.zeros(4)]), -1.0)
 
 
+class TestDiscontinuityMaskMultiRow:
+    """Whole maps equal the per-row oracle: no row leaks into the next."""
+
+    @staticmethod
+    def assert_rows_match(d, eps):
+        got = discontinuity_mask(dmap_from_rows(d), eps).flags
+        expected = np.stack([mask_oracle(row, eps) for row in d])
+        np.testing.assert_array_equal(got, expected)
+
+    def test_crafted_rows(self):
+        y = np.array([
+            [0, 1, 2, 3, 8, 2],  # run reaches the last column
+            [3, 4, 5, 6, 7, 9],  # lower running maximum than the row above
+            [5, 2, 3, 4, 8, 10],  # successor jump 8 - 4 = 4
+            [6, 1, 7, 8, 9, 10],  # one-pixel run, successor jump 6
+            [4, 4, 4, 4, 4, 3],  # ties are not below; run reaches the end
+            [0, 1, 2, 3, 4, 5],
+        ], dtype=np.float64)
+        d = np.arange(y.shape[1]) - y
+        for eps in (0.0, 1.0, 4.0, 6.0):  # 4 and 6 equal a jump exactly
+            self.assert_rows_match(d, eps)
+        flags = discontinuity_mask(dmap_from_rows(d), 4.0).flags
+        np.testing.assert_array_equal(flags[0], [0, 0, 0, 0, 1, 0])
+        np.testing.assert_array_equal(flags[1], 0)
+        np.testing.assert_array_equal(flags[2], [1, 1, 0, 1, 1, 0])
+
+    def test_widths_one_and_two(self):
+        for y in ([[5], [3], [4]], [[5, 3], [3, 5], [4, 4], [9, 0]]):
+            d = np.arange(len(y[0])) - np.asarray(y, dtype=np.float64)
+            for eps in (0.0, 2.0, 3.0):
+                self.assert_rows_match(d, eps)
+
+    def test_random_small_maps(self, rng):
+        for _ in range(500):
+            h, w = int(rng.integers(2, 6)), int(rng.integers(1, 13))
+            y = rng.integers(0, 8, size=(h, w)).astype(np.float64)
+            d = np.arange(w) - y
+            self.assert_rows_match(d, float(rng.choice([0.0, 1.0, 2.0, 2.5])))
+
+
 def zero_mask(shape):
     from mscv.disparity import DiscontinuityMask
 
@@ -215,6 +257,21 @@ class TestLossGrad:
         fd = (up - dn) / (2 * h)
         sel = gt.valid & (np.abs(grad) > 0)
         np.testing.assert_allclose(grad[sel], fd[sel], rtol=1e-4)
+
+    def test_tau_zero_exact_zero_without_warnings(self):
+        from mscv.disparity import DiscontinuityMask
+
+        gt = DisparityMap(np.array([[10.0, 20.0, 30.0, 40.0]]))
+        pred = DisparityMap(np.array([[10.0, 24.0, 26.0, 40.0]]),
+                            valid=np.ones((1, 4), dtype=bool))
+        mask = DiscontinuityMask(np.array([[0, 0, 1, 1]], dtype=np.uint8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad = loss_grad(pred, gt, mask, LossParams(tau=0.0, lam=0.5))
+        for x in (0, 3):  # zero error, unmasked and masked
+            assert grad[0, x] == 0.0 and not np.signbit(grad[0, x])
+        assert grad[0, 1] == 0.125 * 4.0 ** -0.875
+        assert grad[0, 2] == -(0.125 * 2.0 ** -0.875 * 0.5)
 
     def test_sign_flips_across_ground_truth(self):
         gt = DisparityMap(np.full((1, 2), 50.0))
