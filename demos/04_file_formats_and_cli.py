@@ -25,7 +25,11 @@ def run(*args):
 
 
 def main():
-    tmp = Path(tempfile.mkdtemp(prefix="mscv-demo-"))
+    with tempfile.TemporaryDirectory(prefix="mscv-demo-") as name:
+        walkthrough(Path(name))
+
+
+def walkthrough(tmp):
     rng = np.random.default_rng(3)
 
     # PFM round trip is bit-exact for float32 payloads.

@@ -20,7 +20,6 @@ from mscv.imagekit import (
     yuv_to_rgb,
 )
 from mscv.costvol import (
-    CensusPlane,
     CostVolume,
     ad_cost_volume,
     census_transform,
@@ -48,7 +47,6 @@ from mscv.network import (
 )
 
 __all__ = [
-    "CensusPlane",
     "CostVolume",
     "DiscontinuityMask",
     "DisparityMap",

@@ -93,6 +93,8 @@ class RunConfig:
             raise ConfigError("max-disp must be > 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.width < 1 or self.height < 1:
+            raise ConfigError("width and height must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +186,8 @@ def traditional_match(
     left_half, bands = traditional_costs(left_p, right_p, max(1, max_disp // 2))
     half = np.empty((left_half.height, left_half.width))
     for y0, census, ad_u, ad_v in bands:
-        combined = census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs
-        half[y0 : y0 + census.height] = wta_disparity(
-            CostVolume(combined, "half", "matching-cost"), "minimize"
-        ).values
+        vol = CostVolume(census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs, "half")
+        half[y0 : y0 + vol.height] = wta_disparity(vol).values
     full = np.repeat(np.repeat(half, 2, axis=0), 2, axis=1)
     values = crop(full, orig)
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
@@ -337,6 +337,8 @@ def _load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
+        if key == "command" or key not in RunConfig.__dataclass_fields__:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 

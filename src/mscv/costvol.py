@@ -11,7 +11,8 @@ paper's 288-channel volume) into its first 1x1 reduction
 feature maps at 1/2 and 1/4 resolution, in the features' dtype.
 
 Volume layout is (depth, height, width): depth indexes disparity
-candidates (kind="matching-cost" or "correlation").
+candidates.  Matching costs are lower-is-better, correlations
+higher-is-better.
 """
 
 from __future__ import annotations
@@ -29,40 +30,20 @@ _BAND_ROWS = 16  # half-scale rows per traditional cost band
 
 
 @dataclass
-class CensusPlane:
-    """Per-pixel 24-bit census descriptors for a single-channel plane.
-
-    Bit b is set iff the window neighbor at rank b (row-major over the
-    5x5 window, center skipped, MSB first) is strictly darker than the
-    center pixel.
-    """
-
-    descriptors: np.ndarray  # uint32, (H, W)
-
-
-@dataclass
 class CostVolume:
     """3-D cost grid, one plane per disparity, at a stated resolution scale.
 
-    costs: (depth, H, W); scale: "half" or "quarter"; kind:
-    "matching-cost" (lower is better) or "correlation" (higher is better).
+    costs: (depth, H, W); scale: "half" or "quarter".
     """
 
     costs: np.ndarray
     scale: str
-    kind: str
 
     def __post_init__(self):
         if self.costs.ndim != 3:
             raise ValueError("cost volume must be (D, H, W)")
         if self.scale not in ("half", "quarter"):
             raise ValueError(f"unknown scale {self.scale!r}")
-        if self.kind not in ("matching-cost", "correlation"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-    @property
-    def depth(self) -> int:
-        return self.costs.shape[0]
 
     @property
     def height(self) -> int:
@@ -73,22 +54,23 @@ class CostVolume:
         return self.costs.shape[2]
 
 
-def census_transform(plane: Image, window: int = CENSUS_WINDOW) -> CensusPlane:
-    """Census descriptors: bit set where center is brighter than neighbor.
+def census_transform(plane: Image) -> np.ndarray:
+    """Per-pixel 24-bit census descriptors of a single-channel plane.
 
-    Border pixels use clamped (edge-replicated) neighbor indices, so
-    every pixel gets a full descriptor.
+    Returns a uint32 (H, W) array.  Bit b is set iff the neighbor at
+    rank b (row-major over the 5x5 window, center skipped, MSB first) is
+    strictly darker than the center pixel.  Border pixels use clamped
+    (edge-replicated) neighbor indices, so every pixel gets a full
+    descriptor.
     """
     if plane.channels != 1:
         raise ValueError("census_transform requires a single-channel image")
-    if window % 2 == 0 or window < 1:
-        raise ValueError("window must be odd")
     data = plane.data[0]
     h, w = data.shape
-    r = window // 2
+    r = CENSUS_WINDOW // 2
     padded = np.pad(data, r, mode="edge")
     desc = np.zeros((h, w), dtype=np.uint32)
-    bit = window * window - 2  # MSB first in row-major window order
+    bit = CENSUS_BITS - 1  # MSB first in row-major window order
     for di in range(-r, r + 1):
         for dj in range(-r, r + 1):
             if di == 0 and dj == 0:
@@ -96,7 +78,7 @@ def census_transform(plane: Image, window: int = CENSUS_WINDOW) -> CensusPlane:
             neigh = padded[r + di : r + di + h, r + dj : r + dj + w]
             desc |= (data > neigh).astype(np.uint32) << np.uint32(bit)
             bit -= 1
-    return CensusPlane(desc)
+    return desc
 
 
 def _shifted(left, right, max_d, fill, cost, dtype=np.float64) -> np.ndarray:
@@ -116,22 +98,21 @@ def _shifted(left, right, max_d, fill, cost, dtype=np.float64) -> np.ndarray:
 
 
 def hamming_cost_volume(
-    left: CensusPlane, right: CensusPlane, max_d: int = 96
+    left: np.ndarray, right: np.ndarray, max_d: int = 96
 ) -> CostVolume:
-    """Per-disparity Hamming distance between census descriptors.
+    """Per-disparity Hamming distance between census descriptor arrays.
 
     cost(d, y, x) = popcount(left(y, x) ^ right(y, x - d)); columns with
     x - d < 0 get the maximum cost (24).
     """
-    if left.descriptors.shape != right.descriptors.shape:
+    if left.shape != right.shape:
         raise ValueError("census plane dimensions differ")
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
     costs = _shifted(
-        left.descriptors, right.descriptors, max_d, CENSUS_BITS,
-        lambda l, r: np.bitwise_count(l ^ r),
+        left, right, max_d, CENSUS_BITS, lambda l, r: np.bitwise_count(l ^ r)
     )
-    return CostVolume(costs, scale="half", kind="matching-cost")
+    return CostVolume(costs, scale="half")
 
 
 def ad_cost_volume(left: Image, right: Image, max_d: int = 96) -> CostVolume:
@@ -146,7 +127,7 @@ def ad_cost_volume(left: Image, right: Image, max_d: int = 96) -> CostVolume:
     costs = _shifted(
         left.data[0], right.data[0], max_d, 1.0, lambda l, r: np.abs(l - r)
     )
-    return CostVolume(costs, scale="half", kind="matching-cost")
+    return CostVolume(costs, scale="half")
 
 
 def traditional_costs(
@@ -164,8 +145,8 @@ def traditional_costs(
     left_half = mean_pool_2x(left)
     lyuv = rgb_to_yuv(left_half).data
     ryuv = rgb_to_yuv(mean_pool_2x(right)).data
-    lcen = census_transform(Image(lyuv[:1])).descriptors
-    rcen = census_transform(Image(ryuv[:1])).descriptors
+    lcen = census_transform(Image(lyuv[:1]))
+    rcen = census_transform(Image(ryuv[:1]))
 
     def bands():
         for y0 in range(0, left_half.height, _BAND_ROWS):
@@ -173,10 +154,7 @@ def traditional_costs(
             ad = lambda c: ad_cost_volume(
                 Image(lyuv[c : c + 1, rows]), Image(ryuv[c : c + 1, rows]), max_d
             )
-            census = hamming_cost_volume(
-                CensusPlane(lcen[rows]), CensusPlane(rcen[rows]), max_d
-            )
-            yield y0, census, ad(1), ad(2)
+            yield y0, hamming_cost_volume(lcen[rows], rcen[rows], max_d), ad(1), ad(2)
 
     return left_half, bands()
 
@@ -201,5 +179,5 @@ def correlate_1d(
         f_left.astype(dtype, copy=False), f_right.astype(dtype, copy=False),
         max_d, 0.0, lambda l, r: np.einsum("chw,chw->hw", l, r) / n, dtype,
     )
-    return CostVolume(costs, scale=scale, kind="correlation")
+    return CostVolume(costs, scale=scale)
 

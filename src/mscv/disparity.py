@@ -56,19 +56,14 @@ class DiscontinuityMask:
 _SCALE_FACTOR = {"half": 2, "quarter": 4}
 
 
-def wta_disparity(vol: CostVolume, objective: str = "minimize") -> DisparityMap:
-    """Winner-take-all disparity, scaled to full-resolution pixel units.
+def wta_disparity(vol: CostVolume) -> DisparityMap:
+    """Winner-take-all disparity: the minimum-cost candidate, in full-resolution pixels.
 
     Ties break toward the smaller disparity candidate.  Map dimensions
     stay at the volume's scale; values are multiplied by the scale
     factor (2 at half, 4 at quarter).
     """
-    if objective == "minimize":
-        best = np.argmin(vol.costs, axis=0)
-    elif objective == "maximize":
-        best = np.argmax(vol.costs, axis=0)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
+    best = np.argmin(vol.costs, axis=0)
     values = best.astype(np.float64) * _SCALE_FACTOR[vol.scale]
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 

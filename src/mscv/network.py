@@ -276,6 +276,8 @@ def load_weights(path) -> WeightStore:
                 name = raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise WeightError(f"parameter name {raw!r} is not UTF-8") from None
+            if name in store.entries:
+                raise WeightError(f"repeated parameter {name!r}")
             (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
             dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
             payload = take(4 * math.prod(dims), f"payload for parameter {name!r}")
@@ -283,6 +285,8 @@ def load_weights(path) -> WeightStore:
                 store.entries[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
             except ValueError as exc:  # more dims, or more elements, than NumPy allows
                 raise WeightError(f"bad shape {dims} for {name!r}: {exc}") from None
+        if left:
+            raise WeightError(f"{left} bytes after the last entry")
     return store
 
 
@@ -336,7 +340,7 @@ def unet_features(image: Image, store: WeightStore) -> tuple[np.ndarray, np.ndar
 
 def reduce_traditional(
     bands: Iterable[tuple[int, CostVolume, CostVolume, CostVolume]],
-    left_half: Image, store: WeightStore, trace=None,
+    left_half: Image, store: WeightStore,
 ) -> np.ndarray:
     """Reduce the census, U and V 96-deep volumes to 32 float32 channels.
 
@@ -359,7 +363,6 @@ def reduce_traditional(
     p = ConvParams(store["trad.red0.w"], store["trad.red0.b"])
     if p.weights.shape[1:] != (288, 1, 1):
         raise WeightError(f"parameter 'trad.red0.w' has shape {p.weights.shape}")
-    _trace(trace, "traditional_volume_channels", 288)
     wmat = p.weights.reshape(p.out_channels, 288)
     x = np.empty((p.out_channels, h * w), dtype=np.float32)
     shift, rows, sums, squares = None, 0, 0.0, 0.0
@@ -385,10 +388,8 @@ def reduce_traditional(
     x *= np.float32(1.0 / (sigma + 1e-8))
     x += p.bias[:, None]
     x = relu(x.reshape(p.out_channels, h, w))
-    _trace(trace, "traditional_reduction_0_channels", x.shape[0])
     for i in range(1, 4):
         x = _layer(store, f"trad.red{i}", x)
-        _trace(trace, f"traditional_reduction_{i}_channels", x.shape[0])
     x = concat_channels([x, left_half.data.astype(np.float32)])
     for i in range(3):
         x = _layer(store, f"trad.harvest{i}", x)
@@ -478,7 +479,6 @@ def cascade_forward(
     corr48_quarter: np.ndarray,
     guides: GuideSet,
     store: WeightStore,
-    trace=None,
 ) -> np.ndarray:
     """Two chained hourglasses with intermediate fusion.
 
@@ -489,11 +489,7 @@ def cascade_forward(
     h1 = hourglass_forward(corr48_quarter, guides, store, 1)
     u = _layer(store, "casc.up", h1)
     stage2_in = _layer(store, "casc.fuse", concat_channels([u, corr32_half, trad32]))
-    refined = hourglass_forward(stage2_in, guides, store, 2)
-    _trace(trace, "refined_channels", refined.shape[0])
-    _trace(trace, "refined_height", refined.shape[1])
-    _trace(trace, "refined_width", refined.shape[2])
-    return refined
+    return hourglass_forward(stage2_in, guides, store, 2)
 
 
 def disparity_head(
@@ -509,17 +505,11 @@ def disparity_head(
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 
 
-def _trace(trace, label, value):
-    if trace is not None:
-        trace.append((label, int(value)))
-
-
 def full_forward(
     left: Image,
     right: Image,
     store: WeightStore,
     threads: int = 1,
-    trace=None,
 ) -> DisparityMap:
     """Whole pipeline: stereo RGB pair to full-resolution disparity map.
 
@@ -536,7 +526,7 @@ def full_forward(
 
     def trad_branch():
         left_half, bands = traditional_costs(left_p, right_p, 96)
-        return reduce_traditional(bands, left_half, store, trace=trace)
+        return reduce_traditional(bands, left_half, store)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=min(threads, 3)) as pool:
@@ -554,5 +544,5 @@ def full_forward(
     corr32 = reduce_correlation(correlate_1d(fl_half, fr_half, 96, "half").costs, store)
     corr48 = correlate_1d(fl_quarter, fr_quarter, 48, "quarter").costs
     guides = guide_encoder(trad32, store)
-    refined = cascade_forward(trad32, corr32, corr48, guides, store, trace=trace)
+    refined = cascade_forward(trad32, corr32, corr48, guides, store)
     return disparity_head(refined, orig, store)

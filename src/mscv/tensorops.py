@@ -48,11 +48,11 @@ class ConvParams:
         return self.weights.shape[2], self.weights.shape[3]
 
 
-def conv2d(x: np.ndarray, p: ConvParams, padding: str = "same") -> np.ndarray:
+def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Cross-correlation convolution plus bias.
 
-    "same" zero-pads so output dims are ceil(in / stride); extra padding
-    goes to the bottom/right.  "valid" uses no padding.
+    Zero-pads so output dims are ceil(in / stride); extra padding goes
+    to the bottom/right.
 
     Banded im2col: each band of output rows (``_BAND_PIXELS`` pixels, at
     least one row) copies its windows into an (I, kh, kw, rows, out_w)
@@ -66,25 +66,17 @@ def conv2d(x: np.ndarray, p: ConvParams, padding: str = "same") -> np.ndarray:
         )
     if p.stride not in (1, 2):
         raise ValueError("stride must be 1 or 2")
-    if padding not in ("same", "valid"):
-        raise ValueError(f"unknown padding {padding!r}")
     kh, kw = p.kernel
     _, h, w = x.shape
     s = p.stride
-    if padding == "same":
-        out_h = -(-h // s)
-        out_w = -(-w // s)
-        pad_h = max((out_h - 1) * s + kh - h, 0)
-        pad_w = max((out_w - 1) * s + kw - w, 0)
-        x = np.pad(
-            x,
-            ((0, 0), (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2)),
-        )
-    else:
-        out_h = (h - kh) // s + 1
-        out_w = (w - kw) // s + 1
-        if out_h < 1 or out_w < 1:
-            raise ValueError("input smaller than kernel under valid padding")
+    out_h = -(-h // s)
+    out_w = -(-w // s)
+    pad_h = max((out_h - 1) * s + kh - h, 0)
+    pad_w = max((out_w - 1) * s + kw - w, 0)
+    x = np.pad(
+        x,
+        ((0, 0), (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2)),
+    )
     x = np.ascontiguousarray(x, dtype=np.float32)
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     windows = windows[:, ::s, ::s][:, :out_h, :out_w].transpose(0, 3, 4, 1, 2)

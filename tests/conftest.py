@@ -1,7 +1,36 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+import mscv.network
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def forward_probe(monkeypatch):
+    """Records what the forward pass computes, without changing it.
+
+    ``layers`` gets ``(name, in_channels, out_channels)`` for every
+    ``network._layer`` call, and ``refined`` the features that reach
+    ``network.disparity_head``, one entry per forward pass.
+    """
+    probe = SimpleNamespace(layers=[], refined=[])
+    layer, head = mscv.network._layer, mscv.network.disparity_head
+
+    def record_layer(store, name, x):
+        y = layer(store, name, x)
+        probe.layers.append((name, x.shape[0], y.shape[0]))
+        return y
+
+    def record_head(refined, dims, store):
+        probe.refined.append(refined)
+        return head(refined, dims, store)
+
+    monkeypatch.setattr(mscv.network, "_layer", record_layer)
+    monkeypatch.setattr(mscv.network, "disparity_head", record_head)
+    return probe

@@ -27,14 +27,14 @@ from mscv.imagekit import (
 )
 
 
-def census_oracle(plane: np.ndarray, window: int = 5) -> np.ndarray:
-    """Double-loop census: bit 1 iff center > neighbor, clamped borders.
+def census_oracle(plane: np.ndarray) -> np.ndarray:
+    """Double-loop 5x5 census: bit 1 iff center > neighbor, clamped borders.
 
     Bits are concatenated row-major over the window with the center
     skipped, most significant first.
     """
     h, w = plane.shape
-    r = window // 2
+    r = 2
     # Python lists and clamp tables: scalar ndarray reads and per-neighbor
     # min/max calls dominate the run time otherwise.
     rows = np.asarray(plane).tolist()
@@ -92,21 +92,16 @@ def correlation_oracle(fl: np.ndarray, fr: np.ndarray, max_d: int) -> np.ndarray
 
 
 def conv2d_oracle(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                  stride: int = 1, padding: str = "same") -> np.ndarray:
-    """Quadruple-loop cross-correlation with bottom/right-heavy padding."""
+                  stride: int = 1) -> np.ndarray:
+    """Quadruple-loop cross-correlation with bottom/right-heavy "same" padding."""
     o, i, kh, kw = weights.shape
     _, h, w = x.shape
-    if padding == "same":
-        out_h = -(-h // stride)
-        out_w = -(-w // stride)
-        pad_h = max((out_h - 1) * stride + kh - h, 0)
-        pad_w = max((out_w - 1) * stride + kw - w, 0)
-        xp = np.zeros((i, h + pad_h, w + pad_w))
-        xp[:, pad_h // 2 : pad_h // 2 + h, pad_w // 2 : pad_w // 2 + w] = x
-    else:
-        xp = np.asarray(x, dtype=np.float64)
-        out_h = (h - kh) // stride + 1
-        out_w = (w - kw) // stride + 1
+    out_h = -(-h // stride)
+    out_w = -(-w // stride)
+    pad_h = max((out_h - 1) * stride + kh - h, 0)
+    pad_w = max((out_w - 1) * stride + kw - w, 0)
+    xp = np.zeros((i, h + pad_h, w + pad_w))
+    xp[:, pad_h // 2 : pad_h // 2 + h, pad_w // 2 : pad_w // 2 + w] = x
     out = np.zeros((o, out_h, out_w))
     for oc in range(o):
         for oy in range(out_h):
@@ -215,8 +210,8 @@ def assemble_traditional(c1, c2, c3) -> np.ndarray:
     """
     vols = (c1, c2, c3)
     for v in vols:
-        if v.depth != 96:
-            raise ValueError(f"expected depth 96, got {v.depth}")
+        if v.costs.shape[0] != 96:
+            raise ValueError(f"expected depth 96, got {v.costs.shape[0]}")
         if v.scale != "half":
             raise ValueError("traditional volumes live at half scale")
     h, w = c1.height, c1.width
@@ -257,10 +252,8 @@ def traditional_match_reference(left, right, max_disp):
     left_p, orig = pad_reflect(left, 2)
     right_p, _ = pad_reflect(right, 2)
     census, ad_u, ad_v, _ = traditional_volumes(left_p, right_p, max(1, max_disp // 2))
-    combined = CostVolume(
-        census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs, "half", "matching-cost"
-    )
-    half = wta_disparity(combined, "minimize").values
+    combined = CostVolume(census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs, "half")
+    half = wta_disparity(combined).values
     full = crop(np.repeat(np.repeat(half, 2, axis=0), 2, axis=1), orig)
     return DisparityMap(full, valid=np.ones_like(full, dtype=bool))
 

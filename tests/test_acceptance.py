@@ -11,7 +11,6 @@ import pytest
 
 from mscv.cli import generate_synthetic_pair, parse_plan
 from mscv.costvol import (
-    CensusPlane,
     CostVolume,
     ad_cost_volume,
     census_transform,
@@ -79,7 +78,7 @@ def test_criterion_01_census_oracle():
     t0 = time.perf_counter()
     for _ in range(100):
         data = rng.random((16, 16))
-        got = census_transform(plane(data)).descriptors
+        got = census_transform(plane(data))
         np.testing.assert_array_equal(got, census_oracle(data))
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"census oracle sweep took {elapsed:.2f}s"
@@ -89,9 +88,9 @@ def test_criterion_01_census_oracle():
 def test_criterion_02_hamming_ad_oracles():
     rng = np.random.default_rng(102)
     for _ in range(10):
-        dl = census_transform(plane(rng.random((16, 16)))).descriptors
-        dr = census_transform(plane(rng.random((16, 16)))).descriptors
-        got = hamming_cost_volume(CensusPlane(dl), CensusPlane(dr), 8)
+        dl = census_transform(plane(rng.random((16, 16))))
+        dr = census_transform(plane(rng.random((16, 16))))
+        got = hamming_cost_volume(dl, dr, 8)
         np.testing.assert_array_equal(got.costs, hamming_volume_oracle(dl, dr, 8))
         l = rng.random((16, 16)) - 0.5
         r = rng.random((16, 16)) - 0.5
@@ -111,7 +110,7 @@ def test_criterion_03_synthetic_traditional_path():
         census_transform(Image(rh.data[0:1])),
         96,
     )
-    half = wta_disparity(vol, "minimize")
+    half = wta_disparity(vol)
     elapsed = time.perf_counter() - t0
     full = np.repeat(np.repeat(half.values, 2, axis=0), 2, axis=1)
     assert (np.mod(full, 2) == 0).all()  # full-res units, multiples of 2
@@ -152,11 +151,11 @@ def test_criterion_04_correlation_oracle_and_shift():
 
 def test_criterion_05_normalization():
     rng = np.random.default_rng(105)
-    mk = lambda: CostVolume(rng.random((96, 10, 14)) * 24, "half", "matching-cost")
+    mk = lambda: CostVolume(rng.random((96, 10, 14)) * 24, "half")
     out = assemble_traditional(mk(), mk(), mk())
     assert abs(out.mean()) < 1e-6
     assert abs(out.var() - 1.0) < 1e-5
-    const = lambda: CostVolume(np.full((96, 4, 4), 3.0), "half", "matching-cost")
+    const = lambda: CostVolume(np.full((96, 4, 4), 3.0), "half")
     zero = assemble_traditional(const(), const(), const())
     assert (zero == 0.0).all()
     ok(5, "288-channel normalization statistics and zero-variance guard hold")
@@ -246,7 +245,7 @@ def test_criterion_08_loss_gradient():
 def test_criterion_09_convolution_engine():
     rng = np.random.default_rng(109)
     x = rng.standard_normal((3, 6, 7)).astype(np.float32)
-    for stride, padding in ((1, "same"), (2, "same"), (1, "valid")):
+    for stride in (1, 2):
         p = ConvParams(
             rng.standard_normal((4, 3, 3, 3)).astype(np.float32),
             rng.standard_normal(4).astype(np.float32),
@@ -254,13 +253,13 @@ def test_criterion_09_convolution_engine():
         )
         expected = conv2d_oracle(
             x.astype(np.float64), p.weights.astype(np.float64),
-            p.bias.astype(np.float64), stride=stride, padding=padding,
+            p.bias.astype(np.float64), stride=stride,
         )
-        np.testing.assert_allclose(conv2d(x, p, padding), expected, atol=1e-5)
+        np.testing.assert_allclose(conv2d(x, p), expected, atol=1e-5)
     w = rng.standard_normal((4, 3, 2, 2)).astype(np.float32)
     xc = rng.standard_normal((3, 6, 8)).astype(np.float32)
     z = rng.standard_normal((4, 3, 4)).astype(np.float32)
-    lhs = float((conv2d(xc, ConvParams(w, np.zeros(4), 2), "valid") * z).sum())
+    lhs = float((conv2d(xc, ConvParams(w, np.zeros(4), 2)) * z).sum())
     rhs = float(
         (xc * deconv2d_s2(z, ConvParams(w.transpose(1, 0, 2, 3), np.zeros(3), 2))).sum()
     )
@@ -296,14 +295,13 @@ def test_criterion_09_convolution_engine():
 
 
 @pytest.mark.slow
-def test_criterion_10_full_forward_kitti_size():
+def test_criterion_10_full_forward_kitti_size(forward_probe):
     rng = np.random.default_rng(110)
     left = Image(rng.random((3, 376, 1240)))
     right = Image(rng.random((3, 376, 1240)))
     store = init_weights(0)
-    trace = []
     t0 = time.perf_counter()
-    a = full_forward(left, right, store, trace=trace)
+    a = full_forward(left, right, store)
     elapsed = time.perf_counter() - t0
     b = full_forward(left, right, store)
     c = full_forward(left, right, store, threads=4)
@@ -311,14 +309,17 @@ def test_criterion_10_full_forward_kitti_size():
     assert np.isfinite(a.values).all()
     assert (a.values == b.values).all()
     assert (a.values == c.values).all()
-    channels = [v for k, v in trace if k.endswith("_channels")]
-    assert channels[:5] == [288, 144, 72, 36, 32]
+    # Reduction chain 288-144-72-36-32: trad.red0 reads the 288-channel
+    # volume as band GEMMs, trad.red1..3 run through _layer.
+    assert store["trad.red0.w"].shape == (144, 288, 1, 1)
+    chain = [("trad.red1", 144, 72), ("trad.red2", 72, 36), ("trad.red3", 36, 32)]
+    assert [l for l in forward_probe.layers if l[0].startswith("trad.red")] == chain * 3
     # Padded canvas is 384x1248; refined features at half scale.
-    assert ("refined_channels", 32) in trace
-    assert ("refined_height", 192) in trace
-    assert ("refined_width", 624) in trace
+    refined = forward_probe.refined
+    assert [r.shape for r in refined] == [(32, 192, 624)] * 3
+    assert all(r.tobytes() == refined[0].tobytes() for r in refined)
     assert elapsed < 120.0, f"full forward took {elapsed:.1f}s"
-    ok(10, f"376x1240 forward: finite, bit-identical, traced, {elapsed:.1f}s")
+    ok(10, f"376x1240 forward: finite, bit-identical map and refined, {elapsed:.1f}s")
 
 
 def test_criterion_11_metrics():

@@ -13,7 +13,7 @@ from mscv.cli import (
 )
 from mscv.imagekit import read_image, read_pfm
 from mscv.metrics import epe
-from mscv.network import init_weights, save_weights
+from mscv.network import WeightStore, init_weights, save_weights
 
 from oracles import traditional_match_reference
 
@@ -89,6 +89,22 @@ class TestConfigResolution:
         cfile.write_text("epsilon 7\n")
         with pytest.raises(ConfigError):
             config_from_args(["describe", "--config", str(cfile)])
+
+    @pytest.mark.parametrize("key", ["epsilonn", "command", "config"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, key):
+        cfile = tmp_path / "bad.cfg"
+        cfile.write_text(f"# run\nseed = 4\n{key} = 9\n")
+        with pytest.raises(ConfigError, match=f"bad.cfg:3: unknown key '{key}'"):
+            config_from_args(["describe", "--config", str(cfile)])
+        assert main(["describe", "--config", str(cfile)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_nonpositive_size_rejected(self, tmp_path, capsys, flag):
+        for value in ("0", "-3"):
+            assert main(["synth", "--out", str(tmp_path), flag, value]) == 2
+            assert "width and height must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestDispatch:
@@ -166,7 +182,12 @@ class TestDispatch:
         huge = (b"MSCV1" + (1).to_bytes(4, "little") + (1).to_bytes(2, "little")
                 + b"k" + (2).to_bytes(1, "little") + (100000).to_bytes(4, "little") * 2)
         raw = good.read_bytes()
-        for i, content in enumerate([raw[:5], raw[:7], raw[:12], raw[:-1], huge]):
+        tiny = tmp_path / "tiny.bin"
+        save_weights(WeightStore({"a": np.float32([1.0])}), tiny)
+        entry = tiny.read_bytes()[9:]  # after the magic and the entry count
+        repeated = b"MSCV1" + (2).to_bytes(4, "little") + entry * 2
+        for i, content in enumerate([raw[:5], raw[:7], raw[:12], raw[:-1], huge,
+                                     raw + b"garbage", repeated]):
             bad = tmp_path / f"bad{i}.bin"
             bad.write_bytes(content)
             assert main([

@@ -36,27 +36,22 @@ class TestWta:
     def test_identical_volume_all_zero(self):
         costs = np.zeros((4, 3, 3))
         costs[1:] = 1.0
-        vol = CostVolume(costs, "half", "matching-cost")
+        vol = CostVolume(costs, "half")
         np.testing.assert_array_equal(wta_disparity(vol).values, 0.0)
 
     def test_hand_built_argmin(self):
-        vol = CostVolume(np.array([5.0, 2.0, 7.0]).reshape(3, 1, 1),
-                         "half", "matching-cost")
-        assert wta_disparity(vol, "minimize").values[0, 0] == 2.0  # d=1, x2
+        vol = CostVolume(np.array([5.0, 2.0, 7.0]).reshape(3, 1, 1), "half")
+        assert wta_disparity(vol).values[0, 0] == 2.0  # d=1, x2
 
     def test_quarter_scale_factor(self):
         costs = np.ones((4, 1, 1))
-        costs[3] = 5.0
-        vol = CostVolume(costs, "quarter", "correlation")
-        assert wta_disparity(vol, "maximize").values[0, 0] == 12.0  # d=3, x4
+        costs[3] = -5.0
+        vol = CostVolume(costs, "quarter")
+        assert wta_disparity(vol).values[0, 0] == 12.0  # d=3, x4
 
     def test_ties_break_small_d(self):
-        vol = CostVolume(np.zeros((5, 2, 2)), "half", "matching-cost")
+        vol = CostVolume(np.zeros((5, 2, 2)), "half")
         np.testing.assert_array_equal(wta_disparity(vol).values, 0.0)
-
-    def test_feature_volume_rejected(self, rng):
-        with pytest.raises(ValueError, match="kind"):
-            CostVolume(rng.random((4, 2, 2)), "half", "feature")
 
 
 class TestWarpRow:

@@ -136,6 +136,21 @@ class TestWeightContainer:
         with pytest.raises(WeightError, match="'k'"):
             load_weights(path)
 
+    def test_repeated_name_rejected(self, tmp_path):
+        path = tmp_path / "w.bin"
+        save_weights(WeightStore({"a": np.float32([1.0])}), path)
+        entry = path.read_bytes()[9:]  # after the magic and the entry count
+        path.write_bytes(b"MSCV1" + (2).to_bytes(4, "little") + entry + entry)
+        with pytest.raises(WeightError, match="repeated parameter 'a'"):
+            load_weights(path)
+
+    def test_bytes_after_last_entry_rejected(self, tmp_path, store):
+        path = tmp_path / "w.bin"
+        save_weights(store, path)
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(WeightError, match="7 bytes after the last entry"):
+            load_weights(path)
+
     @pytest.mark.parametrize("name, dims", [
         (b"\xff", (1,)),  # name not UTF-8
         (b"k", (1,) * 65),  # more dims than NumPy allows
@@ -279,7 +294,7 @@ class TestReductions:
         # Row bands as costvol.traditional_costs yields them.
         h = vols[0].height
         return [
-            (y0, *(CostVolume(v.costs[:, y0 : y0 + _BAND_ROWS], v.scale, v.kind)
+            (y0, *(CostVolume(v.costs[:, y0 : y0 + _BAND_ROWS], v.scale)
                    for v in vols))
             for y0 in range(0, h, _BAND_ROWS)
         ]
@@ -288,7 +303,7 @@ class TestReductions:
     def trad_volumes(rng, h=8, w=12, depth=96, scale="half"):
         census = rng.integers(0, 25, (depth, h, w)).astype(np.float64)
         return tuple(
-            CostVolume(c, scale, "matching-cost")
+            CostVolume(c, scale)
             for c in (census, rng.random((depth, h, w)), rng.random((depth, h, w)))
         )
 
@@ -304,14 +319,16 @@ class TestReductions:
             x = _layer(store, f"trad.harvest{i}", x)
         return x
 
-    def test_traditional_channel_trace_and_shape(self, rng, store):
+    def test_traditional_channel_trace_and_shape(self, rng, store, forward_probe):
+        # Reduction chain 288-144-72-36-32: trad.red0 reads the 288-channel
+        # volume as band GEMMs, trad.red1..3 run through _layer.
         left_half = Image(rng.random((3, 8, 12)))
-        trace = []
-        out = reduce_traditional(
-            self.bands(self.trad_volumes(rng)), left_half, store, trace=trace
-        )
+        out = reduce_traditional(self.bands(self.trad_volumes(rng)), left_half, store)
         assert out.shape == (32, 8, 12)
-        assert [v for _, v in trace] == [288, 144, 72, 36, 32]
+        assert store["trad.red0.w"].shape == (144, 288, 1, 1)
+        assert [l for l in forward_probe.layers if l[0].startswith("trad.red")] == [
+            ("trad.red1", 144, 72), ("trad.red2", 72, 36), ("trad.red3", 36, 32),
+        ]
 
     def test_traditional_scale_mismatch_rejected(self, rng, store):
         vols = self.trad_volumes(rng)
@@ -334,7 +351,7 @@ class TestReductions:
             left_half = Image(rng.random((3, h, 12)))
             reduce = lambda vols: reduce_traditional(self.bands(vols), left_half, weights)
             near = lambda eps: tuple(
-                CostVolume(3.0 + eps * rng.random((96, h, 12)), "half", "matching-cost")
+                CostVolume(3.0 + eps * rng.random((96, h, 12)), "half")
                 for _ in range(3)
             )
             # The first band's mean lies far from the global one.
@@ -487,29 +504,22 @@ class TestFullForward:
         assert workers == [2]
         assert serial.values.tobytes() == threaded.values.tobytes()
 
-    def test_trace_channels(self, rng, store):
+    def test_trace_channels(self, rng, store, forward_probe):
         left = Image(rng.random((3, 32, 48)))
         right = Image(rng.random((3, 32, 48)))
-        trace = []
-        full_forward(left, right, store, trace=trace)
-        values = [v for _, v in trace]
-        assert values[:5] == [288, 144, 72, 36, 32]
-        assert ("refined_channels", 32) in trace
+        full_forward(left, right, store)
+        assert [l for l in forward_probe.layers if l[0].startswith("trad.red")] == [
+            ("trad.red1", 144, 72), ("trad.red2", 72, 36), ("trad.red3", 36, 32),
+        ]
         # padded 32x48 halves to 16x24
-        assert ("refined_height", 16) in trace
-        assert ("refined_width", 24) in trace
+        assert [r.shape for r in forward_probe.refined] == [(32, 16, 24)]
 
-    def test_every_layer_applied_once_in_table_order(self, rng, store, monkeypatch):
+    def test_every_layer_applied_once_in_table_order(self, rng, store, forward_probe):
         # The architecture table is the one place that decides each layer's
         # stride, batch norm, deconvolution and ReLU: every layer but
         # trad.red0 (run as band GEMMs) goes through _layer, once per use.
-        applied = []
-        layer = mscv.network._layer
-        monkeypatch.setattr(
-            mscv.network, "_layer",
-            lambda store, name, x: applied.append(name) or layer(store, name, x),
-        )
         full_forward(Image(rng.random((3, 32, 48))), Image(rng.random((3, 32, 48))), store)
+        applied = [name for name, _, _ in forward_probe.layers]
         names = [l.name for l in architecture() if l.name != "trad.red0"]
         unet = [n for n in names if n.startswith("unet.")]
         # The feature extractor runs once per image of the pair.
@@ -565,7 +575,7 @@ class TestForwardOracle:
     ])
     @pytest.mark.parametrize("seed", [0, 7, 11])
     @pytest.mark.parametrize("gain", [1.0, 6 ** 0.5])
-    def test_full_forward_matches_reference(self, monkeypatch, h, w, random_bn, seed, gain):
+    def test_full_forward_matches_reference(self, forward_probe, h, w, random_bn, seed, gain):
         # init_weights' fan-in bound shrinks the signal about 2.4x per
         # layer, which hides deep paths (a 32x error in the correlation
         # volume moves the output by under 3e-8, float32 rounding); gain
@@ -590,13 +600,8 @@ class TestForwardOracle:
         ref_refined, ref_disp = forward_oracle(left, right, weights)
         assert np.abs(ref_refined).max() > 0.05  # a live, non-trivial reference
         atol = FORWARD_RTOL * np.abs(ref_refined).max()
-        captured = []
-        head = mscv.network.disparity_head
-        monkeypatch.setattr(
-            mscv.network, "disparity_head",
-            lambda refined, dims, store: captured.append(refined) or head(refined, dims, store),
-        )
         for threads in (1, 2):
             dmap = full_forward(left, right, weights, threads=threads)
-            np.testing.assert_allclose(captured.pop(), ref_refined, rtol=0, atol=atol)
+            refined = forward_probe.refined.pop()
+            np.testing.assert_allclose(refined, ref_refined, rtol=0, atol=atol)
             np.testing.assert_allclose(dmap.values, ref_disp, rtol=0, atol=atol)
