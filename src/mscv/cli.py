@@ -202,7 +202,9 @@ def disparity_to_pgm(dmap: DisparityMap, path, max_disp: int = MAX_DISPARITY) ->
 
 def mask_to_pgm(mask: DiscontinuityMask, path) -> None:
     """Write a 0/255 PGM of the discontinuity flags."""
-    write_image(Image(mask.flags.astype(np.float64)[None]), path)
+    with open(path, "wb") as f:
+        f.write(b"P5\n%d %d\n255\n" % (mask.width, mask.height))
+        f.write(np.where(mask.flags, np.uint8(255), np.uint8(0)).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +325,8 @@ _FIELD_TYPES = {
     "threads": int,
     "width": int,
     "height": int,
-    "kitti_rule": lambda s: s.lower() in ("1", "true", "yes"),
+    "kitti_rule": lambda s: {"1": True, "true": True, "yes": True,
+                             "0": False, "false": False, "no": False}[s.lower()],
 }
 
 
@@ -339,7 +342,11 @@ def _load_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key == "command" or key not in RunConfig.__dataclass_fields__:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        value = value.strip()
+        try:
+            values[key] = _FIELD_TYPES.get(key, str)(value)
+        except (KeyError, ValueError):  # KeyError: not a kitti_rule word
+            raise ConfigError(f"{path}:{lineno}: bad {key} value {value!r}") from None
     return values
 
 
@@ -372,17 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(argv: list[str]) -> RunConfig:
     """Resolve flags > config file > defaults into a RunConfig."""
     args = build_parser().parse_args(argv)
-    resolved = {"command": args.command}
-    file_values = _load_config_file(args.config) if args.config else {}
+    resolved = _load_config_file(args.config) if args.config else {}
     for field_name in RunConfig.__dataclass_fields__:
-        if field_name == "command":
-            continue
-        flag_value = getattr(args, field_name, None)
+        flag_value = getattr(args, field_name)
         if flag_value is not None:
             resolved[field_name] = flag_value
-        elif field_name in file_values:
-            caster = _FIELD_TYPES.get(field_name, str)
-            resolved[field_name] = caster(file_values[field_name])
     return RunConfig(**resolved)
 
 

@@ -327,15 +327,18 @@ def unet_features(image: Image, store: WeightStore) -> tuple[np.ndarray, np.ndar
     if h % 16 or w % 16:
         raise ValueError(f"dims must divide 16, got {h}x{w}")
     layer = lambda name, x: _layer(store, f"unet.{name}", x)
-    s_full = layer("enc0", image.data.astype(np.float32))
-    s_half = layer("enc1", layer("down1", s_full))
+    # Nested calls, del and reassignment free each activation at its last use.
+    s_half = layer("enc1", layer("down1", layer("enc0", image.data.astype(np.float32))))
     s_quarter = layer("enc2", layer("down2", s_half))
-    bottom = layer("enc3", layer("down3", s_quarter))
-    u2 = layer("up2.deconv", bottom)
-    f_quarter = layer("up2.harvest", layer("up2.fuse", concat_channels([u2, s_quarter])))
-    u1 = layer("up1.deconv", f_quarter)
-    f_half = layer("up1.harvest", layer("up1.fuse", concat_channels([u1, s_half])))
-    return f_half, f_quarter
+    u2 = layer("up2.deconv", layer("enc3", layer("down3", s_quarter)))
+    x = concat_channels([u2, s_quarter])
+    del u2, s_quarter
+    x = layer("up2.fuse", x)
+    f_quarter = layer("up2.harvest", x)
+    x = concat_channels([layer("up1.deconv", f_quarter), s_half])
+    del s_half
+    x = layer("up1.fuse", x)
+    return layer("up1.harvest", x), f_quarter
 
 
 def reduce_traditional(
@@ -381,6 +384,7 @@ def reduce_traditional(
         )
     if rows != h:
         raise ValueError(f"bands cover {rows} of {h} rows")
+    del vols, centered
     n = 288 * h * w
     offset = sums / n  # μ - μ̃
     sigma = np.sqrt(max(squares / n - offset * offset, 0.0))
@@ -486,9 +490,9 @@ def cascade_forward(
     upsampled output is fused (concat + 1x1 conv) with both 1/2-scale
     32-channel volumes to feed stage 2.
     """
-    h1 = hourglass_forward(corr48_quarter, guides, store, 1)
-    u = _layer(store, "casc.up", h1)
+    u = _layer(store, "casc.up", hourglass_forward(corr48_quarter, guides, store, 1))
     stage2_in = _layer(store, "casc.fuse", concat_channels([u, corr32_half, trad32]))
+    del u
     return hourglass_forward(stage2_in, guides, store, 2)
 
 
@@ -543,6 +547,7 @@ def full_forward(
 
     corr32 = reduce_correlation(correlate_1d(fl_half, fr_half, 96, "half").costs, store)
     corr48 = correlate_1d(fl_quarter, fr_quarter, 48, "quarter").costs
+    del left_p, right_p, fl_half, fl_quarter, fr_half, fr_quarter
     guides = guide_encoder(trad32, store)
     refined = cascade_forward(trad32, corr32, corr48, guides, store)
     return disparity_head(refined, orig, store)

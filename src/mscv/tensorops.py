@@ -56,7 +56,9 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
 
     Banded im2col: each band of output rows (``_BAND_PIXELS`` pixels, at
     least one row) copies its windows into an (I, kh, kw, rows, out_w)
-    buffer for one GEMM, (O, I*kh*kw) @ (I*kh*kw, rows*out_w).
+    buffer for one GEMM, (O, I*kh*kw) @ (I*kh*kw, rows*out_w).  An
+    unpadded input is not copied, and a 1x1 stride-1 band is the
+    (I, rows*W) view of the input itself.
     """
     if x.ndim != 3:
         raise ValueError("input must be (C, H, W)")
@@ -73,24 +75,30 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     out_w = -(-w // s)
     pad_h = max((out_h - 1) * s + kh - h, 0)
     pad_w = max((out_w - 1) * s + kw - w, 0)
-    x = np.pad(
-        x,
-        ((0, 0), (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2)),
-    )
+    if pad_h or pad_w:
+        x = np.pad(
+            x,
+            ((0, 0), (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2)),
+        )
     x = np.ascontiguousarray(x, dtype=np.float32)
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     windows = windows[:, ::s, ::s][:, :out_h, :out_w].transpose(0, 3, 4, 1, 2)
-    # One flat buffer per call (convs run concurrently under threads > 1);
-    # a prefix of it keeps the short last band contiguous.
+    # A 1x1 stride-1 band is a view of the input rows.  Other kernels copy
+    # into one flat buffer per call (convs run concurrently under
+    # threads > 1); a prefix of it keeps the short last band contiguous.
     k = p.in_channels * kh * kw
     rows = min(max(_BAND_PIXELS // out_w, 1), out_h)
-    buf = np.empty(k * rows * out_w, dtype=np.float32)
+    view = (kh, kw, s) == (1, 1, 1)
+    buf = None if view else np.empty(k * rows * out_w, dtype=np.float32)
     w2 = p.weights.reshape(p.out_channels, k)
     out = np.empty((p.out_channels, out_h * out_w), dtype=np.float32)
     for y in range(0, out_h, rows):
         n = min(rows, out_h - y)
-        cols = buf[: k * n * out_w].reshape(p.in_channels, kh, kw, n, out_w)
-        np.copyto(cols, windows[:, :, :, y : y + n])
+        if view:
+            cols = x[:, y : y + n]
+        else:
+            cols = buf[: k * n * out_w].reshape(p.in_channels, kh, kw, n, out_w)
+            np.copyto(cols, windows[:, :, :, y : y + n])
         np.matmul(w2, cols.reshape(k, -1), out=out[:, y * out_w : (y + n) * out_w])
     out += p.bias[:, None]
     return out.reshape(p.out_channels, out_h, out_w)

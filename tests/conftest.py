@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,24 @@ import mscv.network
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def peak_bytes():
+    """``peak_bytes(fn)``: the most bytes ``tracemalloc`` sees allocated
+    while ``fn()`` runs, above what was allocated when it started."""
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 @pytest.fixture

@@ -8,10 +8,12 @@ from mscv.cli import (
     config_from_args,
     generate_synthetic_pair,
     main,
+    mask_to_pgm,
     parse_plan,
     traditional_match,
 )
-from mscv.imagekit import read_image, read_pfm
+from mscv.disparity import DiscontinuityMask
+from mscv.imagekit import Image, read_image, read_pfm, write_image
 from mscv.metrics import epe
 from mscv.network import WeightStore, init_weights, save_weights
 
@@ -99,6 +101,25 @@ class TestConfigResolution:
         assert main(["describe", "--config", str(cfile)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["kitti_rule = on", "seed = x"])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, line):
+        cfile = tmp_path / "bad.cfg"
+        cfile.write_text(f"# run\nepsilon = 2\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"bad.cfg:3: bad {key} value"):
+            config_from_args(["describe", "--config", str(cfile)])
+        assert main(["describe", "--config", str(cfile)]) == 2
+        assert f"bad {key} value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,want", [
+        ("1", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("False", False), ("NO", False),
+    ])
+    def test_kitti_rule_words(self, tmp_path, value, want):
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text(f"kitti_rule = {value}\n")
+        assert config_from_args(["describe", "--config", str(cfile)]).kitti_rule is want
+
     @pytest.mark.parametrize("flag", ["--width", "--height"])
     def test_nonpositive_size_rejected(self, tmp_path, capsys, flag):
         for value in ("0", "-3"):
@@ -159,6 +180,13 @@ class TestDispatch:
         assert main(["loss", "--pred", str(out / "gt.pfm"),
                      "--gt", str(out / "gt.pfm")]) == 0
         assert "loss=1.000000" in capsys.readouterr().out
+
+    def test_mask_pgm_bytes_match_write_image(self, tmp_path, rng):
+        flags = (rng.random((37, 53)) > 0.7).astype(np.uint8)
+        new, old = tmp_path / "new.pgm", tmp_path / "old.pgm"
+        mask_to_pgm(DiscontinuityMask(flags), new)
+        write_image(Image(flags.astype(np.float64)[None]), old)
+        assert new.read_bytes() == old.read_bytes()
 
     def test_unknown_command_nonzero_exit(self, capsys):
         assert main(["frobnicate"]) != 0

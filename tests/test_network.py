@@ -537,6 +537,26 @@ class TestFullForward:
 # disparity map, as a fraction of the largest |refined| value: float32
 # rounding through ~80 layers (measured up to 1e-6).
 FORWARD_RTOL = 1e-5
+# tracemalloc peak of one 376x1240 full_forward: 170.8 MB measured (245 MB
+# before unpadded convs stopped copying their input and activations were
+# freed at their last use); a re-inflated peak fails.
+KITTI_FORWARD_PEAK_MB = 175
+
+
+def scaled_weights(seed, gain):
+    """``init_weights(seed)`` with every conv weight multiplied by ``gain``."""
+    weights = init_weights(seed)
+    for name, arr in weights.entries.items():
+        if name.endswith(".w"):
+            weights.entries[name] = arr * np.float32(gain)
+    return weights
+
+
+def kitti_pair():
+    # The right view shifted by 20 px: a pair whose disparity map is not
+    # all zero under scaled_weights(7, sqrt(6)).
+    right = np.random.default_rng(2024).random((3, 376, 1240))
+    return Image(np.roll(right, 20, axis=2)), Image(right)
 
 
 class TestForwardOracle:
@@ -580,10 +600,7 @@ class TestForwardOracle:
         # layer, which hides deep paths (a 32x error in the correlation
         # volume moves the output by under 3e-8, float32 rounding); gain
         # sqrt(6) is He scaling, which keeps every branch visible.
-        weights = init_weights(seed)
-        for name, arr in weights.entries.items():
-            if name.endswith(".w"):
-                weights.entries[name] = arr * np.float32(gain)
+        weights = scaled_weights(seed, gain)
         r = np.random.default_rng(seed + h)
         if random_bn:
             # init_weights leaves mean 0 and var 1, under which a batch-norm
@@ -605,3 +622,24 @@ class TestForwardOracle:
             refined = forward_probe.refined.pop()
             np.testing.assert_allclose(refined, ref_refined, rtol=0, atol=atol)
             np.testing.assert_allclose(dmap.values, ref_disp, rtol=0, atol=atol)
+
+    @pytest.mark.slow
+    def test_kitti_size_bit_identical_across_threads(self, forward_probe):
+        weights = scaled_weights(7, 6 ** 0.5)
+        left, right = kitti_pair()
+        maps = [full_forward(left, right, weights, threads=t).values for t in (1, 2)]
+        refined = forward_probe.refined
+        assert maps[0].max() > 0
+        assert maps[0].tobytes() == maps[1].tobytes()
+        assert refined[0].tobytes() == refined[1].tobytes()
+        ref_refined, ref_disp = forward_oracle(left, right, weights)
+        atol = FORWARD_RTOL * np.abs(ref_refined).max()
+        np.testing.assert_allclose(refined[0], ref_refined, rtol=0, atol=atol)
+        np.testing.assert_allclose(maps[0], ref_disp, rtol=0, atol=atol)
+
+
+@pytest.mark.slow
+def test_kitti_size_forward_peak_memory(store, peak_bytes):
+    left, right = kitti_pair()
+    peak = peak_bytes(lambda: full_forward(left, right, store))
+    assert peak <= KITTI_FORWARD_PEAK_MB * 1e6, f"peak {peak / 1e6:.1f} MB"
