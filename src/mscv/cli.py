@@ -37,6 +37,7 @@ from mscv.imagekit import (
     read_pfm,
     write_image,
     write_pfm,
+    write_pnm,
 )
 from mscv.metrics import evaluate
 from mscv.network import (
@@ -202,9 +203,7 @@ def disparity_to_pgm(dmap: DisparityMap, path, max_disp: int = MAX_DISPARITY) ->
 
 def mask_to_pgm(mask: DiscontinuityMask, path) -> None:
     """Write a 0/255 PGM of the discontinuity flags."""
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (mask.width, mask.height))
-        f.write(np.where(mask.flags, np.uint8(255), np.uint8(0)).tobytes())
+    write_pnm(np.where(mask.flags, np.uint8(255), np.uint8(0))[:, :, None], path)
 
 
 # ---------------------------------------------------------------------------

@@ -153,12 +153,16 @@ def write_image(image: Image, path) -> None:
     """
     quant = np.rint(image.data * 255.0)
     quant = np.clip(quant, 0, 255).astype(np.uint8)
-    magic = b"P6" if image.channels == 3 else b"P5"
-    header = b"%s\n%d %d\n255\n" % (magic, image.width, image.height)
-    interleaved = quant.transpose(1, 2, 0)
+    write_pnm(quant.transpose(1, 2, 0), path)
+
+
+def write_pnm(pixels: np.ndarray, path) -> None:
+    """Write a uint8 (H, W, C) array as PPM (C = 3) or PGM (C = 1)."""
+    height, width, channels = pixels.shape
+    magic = b"P6" if channels == 3 else b"P5"
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(interleaved.tobytes())
+        f.write(b"%s\n%d %d\n255\n" % (magic, width, height))
+        f.write(pixels.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,7 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     Banded im2col: each band of output rows (``_BAND_PIXELS`` pixels, at
     least one row) copies its windows into an (I, kh, kw, rows, out_w)
     buffer for one GEMM, (O, I*kh*kw) @ (I*kh*kw, rows*out_w).  An
-    unpadded input is not copied, and a 1x1 stride-1 band is the
-    (I, rows*W) view of the input itself.
+    input that needs no padding is not copied.
     """
     if x.ndim != 3:
         raise ValueError("input must be (C, H, W)")
@@ -83,22 +82,17 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float32)
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     windows = windows[:, ::s, ::s][:, :out_h, :out_w].transpose(0, 3, 4, 1, 2)
-    # A 1x1 stride-1 band is a view of the input rows.  Other kernels copy
-    # into one flat buffer per call (convs run concurrently under
-    # threads > 1); a prefix of it keeps the short last band contiguous.
+    # One flat buffer per call (convs run concurrently under threads > 1);
+    # a prefix of it keeps the short last band contiguous.
     k = p.in_channels * kh * kw
     rows = min(max(_BAND_PIXELS // out_w, 1), out_h)
-    view = (kh, kw, s) == (1, 1, 1)
-    buf = None if view else np.empty(k * rows * out_w, dtype=np.float32)
+    buf = np.empty(k * rows * out_w, dtype=np.float32)
     w2 = p.weights.reshape(p.out_channels, k)
     out = np.empty((p.out_channels, out_h * out_w), dtype=np.float32)
     for y in range(0, out_h, rows):
         n = min(rows, out_h - y)
-        if view:
-            cols = x[:, y : y + n]
-        else:
-            cols = buf[: k * n * out_w].reshape(p.in_channels, kh, kw, n, out_w)
-            np.copyto(cols, windows[:, :, :, y : y + n])
+        cols = buf[: k * n * out_w].reshape(p.in_channels, kh, kw, n, out_w)
+        np.copyto(cols, windows[:, :, :, y : y + n])
         np.matmul(w2, cols.reshape(k, -1), out=out[:, y * out_w : (y + n) * out_w])
     out += p.bias[:, None]
     return out.reshape(p.out_channels, out_h, out_w)

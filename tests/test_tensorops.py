@@ -103,15 +103,6 @@ class TestConv2dBands:
             out, conv2d_f64(x, p.weights, p.bias, stride), rtol=0, atol=1e-5
         )
 
-    def test_1x1_bands_of_the_input_match_loop_oracle(self, rng):
-        # 1x1 stride-1 bands are views of the input rows; three bands of
-        # 10 rows, the last one 5 rows short.
-        x = rng.standard_normal((3, 25, _BAND_PIXELS // 10)).astype(np.float32)
-        p = random_params(rng, 2, 3, 1)
-        np.testing.assert_allclose(
-            conv2d(x, p), conv2d_oracle(x, p.weights, p.bias), rtol=0, atol=1e-5
-        )
-
     @pytest.mark.parametrize("in_c,k,stride", [(144, 1, 1), (144, 1, 2), (32, 2, 2)])
     def test_unpadded_input_is_not_copied(self, rng, peak_bytes, in_c, k, stride):
         # Network-sized layers that need no padding; the input copy alone
