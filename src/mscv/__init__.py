@@ -17,7 +17,6 @@ from mscv.imagekit import (
     rgb_to_yuv,
     write_image,
     write_pfm,
-    yuv_to_rgb,
 )
 from mscv.costvol import (
     CostVolume,
@@ -36,7 +35,7 @@ from mscv.disparity import (
     warp_row,
     wta_disparity,
 )
-from mscv.metrics import EvalReport, d1_metrics, epe, evaluate, outlier_rate
+from mscv.metrics import EvalReport, evaluate
 from mscv.network import (
     WeightStore,
     describe_architecture,
@@ -58,10 +57,8 @@ __all__ = [
     "ad_cost_volume",
     "census_transform",
     "correlate_1d",
-    "d1_metrics",
     "describe_architecture",
     "discontinuity_mask",
-    "epe",
     "evaluate",
     "full_forward",
     "hamming_cost_volume",
@@ -70,7 +67,6 @@ __all__ = [
     "loss_eval",
     "loss_grad",
     "mean_pool_2x",
-    "outlier_rate",
     "pad_reflect",
     "read_image",
     "read_pfm",
@@ -81,7 +77,6 @@ __all__ = [
     "write_image",
     "write_pfm",
     "wta_disparity",
-    "yuv_to_rgb",
 ]
 
 __version__ = "0.1.0"

@@ -2,15 +2,12 @@
 
 Commands: synth | trad-match | infer | mask | loss | eval | init-weights |
 describe.  Flag values override an optional key=value config file, which
-overrides built-in defaults.  Set MSCV_LOG for verbosity
-(DEBUG/INFO/WARNING).
+overrides built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,20 +46,6 @@ from mscv.network import (
     validate_store,
 )
 
-log = logging.getLogger("mscv")
-
-COMMANDS = (
-    "synth",
-    "trad-match",
-    "infer",
-    "mask",
-    "loss",
-    "eval",
-    "init-weights",
-    "describe",
-)
-
-
 class ConfigError(ValueError):
     """Raised on an invalid run configuration."""
 
@@ -88,7 +71,7 @@ class RunConfig:
     kitti_rule: bool = False
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _HANDLERS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.max_disp <= 0:
             raise ConfigError("max-disp must be > 0")
@@ -305,7 +288,6 @@ _HANDLERS = {
 
 def dispatch(cfg: RunConfig) -> int:
     """Run one command; returns the process exit status."""
-    log.info("config: %s", cfg)
     print(f"config: {cfg}")
     _HANDLERS[cfg.command](cfg)
     return 0
@@ -353,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mscv", description="Multi-scale cost-volume stereo matching."
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", help="optional key=value config file")
     parser.add_argument("--left")
     parser.add_argument("--right")
@@ -387,7 +369,6 @@ def config_from_args(argv: list[str]) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("MSCV_LOG", "WARNING").upper())
     try:
         cfg = config_from_args(argv if argv is not None else sys.argv[1:])
         return dispatch(cfg)

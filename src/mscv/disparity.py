@@ -32,7 +32,7 @@ class LossParams:
     lam: float = 0.5
 
     def __post_init__(self):
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise ValueError("tau must be >= 0")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must be in [0, 1]")
@@ -79,7 +79,7 @@ def warp_row(d: np.ndarray) -> np.ndarray:
 
 def discontinuity_mask(d_map: DisparityMap, epsilon: float = 3.0) -> DiscontinuityMask:
     """Flag disparity-discontinuity boundary pixels of the whole map at once."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     y = warp_row(d_map.values)
     below = y < np.maximum.accumulate(y, axis=1)

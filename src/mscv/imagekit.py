@@ -224,7 +224,6 @@ _RGB_TO_YUV = np.array(
         [0.5, -0.418688, -0.081312],
     ]
 )
-_YUV_TO_RGB = np.linalg.inv(_RGB_TO_YUV)
 
 
 def rgb_to_yuv(image: Image) -> Image:
@@ -237,15 +236,6 @@ def rgb_to_yuv(image: Image) -> Image:
     flat = image.data.reshape(3, -1)
     yuv = _RGB_TO_YUV @ flat
     return Image(yuv.reshape(image.data.shape))
-
-
-def yuv_to_rgb(image: Image) -> Image:
-    """Analytic inverse of :func:`rgb_to_yuv`."""
-    if image.channels != 3:
-        raise ValueError("yuv_to_rgb requires a 3-channel image")
-    flat = image.data.reshape(3, -1)
-    rgb = _YUV_TO_RGB @ flat
-    return Image(rgb.reshape(image.data.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Disparity evaluation metrics: EPE, outlier rates, D1 components.
+"""KITTI-style evaluation report: EPE, outlier rates, D1 components.
 
 D1 follows the literal "> 3 pixels" rule by default; pass
 ``kitti_rule=True`` for the joint criterion (error > 3 px and > 5% of
@@ -55,82 +55,41 @@ class EvalReport:
         )
 
 
-def _errors(pred: DisparityMap, gt: DisparityMap) -> tuple[np.ndarray, np.ndarray]:
-    if pred.values.shape != gt.values.shape:
-        raise ValueError("disparity map dimensions differ")
-    if not gt.valid.any():
-        raise ValueError("no valid ground-truth pixels")
-    return np.abs(pred.values - gt.values), gt.valid
-
-
-def epe(pred: DisparityMap, gt: DisparityMap) -> float:
-    """Mean absolute disparity error over valid ground-truth pixels."""
-    err, valid = _errors(pred, gt)
-    return float(err[valid].mean())
-
-
-def outlier_rate(pred: DisparityMap, gt: DisparityMap, threshold_px: float) -> float:
-    """Percentage of valid pixels with error strictly above the threshold."""
-    if threshold_px <= 0:
-        raise ValueError("threshold must be > 0")
-    err, valid = _errors(pred, gt)
-    return float(100.0 * (err[valid] > threshold_px).mean())
-
-
-def _d1_outliers(err, gt_values, kitti_rule):
-    out = err > D1_THRESHOLD_PX
-    if kitti_rule:
-        out &= err > D1_RELATIVE * np.abs(gt_values)
-    return out
-
-
-def _d1_rates(err, valid, gt_values, fg_mask, kitti_rule):
-    fg_mask = np.asarray(fg_mask, dtype=bool)
-    if fg_mask.shape != err.shape:
-        raise ValueError("foreground mask dimensions differ")
-    out = _d1_outliers(err, gt_values, kitti_rule)
-
-    def rate(sel):
-        if not sel.any():
-            return None
-        return float(100.0 * out[sel].mean())
-
-    return rate(valid & ~fg_mask), rate(valid & fg_mask), rate(valid)
-
-
-def d1_metrics(
-    pred: DisparityMap,
-    gt: DisparityMap,
-    fg_mask: np.ndarray,
-    kitti_rule: bool = False,
-) -> tuple[float | None, float | None, float]:
-    """(d1_bg, d1_fg, d1_all) outlier percentages.
-
-    ``fg_mask`` flags foreground pixels.  An empty region's component
-    is None; d1_all is always computed.
-    """
-    err, valid = _errors(pred, gt)
-    return _d1_rates(err, valid, gt.values, fg_mask, kitti_rule)
-
-
 def evaluate(
     pred: DisparityMap,
     gt: DisparityMap,
     fg_mask: np.ndarray | None = None,
     kitti_rule: bool = False,
 ) -> EvalReport:
-    """Full report: EPE, 3/5-px outlier rates, D1 components."""
-    err, valid = _errors(pred, gt)
-    if fg_mask is None:
-        fg_mask = np.zeros_like(valid)
-    d1_bg, d1_fg, d1_all = _d1_rates(err, valid, gt.values, fg_mask, kitti_rule)
+    """Full report: EPE, 3/5-px outlier rates, D1 components.
+
+    ``fg_mask`` flags foreground pixels (default: none).  Outliers lie
+    strictly above a threshold.  An empty region's D1 component is None;
+    d1_all is always computed.
+    """
+    if pred.values.shape != gt.values.shape:
+        raise ValueError("disparity map dimensions differ")
+    valid = gt.valid
+    if not valid.any():
+        raise ValueError("no valid ground-truth pixels")
+    fg_mask = np.zeros_like(valid) if fg_mask is None else np.asarray(fg_mask, dtype=bool)
+    if fg_mask.shape != valid.shape:
+        raise ValueError("foreground mask dimensions differ")
+    err = np.abs(pred.values - gt.values)
+    d1_out = err > D1_THRESHOLD_PX
+    if kitti_rule:
+        d1_out &= err > D1_RELATIVE * np.abs(gt.values)
+
+    def d1_rate(sel):
+        return float(100.0 * d1_out[sel].mean()) if sel.any() else None
+
     err_valid = err[valid]
     return EvalReport(
         epe=float(err_valid.mean()),
         outlier_3px=float(100.0 * (err_valid > 3.0).mean()),
         outlier_5px=float(100.0 * (err_valid > 5.0).mean()),
-        d1_bg=d1_bg,
-        d1_fg=d1_fg,
-        d1_all=d1_all,
+        d1_bg=d1_rate(valid & ~fg_mask),
+        d1_fg=d1_rate(valid & fg_mask),
+        d1_all=d1_rate(valid),
         valid_count=err_valid.size,
     )

@@ -402,8 +402,6 @@ def reduce_traditional(
 
 def reduce_correlation(corr96: np.ndarray, store: WeightStore) -> np.ndarray:
     """1x1 conv collapsing the 96-candidate correlation volume to 32."""
-    if corr96.shape[0] != 96:
-        raise ValueError(f"expected depth 96, got {corr96.shape[0]}")
     return _layer(store, "corr.reduce", corr96)
 
 
@@ -423,8 +421,6 @@ def guide_encoder(trad32: np.ndarray, store: WeightStore) -> GuideSet:
     One stride-1 block at 1/2, then three down blocks (stride-2 conv +
     stride-1 conv) reaching 1/16.
     """
-    if trad32.shape[0] != 32:
-        raise ValueError("guide encoder takes the 32-channel half-scale volume")
     guides = [_layer(store, "guide.s0", trad32)]
     for i in (1, 2, 3):
         g = _layer(store, f"guide.d{i}.a", guides[-1])
@@ -432,16 +428,12 @@ def guide_encoder(trad32: np.ndarray, store: WeightStore) -> GuideSet:
     return GuideSet(*guides)
 
 
-def _residual_down(store, prefix, x):
-    # Projection-shortcut block halving spatial dims.
-    y = _layer(store, f"{prefix}.c2", _layer(store, f"{prefix}.c1", x))
-    return relu(y + _layer(store, f"{prefix}.sc", x))
-
-
 def _residual(store, prefix, x):
-    # Identity-shortcut block: zero conv weights leave x (if x >= 0).
+    # Two convs plus a shortcut: the strided 1x1 projection where the
+    # table lists one (down blocks), else the identity.
     y = _layer(store, f"{prefix}.c2", _layer(store, f"{prefix}.c1", x))
-    return relu(y + x)
+    sc = f"{prefix}.sc"
+    return relu(y + (_layer(store, sc, x) if sc in _LAYERS else x))
 
 
 def hourglass_forward(
@@ -459,7 +451,7 @@ def hourglass_forward(
     pre = f"hg{stage}"
     y = _layer(store, f"{pre}.entry", x)
     for i in range(downs):
-        y = _residual_down(store, f"{pre}.down{i}", y)
+        y = _residual(store, f"{pre}.down{i}", y)
         y = _residual(store, f"{pre}.res{i}", y)
 
     def fuse(name, scale, y, g):
@@ -500,8 +492,6 @@ def disparity_head(
     refined: np.ndarray, original_dims: tuple[int, int], store: WeightStore
 ) -> DisparityMap:
     """1x1 regression head, bilinear upsample to full res, crop, clamp."""
-    if refined.shape[0] != 32:
-        raise ValueError("head expects 32-channel input")
     d = _layer(store, "head.conv", refined)
     full = bilinear_resize(d, 2 * d.shape[1], 2 * d.shape[2])
     cropped = crop(full[0], original_dims)

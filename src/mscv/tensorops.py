@@ -121,7 +121,8 @@ def deconv2d_s2(x: np.ndarray, p: ConvParams) -> np.ndarray:
     taps = p.weights.transpose(0, 2, 3, 1).reshape(o * 4, i)
     flat = taps @ x.astype(np.float32, copy=False).reshape(i, h * w)
     out = flat.reshape(o, 2, 2, h, w).transpose(0, 3, 1, 4, 2).reshape(o, 2 * h, 2 * w)
-    return out + p.bias[:, None, None]
+    out += p.bias[:, None, None]
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -133,9 +134,7 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resampling with half-pixel centers and edge clamping."""
     if out_h < 1 or out_w < 1:
         raise ValueError("output dims must be >= 1")
-    c, h, w = x.shape
-    if (out_h, out_w) == (h, w):
-        return x.copy()
+    _, h, w = x.shape
     src_y = (np.arange(out_h) + 0.5) * h / out_h - 0.5
     src_x = (np.arange(out_w) + 0.5) * w / out_w - 0.5
     y0 = np.clip(np.floor(src_y).astype(int), 0, h - 1)

@@ -35,7 +35,7 @@ from mscv.imagekit import (
     write_image,
     write_pfm,
 )
-from mscv.metrics import d1_metrics, epe, outlier_rate
+from mscv.metrics import evaluate
 from mscv.network import (
     WeightStore,
     _layer,
@@ -326,9 +326,10 @@ def test_criterion_11_metrics():
     gt = DisparityMap(np.full((2, 2), 50.0))
     errors = np.array([[0.0, 1.0], [2.0, 5.0]])
     pred = DisparityMap(gt.values + errors, valid=np.ones((2, 2), bool))
-    assert epe(pred, gt) == 2.0
-    assert outlier_rate(pred, gt, 3.0) == 25.0
-    assert outlier_rate(pred, gt, 5.0) == 0.0  # strict inequality
+    report = evaluate(pred, gt)
+    assert report.epe == 2.0
+    assert report.outlier_3px == 25.0
+    assert report.outlier_5px == 0.0  # strict inequality
     rng = np.random.default_rng(111)
     for _ in range(50):
         gv = rng.random((8, 8)) * 100 + 1
@@ -336,7 +337,8 @@ def test_criterion_11_metrics():
         g = DisparityMap(gv)
         p = DisparityMap(pv, valid=np.ones_like(pv, bool))
         fg = rng.random((8, 8)) > 0.4
-        d1_bg, d1_fg, d1_all = d1_metrics(p, g, fg)
+        r = evaluate(p, g, fg)
+        d1_bg, d1_fg, d1_all = r.d1_bg, r.d1_fg, r.d1_all
         n = g.valid.sum()
         n_fg = (g.valid & fg).sum()
         lhs = d1_all * n

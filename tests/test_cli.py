@@ -1,5 +1,10 @@
 """Synthetic data generation and the command-line surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +19,7 @@ from mscv.cli import (
 )
 from mscv.disparity import DiscontinuityMask
 from mscv.imagekit import Image, read_image, read_pfm, write_image
-from mscv.metrics import epe
+from mscv.metrics import evaluate
 from mscv.network import WeightStore, init_weights, save_weights
 
 from oracles import traditional_match_reference
@@ -148,7 +153,7 @@ class TestDispatch:
         interior[6:-6, 30:-6] = True
         gt_interior = read_pfm(out / "gt.pfm")
         gt_interior.valid &= interior
-        assert epe(pred, gt_interior) == 0.0
+        assert evaluate(pred, gt_interior).epe == 0.0
         assert main([
             "eval", "--pred", str(pfm), "--gt", str(out / "gt.pfm"),
         ]) == 0
@@ -180,6 +185,15 @@ class TestDispatch:
         assert main(["loss", "--pred", str(out / "gt.pfm"),
                      "--gt", str(out / "gt.pfm")]) == 0
         assert "loss=1.000000" in capsys.readouterr().out
+
+    def test_nan_parameter_exits_2(self, tmp_path, capsys):
+        main(["synth", "--out", str(tmp_path), "--width", "32", "--height", "8"])
+        gt, mask = str(tmp_path / "gt.pfm"), tmp_path / "m.pgm"
+        assert main(["loss", "--pred", gt, "--gt", gt, "--tau", "nan"]) == 2
+        assert "tau must be >= 0" in capsys.readouterr().err
+        assert main(["mask", "--gt", gt, "--out", str(mask), "--epsilon", "nan"]) == 2
+        assert "epsilon must be >= 0" in capsys.readouterr().err
+        assert not mask.exists()
 
     def test_mask_pgm_bytes_match_write_image(self, tmp_path, rng):
         flags = (rng.random((37, 53)) > 0.7).astype(np.uint8)
@@ -229,6 +243,18 @@ class TestDispatch:
         assert main(["describe"]) == 0
         out = capsys.readouterr().out
         assert "head.conv.w" in out and "total" in out
+
+    def test_module_run_ignores_log_variable(self):
+        # No environment variable steers the CLI: a stray MSCV_LOG value
+        # must not turn into a traceback.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, MSCV_LOG="verbose", PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-m", "mscv.cli", "describe"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "head.conv.w" in proc.stdout
 
     def test_trad_match_deterministic(self, rng):
         from mscv.imagekit import Image

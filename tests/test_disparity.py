@@ -110,8 +110,9 @@ class TestDiscontinuityMask:
             assert flags.sum() % 2 == 0
 
     def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            discontinuity_mask(dmap_from_rows([np.zeros(4)]), -1.0)
+        for epsilon in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="epsilon"):
+                discontinuity_mask(dmap_from_rows([np.zeros(4)]), epsilon)
 
 
 class TestDiscontinuityMaskMultiRow:
@@ -164,6 +165,14 @@ def ones_mask(shape):
     from mscv.disparity import DiscontinuityMask
 
     return DiscontinuityMask(np.ones(shape, dtype=np.uint8))
+
+
+class TestLossParams:
+    @pytest.mark.parametrize("value", [-1.0, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize("field", ["tau", "lam"])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            LossParams(**{field: value})
 
 
 class TestLossEval:

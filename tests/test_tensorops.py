@@ -181,6 +181,14 @@ class TestDeconv2dS2:
         with pytest.raises(ValueError):
             deconv2d_s2(rng.random((2, 3, 3)).astype(np.float32), p)
 
+    def test_peak_memory_twice_output(self, rng, peak_bytes):
+        # unet.up1.deconv's shape: the GEMM result and the interleaved
+        # output may coexist, but the bias adds in place.
+        x = rng.standard_normal((32, 96, 312), dtype=np.float32)
+        p = random_params(rng, 32, 32, 2, stride=2)
+        out_bytes = 4 * 32 * 192 * 624
+        assert peak_bytes(lambda: deconv2d_s2(x, p)) <= 2 * out_bytes + 2**20
+
 
 class TestBilinearResize:
     def test_constant_any_size(self):
