@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mscv.costvol import CENSUS_BITS, CostVolume, traditional_costs
+from mscv.costvol import CENSUS_BITS, traditional_costs
 # Unused here: perfbench/test_perfbench.py looks up mscv.cli.census_transform.
 from mscv.costvol import census_transform  # noqa: F401
 from mscv.disparity import (
@@ -22,7 +22,6 @@ from mscv.disparity import (
     LossParams,
     discontinuity_mask,
     loss_eval,
-    wta_disparity,
 )
 from mscv.imagekit import (
     MAX_DISPARITY,
@@ -160,19 +159,31 @@ def traditional_match(
     """Census + chroma-AD WTA baseline at half resolution.
 
     Census alone produces zero-cost collisions wherever two window
-    centers are both local extrema, so the chroma AD volumes are summed
-    in (census normalized to [0,1]) to disambiguate, one row band at a
-    time.  Output values are in full-resolution pixel units;
+    centers are both local extrema, so the chroma AD costs are summed
+    in (census normalized to [0,1]) to disambiguate.  The winner is kept
+    as a running minimum over the cost planes of each row band; the
+    strict ``<`` leaves ties with the smaller disparity, as ``np.argmin``
+    does.  Output values are in full-resolution pixel units;
     nearest-neighbor upsampling back to the input dimensions.
     """
     left_p, orig = pad_reflect(left, 2)
     right_p, _ = pad_reflect(right, 2)
     left_half, bands = traditional_costs(left_p, right_p, max(1, max_disp // 2))
-    half = np.empty((left_half.height, left_half.width))
-    for y0, census, ad_u, ad_v in bands:
-        vol = CostVolume(census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs, "half")
-        half[y0 : y0 + vol.height] = wta_disparity(vol).values
-    full = np.repeat(np.repeat(half, 2, axis=0), 2, axis=1)
+    half = np.zeros((left_half.height, left_half.width))
+    for y0, planes in bands:
+        for d, (c, u, v) in enumerate(planes()):
+            cost = c / CENSUS_BITS
+            cost += u
+            cost += v
+            if d == 0:
+                best, arg = cost, half[y0 : y0 + len(cost)]
+                continue
+            better = cost < best
+            np.copyto(best, cost, where=better)
+            np.copyto(arg, d, where=better)
+    del planes  # the last band's stream holds the front end's YUV and census
+    # Half-scale candidates count 2 full-resolution pixels.
+    full = np.repeat(np.repeat(2.0 * half, 2, axis=0), 2, axis=1)
     values = crop(full, orig)
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 

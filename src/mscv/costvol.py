@@ -1,12 +1,13 @@
 """Construction of matching-cost and correlation cost volumes.
 
-Three traditional half-resolution float64 volumes (census/Hamming on Y,
+Three traditional half-resolution float64 costs (census/Hamming on Y,
 absolute difference on U and V) come from one front end,
 ``traditional_costs``, shared by the classical matcher and the network.
 Disparity shifts only along x, so the costs are per row: the front end
-yields them in bands of ``_BAND_ROWS`` rows and no consumer holds a whole
-volume.  The network folds their normalized per-disparity interleave (the
-paper's 288-channel volume) into its first 1x1 reduction
+streams them by bands of ``_BAND_ROWS`` rows and, within a band, one
+disparity plane at a time, so no consumer holds a volume.  The network
+folds their normalized per-disparity interleave (the paper's
+288-channel volume) into its first 1x1 reduction
 (``network.reduce_traditional``).  Two correlation volumes come from CNN
 feature maps at 1/2 and 1/4 resolution, in the features' dtype.
 
@@ -17,7 +18,8 @@ higher-is-better.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import functools
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,20 +83,37 @@ def census_transform(plane: Image) -> np.ndarray:
     return desc
 
 
-def _shifted(left, right, max_d, fill, cost, dtype=np.float64) -> np.ndarray:
-    """(max_d, H, W) ``dtype`` volume of ``cost`` between left(x) and right(x - d).
+def _planes(left, right, max_d, fill, cost, plane):
+    """Write the costs of each disparity d < max_d into ``plane(d)``; yield d.
 
-    ``left``/``right`` share a shape ending in (H, W);
-    costs[d, :, d:] = cost(left[..., d:], right[..., :W - d]).  Columns
-    with x - d < 0 have no partner and get ``fill``, written only there.
+    ``left``/``right`` share a shape ending in (H, W) and ``plane(d)`` is
+    an (H, W) array: plane[:, d:] = cost(left[..., d:], right[..., :W - d]).
+    Columns with x - d < 0 have no partner and get ``fill``, written only
+    there.
     """
-    h, w = left.shape[-2:]
-    costs = np.empty((max_d, h, w), dtype=dtype)
-    costs[w:] = fill
-    for d in range(min(max_d, w)):
-        costs[d, :, :d] = fill
-        costs[d, :, d:] = cost(left[..., d:], right[..., : w - d])
+    w = left.shape[-1]
+    for d in range(max_d):
+        p = plane(d)
+        p[:, :d] = fill
+        if d < w:
+            p[:, d:] = cost(left[..., d:], right[..., : w - d])
+        yield d
+
+
+def _shifted(left, right, max_d, fill, cost, dtype=np.float64) -> np.ndarray:
+    """(max_d, H, W) ``dtype`` volume of ``_planes``' costs."""
+    costs = np.empty((max_d, *left.shape[-2:]), dtype=dtype)
+    for _ in _planes(left, right, max_d, fill, cost, costs.__getitem__):
+        pass
     return costs
+
+
+def _hamming(l, r):
+    return np.bitwise_count(l ^ r)
+
+
+def _absdiff(l, r):
+    return np.abs(l - r)
 
 
 def hamming_cost_volume(
@@ -109,10 +128,7 @@ def hamming_cost_volume(
         raise ValueError("census plane dimensions differ")
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
-    costs = _shifted(
-        left, right, max_d, CENSUS_BITS, lambda l, r: np.bitwise_count(l ^ r)
-    )
-    return CostVolume(costs, scale="half")
+    return CostVolume(_shifted(left, right, max_d, CENSUS_BITS, _hamming), "half")
 
 
 def ad_cost_volume(left: Image, right: Image, max_d: int = 96) -> CostVolume:
@@ -124,39 +140,51 @@ def ad_cost_volume(left: Image, right: Image, max_d: int = 96) -> CostVolume:
         raise ValueError("image dimensions differ")
     if left.channels != 1:
         raise ValueError("ad_cost_volume takes single-channel planes")
-    costs = _shifted(
-        left.data[0], right.data[0], max_d, 1.0, lambda l, r: np.abs(l - r)
-    )
-    return CostVolume(costs, scale="half")
+    return CostVolume(_shifted(left.data[0], right.data[0], max_d, 1.0, _absdiff), "half")
 
 
 def traditional_costs(
     left: Image, right: Image, max_d: int
-) -> tuple[Image, Iterator[tuple[int, CostVolume, CostVolume, CostVolume]]]:
+) -> tuple[Image, Iterator[tuple[int, Callable[[], Iterator[np.ndarray]]]]]:
     """Half-scale census and chroma-AD costs for an even-sized RGB pair.
 
     Both images are mean-pooled 2x and converted to YUV once, and the
     census descriptors of Y are computed on the whole plane (the window
     reaches into neighbor rows).  Returns ``(left_half, bands)``, the
-    pooled RGB left image and an iterator yielding ``(y0, census, ad_u,
-    ad_v)`` for each band of ``_BAND_ROWS`` rows from row ``y0`` (the last
-    may be shorter): Hamming costs on Y, absolute differences on U and V.
+    pooled RGB left image and an iterator yielding ``(y0, planes)`` for
+    each band of ``_BAND_ROWS`` rows from row ``y0`` (the last may be
+    shorter).  Each call of ``planes()`` streams the band's costs one
+    disparity at a time, d = 0..max_d-1, as a float64 (3, rows, W) array:
+    Hamming costs on Y, absolute differences on U and V.  It is one
+    buffer, rewritten for every plane, so a consumer uses (and may
+    overwrite) each plane before it asks for the next.
     """
     left_half = mean_pool_2x(left)
     lyuv = rgb_to_yuv(left_half).data
     ryuv = rgb_to_yuv(mean_pool_2x(right)).data
-    lcen = census_transform(Image(lyuv[:1]))
-    rcen = census_transform(Image(ryuv[:1]))
+    pairs = (
+        (census_transform(Image(lyuv[:1])), census_transform(Image(ryuv[:1])),
+         CENSUS_BITS, _hamming),
+        (lyuv[1], ryuv[1], 1.0, _absdiff),
+        (lyuv[2], ryuv[2], 1.0, _absdiff),
+    )
+    h, w = left_half.height, left_half.width
+    flat = np.empty(3 * min(h, _BAND_ROWS) * w)  # flat: a band's prefix is contiguous
 
-    def bands():
-        for y0 in range(0, left_half.height, _BAND_ROWS):
-            rows = slice(y0, y0 + _BAND_ROWS)
-            ad = lambda c: ad_cost_volume(
-                Image(lyuv[c : c + 1, rows]), Image(ryuv[c : c + 1, rows]), max_d
-            )
-            yield y0, hamming_cost_volume(lcen[rows], rcen[rows], max_d), ad(1), ad(2)
+    def planes(y0):
+        rows = slice(y0, y0 + _BAND_ROWS)
+        out = flat[: 3 * (min(h, y0 + _BAND_ROWS) - y0) * w].reshape(3, -1, w)
+        streams = [
+            _planes(l[rows], r[rows], max_d, fill, cost, lambda d, o=o: o)
+            for (l, r, fill, cost), o in zip(pairs, out)
+        ]
+        for _ in zip(*streams):
+            yield out
 
-    return left_half, bands()
+    bands = (
+        (y0, functools.partial(planes, y0)) for y0 in range(0, h, _BAND_ROWS)
+    )
+    return left_half, bands
 
 
 def correlate_1d(

@@ -21,12 +21,12 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from mscv.costvol import CostVolume, correlate_1d, traditional_costs
+from mscv.costvol import correlate_1d, traditional_costs
 from mscv.imagekit import DisparityMap, Image, crop, pad_reflect
 from mscv.tensorops import (
     ConvParams,
@@ -342,20 +342,23 @@ def unet_features(image: Image, store: WeightStore) -> tuple[np.ndarray, np.ndar
 
 
 def reduce_traditional(
-    bands: Iterable[tuple[int, CostVolume, CostVolume, CostVolume]],
+    bands: Iterable[tuple[int, Callable[[], Iterator[np.ndarray]]]],
     left_half: Image, store: WeightStore,
 ) -> np.ndarray:
-    """Reduce the census, U and V 96-deep volumes to 32 float32 channels.
+    """Reduce the census, U and V 96-deep costs to 32 float32 channels.
 
-    The volumes arrive as row bands ``(y0, census, ad_u, ad_v)`` from
-    ``costvol.traditional_costs``.  ``trad.red0`` is a 1x1 conv over the
-    paper's 288-channel volume [C(d), U(d), V(d)] normalized by its mean
-    μ and std σ (+1e-8).  The interleave only permutes red0's input
-    columns and the normalization is affine, so red0 runs per band as
-    one float32 GEMM per volume (``W[:, k::3]``) on the costs centered at
-    the first band's mean μ̃, with Σ(x-μ̃) and Σ(x-μ̃)² summed in float64
-    (shifted data: Chan, Golub & LeVeque 1983).  Then (μ-μ̃)·W·1 is
-    subtracted and the output scaled by 1/(σ+1e-8).  As |μ̃-μ| <=
+    The costs arrive from ``costvol.traditional_costs`` as row bands
+    ``(y0, planes)``, each streaming one (3, rows, W) plane [C(d), U(d),
+    V(d)] per disparity d.  ``trad.red0`` is a 1x1 conv over the paper's
+    288-channel volume [C(d), U(d), V(d)] normalized by its mean μ and
+    std σ (+1e-8).  The interleave only permutes red0's input columns and
+    the normalization is affine, so red0 runs per band as one float32
+    GEMM per cost (``W[:, k::3]``) on the costs centered at the first
+    band's mean μ̃ (taken in a pass of its own over that band's planes).
+    Each plane is centered in float64, its Σ(x-μ̃) and Σ(x-μ̃)² are
+    added in float64 (shifted data: Chan, Golub & LeVeque 1983), and it
+    is cast into one float32 (3, 96, rows·W) band buffer.  Then (μ-μ̃)·W·1
+    is subtracted and the output scaled by 1/(σ+1e-8).  As |μ̃-μ| <=
     σ·√(N/n₁) (Cauchy-Schwarz, n₁ of the N values in the first band), the
     float32 centering error stays within ε₃₂·(|x-μ| + √bands·σ) for any
     input, and a constant volume stays exact.  Then 1x1 convs
@@ -368,23 +371,36 @@ def reduce_traditional(
         raise WeightError(f"parameter 'trad.red0.w' has shape {p.weights.shape}")
     wmat = p.weights.reshape(p.out_channels, 288)
     x = np.empty((p.out_channels, h * w), dtype=np.float32)
+    flat = np.empty(0, dtype=np.float32)  # flat: a band's prefix is contiguous
     shift, rows, sums, squares = None, 0, 0.0, 0.0
-    for y0, *vols in bands:
-        shape = vols[0].costs.shape
-        if (y0 != rows or shape[0] != 96 or shape[2] != w or rows + shape[1] > h
-                or any(v.scale != "half" or v.costs.shape != shape for v in vols)):
-            raise ValueError(f"band at row {y0} does not fit 96-deep {h}x{w} volumes")
-        shift = sum(v.costs.mean() for v in vols) / 3 if shift is None else shift
-        centered = [v.costs.reshape(96, -1) - shift for v in vols]
-        sums += sum(c.sum() for c in centered)
-        squares += sum(np.vdot(c, c) for c in centered)
-        rows += shape[1]
-        x[:, y0 * w : rows * w] = sum(
-            wmat[:, k::3] @ c.astype(np.float32) for k, c in enumerate(centered)
-        )
+    for y0, planes in bands:
+        if shift is None:  # a band's planes all have one size
+            shift = np.mean([plane.mean() for plane in planes()])
+        d = -1
+        for d, plane in enumerate(planes()):
+            if d == 0:
+                n = plane.shape[1]
+                if flat.size < 288 * n * w:
+                    flat = np.empty(288 * n * w, dtype=np.float32)
+                band = flat[: 288 * n * w].reshape(3, 96, n * w)
+            if y0 != rows or d >= 96 or plane.shape != (3, n, w) or rows + n > h:
+                raise ValueError(f"band at row {y0} does not fit 96-deep {h}x{w} costs")
+            plane -= shift
+            sums += plane.sum()
+            squares += np.vdot(plane, plane)
+            band[:, d] = plane.reshape(3, n * w)
+        if d != 95:
+            raise ValueError(f"band at row {y0} has {d + 1} planes, not 96")
+        rows += n
+        xs = x[:, y0 * w : rows * w]
+        np.matmul(wmat[:, 0::3], band[0], out=xs)
+        xs += wmat[:, 1::3] @ band[1]
+        xs += wmat[:, 2::3] @ band[2]
     if rows != h:
         raise ValueError(f"bands cover {rows} of {h} rows")
-    del vols, centered
+    # Loop names would keep the band buffer, red0's output (through xs)
+    # and the front end's arrays (through the last stream) alive.
+    del flat, band, xs, plane, planes
     n = 288 * h * w
     offset = sums / n  # μ - μ̃
     sigma = np.sqrt(max(squares / n - offset * offset, 0.0))

@@ -266,6 +266,12 @@ class TestDispatch:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+# tracemalloc peak of traditional_match on a 376x1240 pair at max_disp 192:
+# 12.03 MB measured (63.8 MB while each band was built as float64 96-deep
+# volumes); one float64 96-deep band volume (7.6 MB) more fails.
+TRADITIONAL_MATCH_PEAK_MB = 12.3
+
+
 class TestTraditionalMatchBands:
     # Half-scale heights around the band size and with a short last band;
     # max_disp 192 asks for 96 half-scale candidates on 12 columns.
@@ -280,3 +286,32 @@ class TestTraditionalMatchBands:
         want = traditional_match_reference(left, right, max_disp)
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.valid, want.valid)
+
+    # Exact ties between candidates: constant images tie every d <= x at
+    # cost 0; a texture of period 8 px ties d = 0, 4, 8, ... at half scale
+    # when the shift (16 px) is a multiple of the period, and d = 2, 6, ...
+    # when it is 4 px.  The running minimum must keep the smallest d.
+    @pytest.mark.parametrize("max_disp", [16, 192])
+    @pytest.mark.parametrize("case", ["constant", "period8_shift16", "period8_shift4"])
+    def test_exact_ties_equal_argmin_reference(self, rng, case, max_disp):
+        from mscv.imagekit import Image
+
+        if case == "constant":
+            left = right = Image(np.full((3, 34, 40), 0.25))
+        else:
+            shift = int(case.rsplit("shift", 1)[1])
+            right = Image(np.tile(rng.random((3, 34, 8)), (1, 1, 5)))
+            left = Image(np.roll(right.data, shift, axis=2))
+        got = traditional_match(left, right, max_disp)
+        want = traditional_match_reference(left, right, max_disp)
+        assert np.array_equal(got.values, want.values)
+        if case != "period8_shift4":
+            assert (got.values == 0).all()
+
+    def test_peak_memory_on_kitti_sized_pair(self, rng, peak_bytes):
+        from mscv.imagekit import Image
+
+        left = Image(rng.random((3, 376, 1240)))
+        right = Image(rng.random((3, 376, 1240)))
+        peak = peak_bytes(lambda: traditional_match(left, right, 192))
+        assert peak <= TRADITIONAL_MATCH_PEAK_MB * 1e6, f"peak {peak / 1e6:.1f} MB"

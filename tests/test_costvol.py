@@ -119,22 +119,30 @@ class TestAdVolume:
 
 class TestTraditionalCosts:
     def test_matches_oracles_on_pooled_yuv(self, rng):
-        # 20 half-scale rows: a full band of _BAND_ROWS and a short one.
+        # 20 half-scale rows: a full band of _BAND_ROWS and a short one;
+        # 14 half-scale columns, so at max_d 20 planes 14..19 are all fill.
         left = Image(rng.random((3, 40, 28)))
         right = Image(rng.random((3, 40, 28)))
-        left_half, bands = traditional_costs(left, right, 8)
-        y0s, census, ad_u, ad_v = zip(*bands)
-        assert y0s == (0, _BAND_ROWS)
-        concat = lambda vols: np.concatenate([v.costs for v in vols], axis=1)
         lyuv = rgb_to_yuv(mean_pool_2x(left)).data
         ryuv = rgb_to_yuv(mean_pool_2x(right)).data
-        np.testing.assert_array_equal(
-            concat(census),
-            hamming_volume_oracle(census_oracle(lyuv[0]), census_oracle(ryuv[0]), 8),
-        )
-        np.testing.assert_array_equal(concat(ad_u), ad_volume_oracle(lyuv[1], ryuv[1], 8))
-        np.testing.assert_array_equal(concat(ad_v), ad_volume_oracle(lyuv[2], ryuv[2], 8))
-        np.testing.assert_array_equal(left_half.data, mean_pool_2x(left).data)
+        for max_d in (8, 20):
+            left_half, bands = traditional_costs(left, right, max_d)
+            y0s, planes = zip(*bands)
+            assert y0s == (0, _BAND_ROWS)
+            # (3, max_d, rows, W) per band; the stream reuses one buffer.
+            vols = np.concatenate(
+                [np.stack([p.copy() for p in band()], axis=1) for band in planes],
+                axis=2,
+            )
+            np.testing.assert_array_equal(
+                vols[0],
+                hamming_volume_oracle(
+                    census_oracle(lyuv[0]), census_oracle(ryuv[0]), max_d
+                ),
+            )
+            np.testing.assert_array_equal(vols[1], ad_volume_oracle(lyuv[1], ryuv[1], max_d))
+            np.testing.assert_array_equal(vols[2], ad_volume_oracle(lyuv[2], ryuv[2], max_d))
+            np.testing.assert_array_equal(left_half.data, mean_pool_2x(left).data)
 
 
 class TestAssembleTraditional:

@@ -1,5 +1,6 @@
 """Weight container, initialization, and forward-pass shape/determinism."""
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -291,19 +292,23 @@ class TestUnetFeatures:
 class TestReductions:
     @staticmethod
     def bands(vols):
-        # Row bands as costvol.traditional_costs yields them.
-        h = vols[0].height
-        return [
-            (y0, *(CostVolume(v.costs[:, y0 : y0 + _BAND_ROWS], v.scale)
-                   for v in vols))
-            for y0 in range(0, h, _BAND_ROWS)
-        ]
+        # Row bands as costvol.traditional_costs streams them: (y0, planes),
+        # planes() yielding one (3, rows, W) [C(d), U(d), V(d)] per d.  Each
+        # plane is a copy: reduce_traditional centers it in place.
+        stacked = np.stack([v.costs for v in vols])
+
+        def planes(y0):
+            for d in range(stacked.shape[1]):
+                yield stacked[:, d, y0 : y0 + _BAND_ROWS].copy()
+
+        return [(y0, functools.partial(planes, y0))
+                for y0 in range(0, stacked.shape[2], _BAND_ROWS)]
 
     @staticmethod
-    def trad_volumes(rng, h=8, w=12, depth=96, scale="half"):
+    def trad_volumes(rng, h=8, w=12, depth=96):
         census = rng.integers(0, 25, (depth, h, w)).astype(np.float64)
         return tuple(
-            CostVolume(c, scale)
+            CostVolume(c, "half")
             for c in (census, rng.random((depth, h, w)), rng.random((depth, h, w)))
         )
 
@@ -335,13 +340,16 @@ class TestReductions:
         with pytest.raises(ValueError):
             reduce_traditional(self.bands(vols), Image(rng.random((3, 4, 6))), store)
         left_half = Image(rng.random((3, 8, 12)))
+        # 95 or 97 planes, quarter-scale costs for a half-scale image, and
+        # one column too many.
         for bad in (
-            self.trad_volumes(rng, depth=95)[0],
-            self.trad_volumes(rng, scale="quarter")[0],
-            self.trad_volumes(rng, w=13)[0],
+            self.trad_volumes(rng, depth=95),
+            self.trad_volumes(rng, depth=97),
+            self.trad_volumes(rng, h=4, w=6),
+            self.trad_volumes(rng, w=13),
         ):
-            with pytest.raises(ValueError):
-                reduce_traditional(self.bands((vols[0], bad, vols[2])), left_half, store)
+            with pytest.raises(ValueError, match="band at row 0"):
+                reduce_traditional(self.bands(bad), left_half, store)
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_traditional_matches_assembled_reference(self, rng, seed):
@@ -537,10 +545,11 @@ class TestFullForward:
 # disparity map, as a fraction of the largest |refined| value: float32
 # rounding through ~80 layers (measured up to 1e-6).
 FORWARD_RTOL = 1e-5
-# tracemalloc peak of one 376x1240 full_forward: 170.8 MB measured (245 MB
-# before unpadded convs stopped copying their input and activations were
-# freed at their last use); a re-inflated peak fails.
-KITTI_FORWARD_PEAK_MB = 175
+# tracemalloc peak of one 376x1240 full_forward: 138.3 MB measured, in
+# corr.reduce (245 MB before unpadded convs stopped copying their input and
+# activations were freed at their last use, 170.8 MB before the traditional
+# costs streamed one disparity plane at a time); a re-inflated peak fails.
+KITTI_FORWARD_PEAK_MB = 141.8
 
 
 def scaled_weights(seed, gain):
