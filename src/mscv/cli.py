@@ -163,23 +163,27 @@ def traditional_match(
     in (census normalized to [0,1]) to disambiguate.  The winner is kept
     as a running minimum over the cost planes of each row band; the
     strict ``<`` leaves ties with the smaller disparity, as ``np.argmin``
-    does.  Output values are in full-resolution pixel units;
-    nearest-neighbor upsampling back to the input dimensions.
+    does.  Candidates stop at the half-scale width W: planes with d >= W
+    hold only the maximum cost (1 + 1 + 1), which never wins.  Output
+    values are in full-resolution pixel units; nearest-neighbor
+    upsampling back to the input dimensions.
     """
     left_p, orig = pad_reflect(left, 2)
     right_p, _ = pad_reflect(right, 2)
-    left_half, bands = traditional_costs(left_p, right_p, max(1, max_disp // 2))
-    half = np.zeros((left_half.height, left_half.width))
+    w = left_p.width // 2
+    left_half, bands = traditional_costs(left_p, right_p, max(1, min(max_disp // 2, w)))
+    half = np.zeros((left_half.height, w))
     for y0, planes in bands:
         for d, (c, u, v) in enumerate(planes()):
-            cost = c / CENSUS_BITS
-            cost += u
-            cost += v
+            c /= CENSUS_BITS  # the stream lets its consumer overwrite a plane
+            c += u
+            c += v
             if d == 0:
-                best, arg = cost, half[y0 : y0 + len(cost)]
+                best, better = c.copy(), np.empty(c.shape, dtype=bool)
+                arg = half[y0 : y0 + len(c)]
                 continue
-            better = cost < best
-            np.copyto(best, cost, where=better)
+            np.less(c, best, out=better)
+            np.minimum(best, c, out=best)
             np.copyto(arg, d, where=better)
     del planes  # the last band's stream holds the front end's YUV and census
     # Half-scale candidates count 2 full-resolution pixels.

@@ -11,6 +11,13 @@ folds their normalized per-disparity interleave (the paper's
 (``network.reduce_traditional``).  Two correlation volumes come from CNN
 feature maps at 1/2 and 1/4 resolution, in the features' dtype.
 
+Every plane is computed along contiguous flat runs: the (H, W) rows are
+read as one run of H·W pixels, so shifting by d pairs pixel i with
+pixel i - d, which is (y, x - d) for x >= d.  The d leading columns of
+each row, where that partner would lie in the row above, are then
+overwritten with the fill cost.  A strided 2-D shift costs several times
+more per pixel than the same ufunc on contiguous data.
+
 Volume layout is (depth, height, width): depth indexes disparity
 candidates.  Matching costs are lower-is-better, correlations
 higher-is-better.
@@ -87,16 +94,22 @@ def _planes(left, right, max_d, fill, cost, plane):
     """Write the costs of each disparity d < max_d into ``plane(d)``; yield d.
 
     ``left``/``right`` share a shape ending in (H, W) and ``plane(d)`` is
-    an (H, W) array: plane[:, d:] = cost(left[..., d:], right[..., :W - d]).
-    Columns with x - d < 0 have no partner and get ``fill``, written only
-    there.
+    a C-contiguous (H, W) array.  Both inputs are flattened to runs of
+    n = H·W pixels (a copy only if they are not contiguous) and
+    ``cost(l[..., d:], r[..., :n - d], out)`` writes the flat plane from
+    index d on.  Columns with x - d < 0 have no partner in their row and
+    get ``fill`` afterwards.  A plane that is not contiguous raises
+    instead of being written through a copy.
     """
-    w = left.shape[-1]
+    h, w = left.shape[-2:]
+    n = h * w
+    l = left.reshape(*left.shape[:-2], n)
+    r = right.reshape(*right.shape[:-2], n)
     for d in range(max_d):
         p = plane(d)
-        p[:, :d] = fill
         if d < w:
-            p[:, d:] = cost(left[..., d:], right[..., : w - d])
+            cost(l[..., d:], r[..., : n - d], np.reshape(p, -1, copy=False)[d:])
+        p[:, :d] = fill
         yield d
 
 
@@ -108,12 +121,12 @@ def _shifted(left, right, max_d, fill, cost, dtype=np.float64) -> np.ndarray:
     return costs
 
 
-def _hamming(l, r):
-    return np.bitwise_count(l ^ r)
+def _hamming(l, r, out):
+    np.bitwise_count(np.bitwise_xor(l, r), out=out)
 
 
-def _absdiff(l, r):
-    return np.abs(l - r)
+def _absdiff(l, r, out):
+    np.abs(np.subtract(l, r, out=out), out=out)
 
 
 def hamming_cost_volume(
@@ -205,7 +218,8 @@ def correlate_1d(
     dtype = np.result_type(f_left.dtype, f_right.dtype, np.float32)
     costs = _shifted(
         f_left.astype(dtype, copy=False), f_right.astype(dtype, copy=False),
-        max_d, 0.0, lambda l, r: np.einsum("chw,chw->hw", l, r) / n, dtype,
+        max_d, 0.0, lambda l, r, out: np.divide(np.einsum("cp,cp->p", l, r), n, out=out),
+        dtype,
     )
     return CostVolume(costs, scale=scale)
 

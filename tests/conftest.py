@@ -31,6 +31,23 @@ def peak_bytes():
 
 
 @pytest.fixture
+def layouts():
+    """``layouts(x)``: the (C, H, W) samples ``x`` as a channel-interleaved
+    view (the layout ``read_image`` returns), a C-contiguous copy and a
+    Fortran-ordered copy."""
+
+    def make(x):
+        x = np.asarray(x)
+        return [
+            np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1),
+            np.ascontiguousarray(x),
+            np.asfortranarray(x),
+        ]
+
+    return make
+
+
+@pytest.fixture
 def forward_probe(monkeypatch):
     """Records what the forward pass computes, without changing it.
 

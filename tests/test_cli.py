@@ -308,6 +308,25 @@ class TestTraditionalMatchBands:
         if case != "period8_shift4":
             assert (got.values == 0).all()
 
+    # Odd widths are padded to even first; W is the padded half width.
+    @pytest.mark.parametrize("width", [60, 59])
+    def test_candidates_stop_at_half_scale_width(self, rng, width):
+        left = Image(rng.random((3, 40, width)))
+        right = Image(rng.random((3, 40, width)))
+        at_2w = traditional_match(left, right, 60)
+        np.testing.assert_array_equal(traditional_match(left, right, 10**9).values, at_2w.values)
+
+    def test_map_independent_of_memory_layout(self, layouts):
+        # Four gray levels make exact cost ties common, so the rounding of
+        # the pooled values picks the winner; on this pair a summation
+        # order that follows the memory layout moves it.
+        left, right = np.random.default_rng(171).integers(0, 4, (2, 3, 4, 8)) / 3
+        maps = [
+            traditional_match(Image(l), Image(r)).values
+            for l, r in zip(layouts(left), layouts(right))
+        ]
+        assert maps[0].tobytes() == maps[1].tobytes() == maps[2].tobytes()
+
     def test_peak_memory_on_kitti_sized_pair(self, rng, peak_bytes):
         from mscv.imagekit import Image
 

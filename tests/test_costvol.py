@@ -1,11 +1,15 @@
 """Cost-volume construction against brute-force oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from mscv.costvol import (
     _BAND_ROWS,
     CostVolume,
+    _absdiff,
+    _planes,
     ad_cost_volume,
     census_transform,
     correlate_1d,
@@ -77,9 +81,13 @@ class TestHammingVolume:
 
     def test_matches_brute_force(self, rng):
         # max_d > width: every column is out of range beyond d = width - 1.
-        for w, max_d in ((16, 8), (5, 9)):
-            l = census_transform(plane(rng.random((16, w))))
-            r = census_transform(plane(rng.random((16, w))))
+        # A transposed view, a 1-row and a 1-column plane: costs shifted
+        # along flat runs must not pair x < d with the row above.
+        census = lambda h, w: census_transform(plane(rng.random((h, w))))
+        pairs = [(census(16, w), census(16, w), max_d) for w, max_d in ((16, 8), (5, 9))]
+        pairs.append((census(12, 16).T, census(12, 16).T, 8))
+        pairs += [(census(1, 12), census(1, 12), 5), (census(9, 1), census(9, 1), 3)]
+        for l, r, max_d in pairs:
             vol = hamming_cost_volume(l, r, max_d=max_d)
             np.testing.assert_array_equal(vol.costs, hamming_volume_oracle(l, r, max_d))
 
@@ -110,23 +118,35 @@ class TestAdVolume:
         np.testing.assert_array_equal(vol.costs, 1.0)
 
     def test_matches_brute_force(self, rng):
-        for w, max_d in ((16, 8), (5, 9)):
-            l = rng.random((16, w)) - 0.5
-            r = rng.random((16, w)) - 0.5
+        # As for Hamming: max_d > width, a transposed view, 1 row, 1 column.
+        chroma = lambda h, w: rng.random((h, w)) - 0.5
+        pairs = [(chroma(16, w), chroma(16, w), max_d) for w, max_d in ((16, 8), (5, 9))]
+        pairs.append((chroma(12, 16).T, chroma(12, 16).T, 8))
+        pairs += [(chroma(1, 12), chroma(1, 12), 5), (chroma(9, 1), chroma(9, 1), 3)]
+        for l, r, max_d in pairs:
             vol = ad_cost_volume(plane(l), plane(r), max_d=max_d)
             np.testing.assert_array_equal(vol.costs, ad_volume_oracle(l, r, max_d))
 
+    def test_non_contiguous_plane_rejected(self, rng):
+        # Writing a flat run into a strided plane would fill a copy.
+        l = rng.random((4, 6))
+        out = np.empty((6, 4)).T
+        with pytest.raises(ValueError):
+            list(_planes(l, l, 2, 1.0, _absdiff, lambda d: out))
+
 
 class TestTraditionalCosts:
-    def test_matches_oracles_on_pooled_yuv(self, rng):
+    def test_matches_oracles_on_pooled_yuv(self, rng, layouts):
         # 20 half-scale rows: a full band of _BAND_ROWS and a short one;
         # 14 half-scale columns, so at max_d 20 planes 14..19 are all fill.
+        # Every memory layout of the same pixels gives the same costs.
         left = Image(rng.random((3, 40, 28)))
         right = Image(rng.random((3, 40, 28)))
         lyuv = rgb_to_yuv(mean_pool_2x(left)).data
         ryuv = rgb_to_yuv(mean_pool_2x(right)).data
-        for max_d in (8, 20):
-            left_half, bands = traditional_costs(left, right, max_d)
+        inputs = zip(layouts(left.data), layouts(right.data))
+        for (l, r), max_d in itertools.product(inputs, (8, 20)):
+            left_half, bands = traditional_costs(Image(l), Image(r), max_d)
             y0s, planes = zip(*bands)
             assert y0s == (0, _BAND_ROWS)
             # (3, max_d, rows, W) per band; the stream reuses one buffer.
@@ -198,9 +218,12 @@ class TestCorrelate1d:
         np.testing.assert_array_equal(best[:, k:], k)
 
     def test_matches_triple_loop_oracle(self, rng):
-        for max_d in (4, 9):  # 9 > width
-            fl = rng.standard_normal((4, 5, 6))
-            fr = rng.standard_normal((4, 5, 6))
+        # 9 > width; then a transposed view, 1 row and 1 column.
+        feats = lambda *shape: rng.standard_normal(shape)
+        pairs = [(feats(4, 5, 6), feats(4, 5, 6), max_d) for max_d in (4, 9)]
+        pairs.append((feats(4, 6, 5).transpose(0, 2, 1), feats(4, 6, 5).transpose(0, 2, 1), 4))
+        pairs += [(feats(4, 1, 7), feats(4, 1, 7), 4), (feats(4, 5, 1), feats(4, 5, 1), 3)]
+        for fl, fr, max_d in pairs:
             vol = correlate_1d(fl, fr, max_d=max_d, scale="half")
             np.testing.assert_allclose(
                 vol.costs, correlation_oracle(fl, fr, max_d), atol=1e-6

@@ -191,6 +191,14 @@ class TestMeanPool:
                 block = img.data[0, 2 * by : 2 * by + 2, 2 * bx : 2 * bx + 2]
                 assert abs(pooled.data[0, by, bx] - block.mean()) < 1e-12
 
+    def test_fixed_summation_order_for_every_layout(self, rng, layouts):
+        x = rng.random((3, 6, 10))
+        a, b = x[:, 0::2, 0::2], x[:, 0::2, 1::2]
+        c, d = x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+        want = (((a + b) + c) + d) / 4
+        for data in layouts(x):
+            assert mean_pool_2x(Image(data)).data.tobytes() == want.tobytes()
+
     def test_global_mean_preserved(self, rng):
         img = random_image(rng, h=8, w=10)
         assert abs(mean_pool_2x(img).data.mean() - img.data.mean()) < 1e-9

@@ -534,6 +534,17 @@ class TestFullForward:
         assert [n for n in applied if n in unet] == unet * 2
         assert [n for n in applied if n not in unet] == [n for n in names if n not in unet]
 
+    def test_refined_independent_of_memory_layout(self, forward_probe, layouts):
+        # The smallest unpadded frame on which pooling in a layout-dependent
+        # order changed `refined`: four gray levels make exact ties common,
+        # so the rounding of the pooled values shows.
+        left, right = np.random.default_rng(1).integers(0, 4, (2, 3, 16, 16)) / 3
+        weights = scaled_weights(7, 6 ** 0.5)
+        for l, r in zip(layouts(left), layouts(right)):
+            full_forward(Image(l), Image(r), weights)
+        a, b, c = forward_probe.refined
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+
     def test_dim_mismatch_rejected(self, rng, store):
         with pytest.raises(ValueError):
             full_forward(
