@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,10 +92,10 @@ def parse_plan(plan: str, width: int) -> list[tuple[int, int, int]]:
         return [(0, width, int(plan))]
     regions = []
     for part in plan.split(","):
-        fields = part.split(":")
-        if len(fields) != 3:
+        values = part.split(":")
+        if len(values) != 3:
             raise ConfigError(f"bad plan region {part!r} (want x0:x1:d)")
-        regions.append((int(fields[0]), int(fields[1]), int(fields[2])))
+        regions.append((int(values[0]), int(values[1]), int(values[2])))
     cursor = 0
     for x0, x1, _ in regions:
         if x0 != cursor or x1 <= x0:
@@ -312,21 +312,25 @@ def dispatch(cfg: RunConfig) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-_FIELD_TYPES = {
-    "max_disp": int,
-    "epsilon": float,
-    "tau": float,
-    "lam": float,
-    "seed": int,
-    "threads": int,
-    "width": int,
-    "height": int,
-    "kitti_rule": lambda s: {"1": True, "true": True, "yes": True,
-                             "0": False, "false": False, "no": False}[s.lower()],
-}
+_OPTION_NAMES = {"lam": "lambda"}  # fields whose option is not the field name
+_KITTI_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_SETTINGS = [f for f in fields(RunConfig) if f.name != "command"]
+
+
+def _option(f) -> str:
+    return _OPTION_NAMES.get(f.name, f.name).replace("_", "-")
+
+
+def _value_type(f):
+    """The type of the field's default (``str`` for None); a bool reads a word."""
+    if isinstance(f.default, bool):
+        return lambda text: _KITTI_WORDS[text.lower()]
+    return str if f.default is None else type(f.default)
 
 
 def _load_config_file(path: str) -> dict:
+    """Read key=value lines; a key is a field name or its option name."""
+    keys = {k: f for f in _SETTINGS for k in (f.name, _option(f))}
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
@@ -334,41 +338,27 @@ def _load_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key == "command" or key not in RunConfig.__dataclass_fields__:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        value = value.strip()
         try:
-            values[key] = _FIELD_TYPES.get(key, str)(value)
+            values[keys[key].name] = _value_type(keys[key])(value)
         except (KeyError, ValueError):  # KeyError: not a kitti_rule word
             raise ConfigError(f"{path}:{lineno}: bad {key} value {value!r}") from None
     return values
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One ``--option`` per ``RunConfig`` field, in field order."""
     parser = argparse.ArgumentParser(
         prog="mscv", description="Multi-scale cost-volume stereo matching."
     )
     parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", help="optional key=value config file")
-    parser.add_argument("--left")
-    parser.add_argument("--right")
-    parser.add_argument("--gt")
-    parser.add_argument("--pred")
-    parser.add_argument("--weights")
-    parser.add_argument("--out")
-    parser.add_argument("--max-disp", dest="max_disp", type=int)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--width", type=int)
-    parser.add_argument("--height", type=int)
-    parser.add_argument("--plan")
-    parser.add_argument("--kitti-rule", dest="kitti_rule", action="store_true",
-                        default=None)
+    for f in _SETTINGS:
+        kind = ({"action": "store_true", "default": None} if isinstance(f.default, bool)
+                else {"type": _value_type(f)})
+        parser.add_argument(f"--{_option(f)}", dest=f.name, **kind)
     return parser
 
 

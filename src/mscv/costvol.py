@@ -40,27 +40,13 @@ _BAND_ROWS = 16  # half-scale rows per traditional cost band
 
 @dataclass
 class CostVolume:
-    """3-D cost grid, one plane per disparity, at a stated resolution scale.
-
-    costs: (depth, H, W); scale: "half" or "quarter".
-    """
+    """3-D cost grid, one plane per disparity: costs is a (depth, H, W) array."""
 
     costs: np.ndarray
-    scale: str
 
     def __post_init__(self):
         if self.costs.ndim != 3:
             raise ValueError("cost volume must be (D, H, W)")
-        if self.scale not in ("half", "quarter"):
-            raise ValueError(f"unknown scale {self.scale!r}")
-
-    @property
-    def height(self) -> int:
-        return self.costs.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.costs.shape[2]
 
 
 def census_transform(plane: Image) -> np.ndarray:
@@ -141,7 +127,7 @@ def hamming_cost_volume(
         raise ValueError("census plane dimensions differ")
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
-    return CostVolume(_shifted(left, right, max_d, CENSUS_BITS, _hamming), "half")
+    return CostVolume(_shifted(left, right, max_d, CENSUS_BITS, _hamming))
 
 
 def ad_cost_volume(left: Image, right: Image, max_d: int = 96) -> CostVolume:
@@ -153,7 +139,7 @@ def ad_cost_volume(left: Image, right: Image, max_d: int = 96) -> CostVolume:
         raise ValueError("image dimensions differ")
     if left.channels != 1:
         raise ValueError("ad_cost_volume takes single-channel planes")
-    return CostVolume(_shifted(left.data[0], right.data[0], max_d, 1.0, _absdiff), "half")
+    return CostVolume(_shifted(left.data[0], right.data[0], max_d, 1.0, _absdiff))
 
 
 def traditional_costs(
@@ -200,9 +186,7 @@ def traditional_costs(
     return left_half, bands
 
 
-def correlate_1d(
-    f_left: np.ndarray, f_right: np.ndarray, max_d: int, scale: str
-) -> CostVolume:
+def correlate_1d(f_left: np.ndarray, f_right: np.ndarray, max_d: int) -> CostVolume:
     """Channel-normalized inner product at horizontal offsets 0..max_d-1.
 
     C(d, y, x) = <f_l(y, x), f_r(y, x - d)> / N with N the channel
@@ -221,5 +205,5 @@ def correlate_1d(
         max_d, 0.0, lambda l, r, out: np.divide(np.einsum("cp,cp->p", l, r), n, out=out),
         dtype,
     )
-    return CostVolume(costs, scale=scale)
+    return CostVolume(costs)
 

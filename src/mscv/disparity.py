@@ -44,27 +44,16 @@ class DiscontinuityMask:
 
     flags: np.ndarray  # uint8, (H, W)
 
-    @property
-    def height(self) -> int:
-        return self.flags.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.flags.shape[1]
-
-
-_SCALE_FACTOR = {"half": 2, "quarter": 4}
-
 
 def wta_disparity(vol: CostVolume) -> DisparityMap:
-    """Winner-take-all disparity: the minimum-cost candidate, in full-resolution pixels.
+    """Winner-take-all readout of a half-scale volume: 2 x the minimum-cost candidate.
 
-    Ties break toward the smaller disparity candidate.  Map dimensions
-    stay at the volume's scale; values are multiplied by the scale
-    factor (2 at half, 4 at quarter).
+    Ties break toward the smaller disparity candidate.  The map keeps
+    the volume's (H, W); each half-scale candidate counts 2
+    full-resolution pixels.
     """
     best = np.argmin(vol.costs, axis=0)
-    values = best.astype(np.float64) * _SCALE_FACTOR[vol.scale]
+    values = best.astype(np.float64) * 2
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 
 
@@ -106,10 +95,12 @@ def _loss_terms(d_hat, d_gt, mask, p):
     valid = d_gt.valid
     if not valid.any():
         raise ValueError("no valid ground-truth pixels")
-    err = np.abs(d_gt.values - d_hat.values)
-    weighted = err * (1.0 - p.lam * mask.flags)
+    diff = d_hat.values - d_gt.values
+    factor = 1.0 - p.lam * mask.flags
+    weighted = np.abs(diff)
+    weighted *= factor
     clamped = np.maximum(p.tau, weighted)
-    return valid, weighted, clamped
+    return valid, diff, factor, weighted, clamped
 
 
 def loss_eval(
@@ -124,7 +115,7 @@ def loss_eval(
     Invalid pixels carry 0 in the per-pixel map and are excluded from
     the mean.
     """
-    valid, _, clamped = _loss_terms(d_hat, d_gt, mask, p)
+    valid, _, _, _, clamped = _loss_terms(d_hat, d_gt, mask, p)
     per_pixel = np.where(valid, clamped**LOSS_EXPONENT, 0.0)
     mean = float(per_pixel[valid].mean())
     return mean, per_pixel
@@ -142,10 +133,9 @@ def loss_grad(
     elsewhere (1/8) * u^(-7/8) * (1 - lambda*mask) * sign(d_hat - d_gt)
     with u the clamped argument.
     """
-    valid, weighted, clamped = _loss_terms(d_hat, d_gt, mask, p)
+    valid, diff, factor, weighted, clamped = _loss_terms(d_hat, d_gt, mask, p)
     active = valid & (weighted > p.tau)
-    sign = np.sign(d_hat.values - d_gt.values)
-    factor = 1.0 - p.lam * mask.flags
+    sign = np.sign(diff, out=diff)
     # Inactive pixels may hold u = 0 (tau = 0, zero error): their inf/nan
     # is discarded by the where, so its warnings are silenced.
     with np.errstate(divide="ignore", invalid="ignore"):

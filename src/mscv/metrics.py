@@ -7,7 +7,7 @@ ground truth).  Metrics over empty regions are reported as None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,6 +15,9 @@ from mscv.imagekit import DisparityMap
 
 D1_THRESHOLD_PX = 3.0
 D1_RELATIVE = 0.05
+# as_text's label of each EvalReport field, in field order
+_LABELS = ("EPE [px]", "> 3px [%]", "> 5px [%]", "D1-bg [%]", "D1-fg [%]", "D1-all [%]",
+           "valid px")
 
 
 @dataclass
@@ -27,32 +30,23 @@ class EvalReport:
     d1_all: float
     valid_count: int
 
+    def _rows(self, decimals: int, missing: str) -> list[tuple[str, str, str]]:
+        """(label, field name, formatted value) per field, in field order."""
+        rows = []
+        for label, f in zip(_LABELS, fields(self)):
+            v = getattr(self, f.name)
+            if f.name != "valid_count":  # the one integer field
+                v = missing if v is None else f"{v:.{decimals}f}"
+            rows.append((label, f.name, str(v)))
+        return rows
+
     def as_text(self) -> str:
-        rows = [
-            ("EPE [px]", f"{self.epe:.4f}"),
-            ("> 3px [%]", f"{self.outlier_3px:.4f}"),
-            ("> 5px [%]", f"{self.outlier_5px:.4f}"),
-            ("D1-bg [%]", "n/a" if self.d1_bg is None else f"{self.d1_bg:.4f}"),
-            ("D1-fg [%]", "n/a" if self.d1_fg is None else f"{self.d1_fg:.4f}"),
-            ("D1-all [%]", f"{self.d1_all:.4f}"),
-            ("valid px", str(self.valid_count)),
-        ]
-        width = max(len(k) for k, _ in rows)
-        return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
+        rows = self._rows(4, "n/a")
+        width = max(len(label) for label, _, _ in rows)
+        return "\n".join(f"{label:<{width}}  {v}" for label, _, v in rows)
 
     def as_keyvalues(self) -> str:
-        fmt = lambda v: "nan" if v is None else f"{v:.6f}"
-        return "\n".join(
-            [
-                f"epe={self.epe:.6f}",
-                f"outlier_3px={self.outlier_3px:.6f}",
-                f"outlier_5px={self.outlier_5px:.6f}",
-                f"d1_bg={fmt(self.d1_bg)}",
-                f"d1_fg={fmt(self.d1_fg)}",
-                f"d1_all={self.d1_all:.6f}",
-                f"valid_count={self.valid_count}",
-            ]
-        )
+        return "\n".join(f"{name}={v}" for _, name, v in self._rows(6, "nan"))
 
 
 def evaluate(

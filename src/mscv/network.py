@@ -51,10 +51,6 @@ class WeightStore:
 
     entries: dict[str, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def manifest(self) -> list[tuple[str, tuple[int, ...]]]:
-        return [(name, arr.shape) for name, arr in self.entries.items()]
-
     def __getitem__(self, name: str) -> np.ndarray:
         try:
             return self.entries[name]
@@ -551,8 +547,8 @@ def full_forward(
         fl_half, fl_quarter = unet_features(left_p, store)
         fr_half, fr_quarter = unet_features(right_p, store)
 
-    corr32 = reduce_correlation(correlate_1d(fl_half, fr_half, 96, "half").costs, store)
-    corr48 = correlate_1d(fl_quarter, fr_quarter, 48, "quarter").costs
+    corr32 = reduce_correlation(correlate_1d(fl_half, fr_half, 96).costs, store)
+    corr48 = correlate_1d(fl_quarter, fr_quarter, 48).costs
     del left_p, right_p, fl_half, fl_quarter, fr_half, fr_quarter
     guides = guide_encoder(trad32, store)
     refined = cascade_forward(trad32, corr32, corr48, guides, store)

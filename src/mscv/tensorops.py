@@ -149,11 +149,5 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def concat_channels(xs: list[np.ndarray]) -> np.ndarray:
-    """Stack tensors along the channel axis, in argument order."""
-    if not xs:
-        raise ValueError("need at least one tensor")
-    hw = xs[0].shape[1:]
-    for t in xs:
-        if t.shape[1:] != hw:
-            raise ValueError("spatial dims differ across inputs")
+    """Stack tensors along the channel axis; ValueError if none or (H, W) differ."""
     return np.concatenate(xs, axis=0)

@@ -212,9 +212,7 @@ def assemble_traditional(c1, c2, c3) -> np.ndarray:
     for v in vols:
         if v.costs.shape[0] != 96:
             raise ValueError(f"expected depth 96, got {v.costs.shape[0]}")
-        if v.scale != "half":
-            raise ValueError("traditional volumes live at half scale")
-    h, w = c1.height, c1.width
+    _, h, w = c1.costs.shape
     stacked = np.empty((288, h, w), dtype=np.float64)
     stacked[0::3] = c1.costs
     stacked[1::3] = c2.costs
@@ -252,7 +250,7 @@ def traditional_match_reference(left, right, max_disp):
     left_p, orig = pad_reflect(left, 2)
     right_p, _ = pad_reflect(right, 2)
     census, ad_u, ad_v, _ = traditional_volumes(left_p, right_p, max(1, max_disp // 2))
-    combined = CostVolume(census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs, "half")
+    combined = CostVolume(census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs)
     half = wta_disparity(combined).values
     full = crop(np.repeat(np.repeat(half, 2, axis=0), 2, axis=1), orig)
     return DisparityMap(full, valid=np.ones_like(full, dtype=bool))

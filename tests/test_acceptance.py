@@ -134,7 +134,7 @@ def test_criterion_04_correlation_oracle_and_shift():
     for _ in range(10):
         fl = rng.standard_normal((4, 5, 6))
         fr = rng.standard_normal((4, 5, 6))
-        got = correlate_1d(fl, fr, 4, "half")
+        got = correlate_1d(fl, fr, 4)
         np.testing.assert_allclose(got.costs, correlation_oracle(fl, fr, 4),
                                    atol=1e-6)
     w = 20
@@ -143,7 +143,7 @@ def test_criterion_04_correlation_oracle_and_shift():
     for k in (0, 3, 7):
         fl = np.zeros_like(fr)
         fl[:, :, k:] = fr[:, :, : w - k] if k else fr[:, :, :]
-        vol = correlate_1d(fl, fr, 10, "quarter")
+        vol = correlate_1d(fl, fr, 10)
         best = np.argmax(vol.costs, axis=0)
         np.testing.assert_array_equal(best[:, k:], k)
     ok(4, "correlation matches triple-loop oracle; argmax recovers shifts")
@@ -151,11 +151,11 @@ def test_criterion_04_correlation_oracle_and_shift():
 
 def test_criterion_05_normalization():
     rng = np.random.default_rng(105)
-    mk = lambda: CostVolume(rng.random((96, 10, 14)) * 24, "half")
+    mk = lambda: CostVolume(rng.random((96, 10, 14)) * 24)
     out = assemble_traditional(mk(), mk(), mk())
     assert abs(out.mean()) < 1e-6
     assert abs(out.var() - 1.0) < 1e-5
-    const = lambda: CostVolume(np.full((96, 4, 4), 3.0), "half")
+    const = lambda: CostVolume(np.full((96, 4, 4), 3.0))
     zero = assemble_traditional(const(), const(), const())
     assert (zero == 0.0).all()
     ok(5, "288-channel normalization statistics and zero-variance guard hold")

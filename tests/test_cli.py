@@ -1,8 +1,10 @@
 """Synthetic data generation and the command-line surface."""
 
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from mscv.cli import (
     ConfigError,
+    RunConfig,
     config_from_args,
     generate_synthetic_pair,
     main,
@@ -76,7 +79,50 @@ class TestGenerateSyntheticPair:
             generate_synthetic_pair(0, 64, 8, [(0, 32, 40), (32, 64, 0)])
 
 
+# Option names that are not the field name with "_" turned into "-".
+OPTIONS = {"lam": "lambda"}
+# A non-default value per setting, as written on the command line.
+SAMPLES = {
+    "left": "l.ppm", "right": "r.ppm", "gt": "gt.pfm", "pred": "p.pfm",
+    "weights": "w.mscv1", "out": "o.pfm", "max_disp": "64", "epsilon": "2.5",
+    "tau": "0.5", "lam": "0.25", "seed": "7", "threads": "2", "width": "33",
+    "height": "17", "plan": "0:8:2,8:33:4", "kitti_rule": "yes",
+}
+SETTINGS = [f.name for f in fields(RunConfig) if f.name != "command"]
+
+
+def option(name):
+    return OPTIONS.get(name, name).replace("_", "-")
+
+
+def run_module(*args, **env):
+    """``python -m mscv.cli *args`` with ``src/`` on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    return subprocess.run([sys.executable, "-m", "mscv.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestConfigResolution:
+    @pytest.mark.parametrize("name", SETTINGS)
+    def test_config_keys_match_flag(self, tmp_path, name):
+        # The option name and the field name both work as config keys.
+        value = SAMPLES[name]
+        flag = [f"--{option(name)}"] + ([] if name == "kitti_rule" else [value])
+        want = config_from_args(["describe", *flag])
+        assert want != config_from_args(["describe"])
+        for key in (option(name), name):
+            cfile = tmp_path / "run.cfg"
+            cfile.write_text(f"{key} = {value}\n")
+            assert config_from_args(["describe", "--config", str(cfile)]) == want
+
+    def test_help_lists_one_option_per_field(self):
+        proc = run_module("--help")
+        assert proc.returncode == 0, proc.stderr
+        listed = re.findall(r"^  (--[\w-]+)", proc.stdout, re.MULTILINE)
+        assert listed == ["--config"] + [f"--{option(n)}" for n in SETTINGS]
+
     def test_defaults(self):
         cfg = config_from_args(["describe"])
         assert cfg.max_disp == 192 and cfg.tau == 1.0 and cfg.lam == 0.5
@@ -106,7 +152,9 @@ class TestConfigResolution:
         assert main(["describe", "--config", str(cfile)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["kitti_rule = on", "seed = x"])
+    @pytest.mark.parametrize("line", [
+        "kitti_rule = on", "seed = x", "max-disp = x", "lambda = x", "kitti-rule = 2",
+    ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, line):
         cfile = tmp_path / "bad.cfg"
         cfile.write_text(f"# run\nepsilon = 2\n{line}\n")
@@ -247,11 +295,7 @@ class TestDispatch:
     def test_module_run_ignores_log_variable(self):
         # No environment variable steers the CLI: a stray MSCV_LOG value
         # must not turn into a traceback.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, MSCV_LOG="verbose", PYTHONPATH=path)
-        proc = subprocess.run([sys.executable, "-m", "mscv.cli", "describe"],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = run_module("describe", MSCV_LOG="verbose")
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "head.conv.w" in proc.stdout

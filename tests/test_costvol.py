@@ -168,7 +168,7 @@ class TestTraditionalCosts:
 class TestAssembleTraditional:
     @staticmethod
     def volumes(rng, h=6, w=8):
-        mk = lambda: CostVolume(rng.random((96, h, w)), "half")
+        mk = lambda: CostVolume(rng.random((96, h, w)))
         return mk(), mk(), mk()
 
     def test_interleaved_layout(self, rng):
@@ -186,12 +186,12 @@ class TestAssembleTraditional:
         assert abs(out.var() - 1.0) < 1e-5
 
     def test_zero_variance_guard(self):
-        const = lambda: CostVolume(np.full((96, 4, 4), 7.0), "half")
+        const = lambda: CostVolume(np.full((96, 4, 4), 7.0))
         out = assemble_traditional(const(), const(), const())
         np.testing.assert_array_equal(out, 0.0)
 
     def test_wrong_depth_rejected(self, rng):
-        bad = CostVolume(rng.random((95, 4, 4)), "half")
+        bad = CostVolume(rng.random((95, 4, 4)))
         c1, c2, _ = self.volumes(rng, 4, 4)
         with pytest.raises(ValueError):
             assemble_traditional(c1, c2, bad)
@@ -200,7 +200,7 @@ class TestAssembleTraditional:
 class TestCorrelate1d:
     def test_self_correlation_at_d0(self, rng):
         f = rng.random((6, 4, 5))
-        vol = correlate_1d(f, f, max_d=3, scale="half")
+        vol = correlate_1d(f, f, max_d=3)
         np.testing.assert_allclose(
             vol.costs[0], (f * f).sum(axis=0) / f.shape[0], atol=1e-12
         )
@@ -213,7 +213,7 @@ class TestCorrelate1d:
         k = 4
         fl = np.zeros_like(fr)
         fl[:, :, k:] = fr[:, :, :-k]
-        vol = correlate_1d(fl, fr, max_d=8, scale="quarter")
+        vol = correlate_1d(fl, fr, max_d=8)
         best = np.argmax(vol.costs, axis=0)
         np.testing.assert_array_equal(best[:, k:], k)
 
@@ -224,7 +224,7 @@ class TestCorrelate1d:
         pairs.append((feats(4, 6, 5).transpose(0, 2, 1), feats(4, 6, 5).transpose(0, 2, 1), 4))
         pairs += [(feats(4, 1, 7), feats(4, 1, 7), 4), (feats(4, 5, 1), feats(4, 5, 1), 3)]
         for fl, fr, max_d in pairs:
-            vol = correlate_1d(fl, fr, max_d=max_d, scale="half")
+            vol = correlate_1d(fl, fr, max_d=max_d)
             np.testing.assert_allclose(
                 vol.costs, correlation_oracle(fl, fr, max_d), atol=1e-6
             )
@@ -232,20 +232,20 @@ class TestCorrelate1d:
     def test_bilinear_in_left_argument(self, rng):
         fl = rng.standard_normal((3, 4, 5))
         fr = rng.standard_normal((3, 4, 5))
-        a = correlate_1d(2.5 * fl, fr, max_d=3, scale="half")
-        b = correlate_1d(fl, fr, max_d=3, scale="half")
+        a = correlate_1d(2.5 * fl, fr, max_d=3)
+        b = correlate_1d(fl, fr, max_d=3)
         np.testing.assert_allclose(a.costs, 2.5 * b.costs, atol=1e-12)
 
     def test_row_permutation_equivariance(self, rng):
         fl = rng.standard_normal((3, 6, 5))
         fr = rng.standard_normal((3, 6, 5))
         perm = np.random.default_rng(0).permutation(6)
-        direct = correlate_1d(fl[:, perm], fr[:, perm], max_d=3, scale="half")
-        permuted = correlate_1d(fl, fr, max_d=3, scale="half").costs[:, perm]
+        direct = correlate_1d(fl[:, perm], fr[:, perm], max_d=3)
+        permuted = correlate_1d(fl, fr, max_d=3).costs[:, perm]
         np.testing.assert_array_equal(direct.costs, permuted)
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             correlate_1d(
-                rng.random((3, 4, 5)), rng.random((3, 4, 6)), max_d=2, scale="half"
+                rng.random((3, 4, 5)), rng.random((3, 4, 6)), max_d=2
             )

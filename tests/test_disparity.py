@@ -36,21 +36,15 @@ class TestWta:
     def test_identical_volume_all_zero(self):
         costs = np.zeros((4, 3, 3))
         costs[1:] = 1.0
-        vol = CostVolume(costs, "half")
+        vol = CostVolume(costs)
         np.testing.assert_array_equal(wta_disparity(vol).values, 0.0)
 
     def test_hand_built_argmin(self):
-        vol = CostVolume(np.array([5.0, 2.0, 7.0]).reshape(3, 1, 1), "half")
+        vol = CostVolume(np.array([5.0, 2.0, 7.0]).reshape(3, 1, 1))
         assert wta_disparity(vol).values[0, 0] == 2.0  # d=1, x2
 
-    def test_quarter_scale_factor(self):
-        costs = np.ones((4, 1, 1))
-        costs[3] = -5.0
-        vol = CostVolume(costs, "quarter")
-        assert wta_disparity(vol).values[0, 0] == 12.0  # d=3, x4
-
     def test_ties_break_small_d(self):
-        vol = CostVolume(np.zeros((5, 2, 2)), "half")
+        vol = CostVolume(np.zeros((5, 2, 2)))
         np.testing.assert_array_equal(wta_disparity(vol).values, 0.0)
 
 
