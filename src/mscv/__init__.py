@@ -20,10 +20,8 @@ from mscv.imagekit import (
 )
 from mscv.costvol import (
     CostVolume,
-    ad_cost_volume,
     census_transform,
     correlate_1d,
-    hamming_cost_volume,
     traditional_costs,
 )
 from mscv.disparity import (
@@ -33,7 +31,6 @@ from mscv.disparity import (
     loss_eval,
     loss_grad,
     warp_row,
-    wta_disparity,
 )
 from mscv.metrics import EvalReport, evaluate
 from mscv.network import (
@@ -54,14 +51,12 @@ __all__ = [
     "LossParams",
     "MAX_DISPARITY",
     "WeightStore",
-    "ad_cost_volume",
     "census_transform",
     "correlate_1d",
     "describe_architecture",
     "discontinuity_mask",
     "evaluate",
     "full_forward",
-    "hamming_cost_volume",
     "init_weights",
     "load_weights",
     "loss_eval",
@@ -76,7 +71,6 @@ __all__ = [
     "warp_row",
     "write_image",
     "write_pfm",
-    "wta_disparity",
 ]
 
 __version__ = "0.1.0"

@@ -168,6 +168,8 @@ def traditional_match(
     values are in full-resolution pixel units; nearest-neighbor
     upsampling back to the input dimensions.
     """
+    if left.data.shape != right.data.shape:  # padding could make them agree
+        raise ValueError("stereo pair dimensions differ")
     left_p, orig = pad_reflect(left, 2)
     right_p, _ = pad_reflect(right, 2)
     w = left_p.width // 2

@@ -40,7 +40,7 @@ _BAND_ROWS = 16  # half-scale rows per traditional cost band
 
 @dataclass
 class CostVolume:
-    """3-D cost grid, one plane per disparity: costs is a (depth, H, W) array."""
+    """Correlation volume of ``correlate_1d``: a (depth, H, W) ``costs`` array."""
 
     costs: np.ndarray
 
@@ -115,33 +115,6 @@ def _absdiff(l, r, out):
     np.abs(np.subtract(l, r, out=out), out=out)
 
 
-def hamming_cost_volume(
-    left: np.ndarray, right: np.ndarray, max_d: int = 96
-) -> CostVolume:
-    """Per-disparity Hamming distance between census descriptor arrays.
-
-    cost(d, y, x) = popcount(left(y, x) ^ right(y, x - d)); columns with
-    x - d < 0 get the maximum cost (24).
-    """
-    if left.shape != right.shape:
-        raise ValueError("census plane dimensions differ")
-    if max_d < 1:
-        raise ValueError("max_d must be >= 1")
-    return CostVolume(_shifted(left, right, max_d, CENSUS_BITS, _hamming))
-
-
-def ad_cost_volume(left: Image, right: Image, max_d: int = 96) -> CostVolume:
-    """Absolute-difference costs for a chroma plane pair in [-0.5, 0.5].
-
-    Out-of-range columns get the maximum cost (1.0).
-    """
-    if left.data.shape != right.data.shape:
-        raise ValueError("image dimensions differ")
-    if left.channels != 1:
-        raise ValueError("ad_cost_volume takes single-channel planes")
-    return CostVolume(_shifted(left.data[0], right.data[0], max_d, 1.0, _absdiff))
-
-
 def traditional_costs(
     left: Image, right: Image, max_d: int
 ) -> tuple[Image, Iterator[tuple[int, Callable[[], Iterator[np.ndarray]]]]]:
@@ -158,6 +131,10 @@ def traditional_costs(
     buffer, rewritten for every plane, so a consumer uses (and may
     overwrite) each plane before it asks for the next.
     """
+    if left.data.shape != right.data.shape:
+        raise ValueError("stereo pair dimensions differ")
+    if max_d < 1:
+        raise ValueError("max_d must be >= 1")
     left_half = mean_pool_2x(left)
     lyuv = rgb_to_yuv(left_half).data
     ryuv = rgb_to_yuv(mean_pool_2x(right)).data

@@ -1,4 +1,4 @@
-"""Disparity extraction, discontinuity masking, and the training loss.
+"""Warped coordinates, discontinuity masking, and the training loss.
 
 The discontinuity mask flags boundary pixels of non-monotone runs in
 the warped coordinates Y(x) = x - d(x) of each row.  The whole map is
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mscv.costvol import CostVolume
 from mscv.imagekit import DisparityMap
 
 LOSS_EXPONENT = 0.125
@@ -43,18 +42,6 @@ class DiscontinuityMask:
     """Per-pixel 0/1 flags marking disparity-discontinuity boundaries."""
 
     flags: np.ndarray  # uint8, (H, W)
-
-
-def wta_disparity(vol: CostVolume) -> DisparityMap:
-    """Winner-take-all readout of a half-scale volume: 2 x the minimum-cost candidate.
-
-    Ties break toward the smaller disparity candidate.  The map keeps
-    the volume's (H, W); each half-scale candidate counts 2
-    full-resolution pixels.
-    """
-    best = np.argmin(vol.costs, axis=0)
-    values = best.astype(np.float64) * 2
-    return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 
 
 def warp_row(d: np.ndarray) -> np.ndarray:

@@ -9,14 +9,7 @@ which the tests check against the loop oracles here.
 
 import numpy as np
 
-from mscv.costvol import (
-    CENSUS_BITS,
-    CostVolume,
-    ad_cost_volume,
-    census_transform,
-    hamming_cost_volume,
-)
-from mscv.disparity import wta_disparity
+from mscv.costvol import CENSUS_BITS, CostVolume, census_transform
 from mscv.imagekit import (
     DisparityMap,
     Image,
@@ -225,33 +218,46 @@ def assemble_traditional(c1, c2, c3) -> np.ndarray:
 
 
 def traditional_volumes(left, right, max_d):
-    """Whole-plane census and chroma-AD volumes: the census/AD front end
-    without row bands.
+    """Whole-plane census and chroma-AD volumes in float64, without row
+    bands or flat runs.
 
-    Pools both images 2x, converts to YUV and runs ``census_transform``,
-    ``hamming_cost_volume`` and ``ad_cost_volume`` once on whole planes.
-    Returns ``(census, ad_u, ad_v, left_half)``.
+    Pools both images 2x, converts to YUV and takes ``census_transform``
+    of Y, then sets out[d, :, d:] = cost(l[:, d:], r[:, :w - d]) per
+    disparity: the Hamming distance on Y, the absolute difference on U
+    and V.  Columns x < d keep the fill cost, 24 or 1.0.  Returns
+    ``(census, ad_u, ad_v, left_half)``.
     """
     left_half = mean_pool_2x(left)
     lyuv = rgb_to_yuv(left_half).data
     ryuv = rgb_to_yuv(mean_pool_2x(right)).data
-    plane = lambda yuv, c: Image(yuv[c : c + 1])
-    census = hamming_cost_volume(
-        census_transform(plane(lyuv, 0)), census_transform(plane(ryuv, 0)), max_d
+    census = lambda yuv: census_transform(Image(yuv[:1]))
+    _, h, w = lyuv.shape
+
+    def volume(l, r, fill, cost):
+        out = np.full((max_d, h, w), float(fill))
+        for d in range(min(max_d, w)):
+            out[d, :, d:] = cost(l[:, d:], r[:, : w - d])
+        return CostVolume(out)
+
+    hamming = lambda a, b: np.bitwise_count(a ^ b)
+    absdiff = lambda a, b: np.abs(a - b)
+    return (
+        volume(census(lyuv), census(ryuv), CENSUS_BITS, hamming),
+        volume(lyuv[1], ryuv[1], 1.0, absdiff),
+        volume(lyuv[2], ryuv[2], 1.0, absdiff),
+        left_half,
     )
-    ad_u = ad_cost_volume(plane(lyuv, 1), plane(ryuv, 1), max_d)
-    ad_v = ad_cost_volume(plane(lyuv, 2), plane(ryuv, 2), max_d)
-    return census, ad_u, ad_v, left_half
 
 
 def traditional_match_reference(left, right, max_disp):
     """``cli.traditional_match`` on whole volumes: normalized census plus
-    U and V costs, one winner-take-all, nearest-neighbor upsampling."""
+    U and V costs, one ``np.argmin`` (ties to the smaller disparity),
+    nearest-neighbor upsampling."""
     left_p, orig = pad_reflect(left, 2)
     right_p, _ = pad_reflect(right, 2)
     census, ad_u, ad_v, _ = traditional_volumes(left_p, right_p, max(1, max_disp // 2))
-    combined = CostVolume(census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs)
-    half = wta_disparity(combined).values
+    combined = census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs
+    half = 2.0 * np.argmin(combined, axis=0)  # half-scale candidates count 2 px
     full = crop(np.repeat(np.repeat(half, 2, axis=0), 2, axis=1), orig)
     return DisparityMap(full, valid=np.ones_like(full, dtype=bool))
 
@@ -305,8 +311,9 @@ def forward_oracle(left, right, store):
     above with the float32 weights widened, and the traditional branch
     builds the normalized 288-channel volume with ``assemble_traditional``.
     The census/AD volumes come whole from ``traditional_volumes``, so no
-    band code is shared; padding, cropping and the cost builders (float64
-    already, and checked against the loop oracles) come from the package.
+    cost loop is shared; padding, cropping, pooling, YUV conversion and
+    the census transform (checked against ``census_oracle``) come from
+    the package.
     Returns ``(refined, disparity)``: the 32-channel half-scale features
     that enter the head, and the clamped full-resolution disparity map.
     """

@@ -258,6 +258,18 @@ class TestDispatch:
                      "--gt", "/nonexistent.pfm"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    # 8x16 against 16x8 has equal pixel counts; 8x15 pads to 8x16 first.
+    @pytest.mark.parametrize("right_hw", [(16, 8), (8, 20), (8, 15)],
+                             ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_trad_match_mismatched_pair_exits_2(self, tmp_path, capsys, rng, right_hw):
+        left, right, out = tmp_path / "l.ppm", tmp_path / "r.ppm", tmp_path / "o.pfm"
+        write_image(Image(rng.random((3, 8, 16))), left)
+        write_image(Image(rng.random((3, *right_hw))), right)
+        assert main(["trad-match", "--left", str(left), "--right", str(right),
+                     "--out", str(out)]) == 2
+        assert "stereo pair dimensions differ" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_input_no_crash(self, tmp_path, capsys):
         bad = tmp_path / "bad.pfm"
         bad.write_bytes(b"garbage")

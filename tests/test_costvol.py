@@ -7,13 +7,14 @@ import pytest
 
 from mscv.costvol import (
     _BAND_ROWS,
+    CENSUS_BITS,
     CostVolume,
     _absdiff,
+    _hamming,
     _planes,
-    ad_cost_volume,
+    _shifted,
     census_transform,
     correlate_1d,
-    hamming_cost_volume,
     traditional_costs,
 )
 from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
@@ -29,6 +30,16 @@ from oracles import (
 
 def plane(data):
     return Image(np.asarray(data, dtype=np.float64)[None])
+
+
+# The per-disparity loop that traditional_costs streams, gathered into
+# (max_d, H, W) volumes.
+def hamming_volume(left, right, max_d):
+    return _shifted(left, right, max_d, CENSUS_BITS, _hamming)
+
+
+def ad_volume(left, right, max_d):
+    return _shifted(left, right, max_d, 1.0, _absdiff)
 
 
 class TestCensusTransform:
@@ -62,8 +73,8 @@ class TestCensusTransform:
 class TestHammingVolume:
     def test_identical_planes_zero_at_d0(self, rng):
         c = census_transform(plane(rng.random((8, 8))))
-        vol = hamming_cost_volume(c, c, max_d=4)
-        np.testing.assert_array_equal(vol.costs[0], 0.0)
+        vol = hamming_volume(c, c, max_d=4)
+        np.testing.assert_array_equal(vol[0], 0.0)
 
     def test_synthetic_shift_argmin(self, rng):
         data = rng.random((12, 24))
@@ -72,10 +83,10 @@ class TestHammingVolume:
         left = np.empty_like(data)
         left[:, k:] = data[:, :-k]
         left[:, :k] = data[:, :k]
-        vol = hamming_cost_volume(
+        vol = hamming_volume(
             census_transform(plane(left)), census_transform(plane(right)), max_d=8
         )
-        best = np.argmin(vol.costs, axis=0)
+        best = np.argmin(vol, axis=0)
         interior = best[3:-3, k + 3 : -3]
         assert (interior == k).mean() > 0.9
 
@@ -88,34 +99,26 @@ class TestHammingVolume:
         pairs.append((census(12, 16).T, census(12, 16).T, 8))
         pairs += [(census(1, 12), census(1, 12), 5), (census(9, 1), census(9, 1), 3)]
         for l, r, max_d in pairs:
-            vol = hamming_cost_volume(l, r, max_d=max_d)
-            np.testing.assert_array_equal(vol.costs, hamming_volume_oracle(l, r, max_d))
+            vol = hamming_volume(l, r, max_d=max_d)
+            np.testing.assert_array_equal(vol, hamming_volume_oracle(l, r, max_d))
 
     def test_costs_bounded_and_integer(self, rng):
         l = census_transform(plane(rng.random((10, 10))))
         r = census_transform(plane(rng.random((10, 10))))
-        vol = hamming_cost_volume(l, r, max_d=6)
-        assert vol.costs.min() >= 0 and vol.costs.max() <= 24
-        np.testing.assert_array_equal(vol.costs, np.rint(vol.costs))
-
-    def test_dim_mismatch_rejected(self, rng):
-        a = census_transform(plane(rng.random((4, 4))))
-        b = census_transform(plane(rng.random((4, 5))))
-        with pytest.raises(ValueError):
-            hamming_cost_volume(a, b, max_d=2)
+        vol = hamming_volume(l, r, max_d=6)
+        assert vol.min() >= 0 and vol.max() <= 24
+        np.testing.assert_array_equal(vol, np.rint(vol))
 
 
 class TestAdVolume:
     def test_identical_planes_zero_at_d0(self, rng):
-        img = plane(rng.random((6, 6)) - 0.5)
-        vol = ad_cost_volume(img, img, max_d=3)
-        np.testing.assert_array_equal(vol.costs[0], 0.0)
+        img = rng.random((6, 6)) - 0.5
+        vol = ad_volume(img, img, max_d=3)
+        np.testing.assert_array_equal(vol[0], 0.0)
 
     def test_range_extremes(self):
-        left = plane(np.full((4, 6), 0.5))
-        right = plane(np.full((4, 6), -0.5))
-        vol = ad_cost_volume(left, right, max_d=3)
-        np.testing.assert_array_equal(vol.costs, 1.0)
+        vol = ad_volume(np.full((4, 6), 0.5), np.full((4, 6), -0.5), max_d=3)
+        np.testing.assert_array_equal(vol, 1.0)
 
     def test_matches_brute_force(self, rng):
         # As for Hamming: max_d > width, a transposed view, 1 row, 1 column.
@@ -124,8 +127,8 @@ class TestAdVolume:
         pairs.append((chroma(12, 16).T, chroma(12, 16).T, 8))
         pairs += [(chroma(1, 12), chroma(1, 12), 5), (chroma(9, 1), chroma(9, 1), 3)]
         for l, r, max_d in pairs:
-            vol = ad_cost_volume(plane(l), plane(r), max_d=max_d)
-            np.testing.assert_array_equal(vol.costs, ad_volume_oracle(l, r, max_d))
+            vol = ad_volume(l, r, max_d=max_d)
+            np.testing.assert_array_equal(vol, ad_volume_oracle(l, r, max_d))
 
     def test_non_contiguous_plane_rejected(self, rng):
         # Writing a flat run into a strided plane would fill a copy.
@@ -163,6 +166,21 @@ class TestTraditionalCosts:
             np.testing.assert_array_equal(vols[1], ad_volume_oracle(lyuv[1], ryuv[1], max_d))
             np.testing.assert_array_equal(vols[2], ad_volume_oracle(lyuv[2], ryuv[2], max_d))
             np.testing.assert_array_equal(left_half.data, mean_pool_2x(left).data)
+
+    # Equal pixel counts (8x16 and 16x8) would pair unrelated pixels along
+    # the flat runs; unequal ones would fail inside NumPy.
+    @pytest.mark.parametrize("right_hw", [(16, 8), (8, 20), (10, 16)],
+                             ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_mismatched_pair_rejected(self, rng, right_hw):
+        left = Image(rng.random((3, 8, 16)))
+        right = Image(rng.random((3, *right_hw)))
+        with pytest.raises(ValueError, match="stereo pair dimensions differ"):
+            traditional_costs(left, right, 4)
+
+    def test_no_candidate_rejected(self, rng):
+        img = Image(rng.random((3, 8, 16)))
+        with pytest.raises(ValueError, match="max_d"):
+            traditional_costs(img, img, 0)
 
 
 class TestAssembleTraditional:

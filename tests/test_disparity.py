@@ -1,18 +1,16 @@
-"""WTA, warped coordinates, discontinuity mask, loss and gradient."""
+"""Warped coordinates, discontinuity mask, loss and gradient."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from mscv.costvol import CostVolume
 from mscv.disparity import (
     LossParams,
     discontinuity_mask,
     loss_eval,
     loss_grad,
     warp_row,
-    wta_disparity,
 )
 from mscv.imagekit import DisparityMap
 
@@ -30,22 +28,6 @@ def row_to_ymap(y_row):
     """Disparity row whose warped sequence equals the given Y values."""
     y_row = np.asarray(y_row, dtype=np.float64)
     return np.arange(y_row.size) - y_row
-
-
-class TestWta:
-    def test_identical_volume_all_zero(self):
-        costs = np.zeros((4, 3, 3))
-        costs[1:] = 1.0
-        vol = CostVolume(costs)
-        np.testing.assert_array_equal(wta_disparity(vol).values, 0.0)
-
-    def test_hand_built_argmin(self):
-        vol = CostVolume(np.array([5.0, 2.0, 7.0]).reshape(3, 1, 1))
-        assert wta_disparity(vol).values[0, 0] == 2.0  # d=1, x2
-
-    def test_ties_break_small_d(self):
-        vol = CostVolume(np.zeros((5, 2, 2)))
-        np.testing.assert_array_equal(wta_disparity(vol).values, 0.0)
 
 
 class TestWarpRow:

@@ -9,7 +9,7 @@ import pytest
 
 import mscv.network
 from mscv.costvol import _BAND_ROWS, CostVolume
-from mscv.imagekit import Image
+from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
 from mscv.network import (
     GuideSet,
     WeightError,
@@ -33,7 +33,9 @@ from mscv.network import (
 from mscv.tensorops import concat_channels
 
 from oracles import (
+    ad_volume_oracle,
     assemble_traditional,
+    census_oracle,
     conv2d_f64,
     conv2d_oracle,
     correlation_f64,
@@ -41,6 +43,8 @@ from oracles import (
     deconv_f64,
     deconv_oracle,
     forward_oracle,
+    hamming_volume_oracle,
+    traditional_volumes,
 )
 
 
@@ -614,6 +618,20 @@ class TestForwardOracle:
             correlation_f64(fl, fr, max_d), correlation_oracle(fl, fr, max_d),
             rtol=0, atol=1e-12,
         )
+
+    def test_traditional_helper_matches_loop_oracles(self, rng):
+        # 4x6 half-scale planes at max_d 9: planes 6..8 are all fill.
+        left, right = Image(rng.random((3, 8, 12))), Image(rng.random((3, 8, 12)))
+        lyuv = rgb_to_yuv(mean_pool_2x(left)).data
+        ryuv = rgb_to_yuv(mean_pool_2x(right)).data
+        census, ad_u, ad_v, left_half = traditional_volumes(left, right, 9)
+        np.testing.assert_array_equal(
+            census.costs,
+            hamming_volume_oracle(census_oracle(lyuv[0]), census_oracle(ryuv[0]), 9),
+        )
+        np.testing.assert_array_equal(ad_u.costs, ad_volume_oracle(lyuv[1], ryuv[1], 9))
+        np.testing.assert_array_equal(ad_v.costs, ad_volume_oracle(lyuv[2], ryuv[2], 9))
+        np.testing.assert_array_equal(left_half.data, mean_pool_2x(left).data)
 
     @pytest.mark.parametrize("h,w,random_bn", [
         pytest.param(32, 64, False, id="32-64"),
