@@ -196,8 +196,7 @@ def traditional_match(
 
 def disparity_to_pgm(dmap: DisparityMap, path, max_disp: int = MAX_DISPARITY) -> None:
     """8-bit visualization: disparity scaled onto [0, 1], invalid = 0."""
-    vis = np.clip(dmap.values / max_disp, 0.0, 1.0)
-    vis = np.where(dmap.valid, vis, 0.0)
+    vis = np.clip(dmap.values / max_disp, 0.0, 1.0)  # invalid pixels hold 0
     write_image(Image(vis[None]), path)
 
 

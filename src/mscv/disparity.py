@@ -31,8 +31,8 @@ class LossParams:
     lam: float = 0.5
 
     def __post_init__(self):
-        if not self.tau >= 0:
-            raise ValueError("tau must be >= 0")
+        if not 0.0 <= self.tau < np.inf:
+            raise ValueError("tau must be >= 0 and finite")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must be in [0, 1]")
 
@@ -74,20 +74,20 @@ def discontinuity_mask(d_map: DisparityMap, epsilon: float = 3.0) -> Discontinui
     return DiscontinuityMask(flags.astype(np.uint8))
 
 
-def _loss_terms(d_hat, d_gt, mask, p):
+def _weighted_error(d_hat, d_gt, mask, p):
+    """|d_hat - d_gt| * factor and factor = 1 - lambda * mask, two new maps."""
     if d_hat.values.shape != d_gt.values.shape:
         raise ValueError("disparity map dimensions differ")
     if mask.flags.shape != d_gt.values.shape:
         raise ValueError("mask dimensions differ")
-    valid = d_gt.valid
-    if not valid.any():
+    if not d_gt.valid.any():
         raise ValueError("no valid ground-truth pixels")
-    diff = d_hat.values - d_gt.values
-    factor = 1.0 - p.lam * mask.flags
-    weighted = np.abs(diff)
+    weighted = np.subtract(d_hat.values, d_gt.values)
+    np.abs(weighted, out=weighted)
+    factor = np.multiply(p.lam, mask.flags, dtype=np.float64)
+    np.subtract(1.0, factor, out=factor)
     weighted *= factor
-    clamped = np.maximum(p.tau, weighted)
-    return valid, diff, factor, weighted, clamped
+    return weighted, factor
 
 
 def loss_eval(
@@ -102,10 +102,11 @@ def loss_eval(
     Invalid pixels carry 0 in the per-pixel map and are excluded from
     the mean.
     """
-    valid, _, _, _, clamped = _loss_terms(d_hat, d_gt, mask, p)
-    per_pixel = np.where(valid, clamped**LOSS_EXPONENT, 0.0)
-    mean = float(per_pixel[valid].mean())
-    return mean, per_pixel
+    per_pixel = _weighted_error(d_hat, d_gt, mask, p)[0]
+    np.maximum(p.tau, per_pixel, out=per_pixel)
+    np.power(per_pixel, LOSS_EXPONENT, out=per_pixel)
+    np.copyto(per_pixel, 0.0, where=~d_gt.valid)
+    return float(per_pixel[d_gt.valid].mean()), per_pixel
 
 
 def loss_grad(
@@ -120,11 +121,15 @@ def loss_grad(
     elsewhere (1/8) * u^(-7/8) * (1 - lambda*mask) * sign(d_hat - d_gt)
     with u the clamped argument.
     """
-    valid, diff, factor, weighted, clamped = _loss_terms(d_hat, d_gt, mask, p)
-    active = valid & (weighted > p.tau)
-    sign = np.sign(diff, out=diff)
-    # Inactive pixels may hold u = 0 (tau = 0, zero error): their inf/nan
-    # is discarded by the where, so its warnings are silenced.
+    grad, factor = _weighted_error(d_hat, d_gt, mask, p)
+    active = (grad > p.tau) & d_gt.valid
+    # Active pixels have u = weighted > tau, so the clamp is skipped.  The
+    # inf/nan of inactive ones (u = 0 at tau = 0) is zeroed at the end.
     with np.errstate(divide="ignore", invalid="ignore"):
-        grad = LOSS_EXPONENT * clamped ** (LOSS_EXPONENT - 1.0) * factor * sign
-    return np.where(active, grad, 0.0)
+        np.power(grad, LOSS_EXPONENT - 1.0, out=grad)
+        grad *= LOSS_EXPONENT
+        grad *= factor
+        sign = np.subtract(d_hat.values, d_gt.values, out=factor)  # factor is spent
+        grad *= np.sign(sign, out=sign)
+    np.copyto(grad, 0.0, where=~active)
+    return grad

@@ -62,17 +62,16 @@ class DisparityMap:
     valid: np.ndarray = field(default=None)  # bool, (H, W)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
+        values = np.asarray(self.values)
+        if values.ndim != 2:
             raise ValueError("disparity values must be 2-D")
         if self.valid is None:
-            self.valid = np.isfinite(self.values) & (self.values > 0) & (
-                self.values < MAX_DISPARITY
-            )
+            self.valid = (values > 0) & (values < MAX_DISPARITY)  # NaN, +-inf fail too
         self.valid = np.asarray(self.valid, dtype=bool)
-        if self.valid.shape != self.values.shape:
+        if self.valid.shape != values.shape:
             raise ValueError("validity mask shape mismatch")
-        self.values = np.where(self.valid, self.values, 0.0)
+        self.values = np.zeros(values.shape)
+        np.copyto(self.values, values, where=self.valid)
 
     @property
     def height(self) -> int:
@@ -198,18 +197,14 @@ def read_pfm(path) -> DisparityMap:
             raise FormatError("truncated PFM payload")
         payload = f.read(4 * width * height)
     rows = np.frombuffer(payload, dtype=endian).reshape(height, width)
-    values = np.flipud(rows).astype(np.float64)  # stored bottom-to-top
-    return DisparityMap(values)
+    return DisparityMap(np.flipud(rows))  # stored bottom-to-top
 
 
 def write_pfm(dmap: DisparityMap, path) -> None:
     """Write a grayscale little-endian PFM (scale -1.0), bottom-up rows."""
-    values = np.where(dmap.valid, dmap.values, 0.0).astype("<f4")
     with open(path, "wb") as f:
-        f.write(b"Pf\n")
-        f.write(b"%d %d\n" % (dmap.width, dmap.height))
-        f.write(b"-1.0\n")
-        f.write(np.flipud(values).tobytes())
+        f.write(b"Pf\n%d %d\n-1.0\n" % (dmap.width, dmap.height))
+        f.write(np.flipud(dmap.values).astype("<f4").tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,8 @@ def evaluate(
     fg_mask = np.zeros_like(valid) if fg_mask is None else np.asarray(fg_mask, dtype=bool)
     if fg_mask.shape != valid.shape:
         raise ValueError("foreground mask dimensions differ")
-    err = np.abs(pred.values - gt.values)
+    err = np.subtract(pred.values, gt.values)
+    np.abs(err, out=err)
     d1_out = err > D1_THRESHOLD_PX
     if kitti_rule:
         d1_out &= err > D1_RELATIVE * np.abs(gt.values)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import mscv.network
+from mscv.disparity import discontinuity_mask
+from mscv.imagekit import DisparityMap
 
 
 @pytest.fixture
@@ -28,6 +30,36 @@ def peak_bytes():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def kitti_maps():
+    """A 376x1240 prediction, sparse ground truth and its discontinuity mask.
+
+    The ground truth holds quarter-pixel values that step by 10 px every
+    97 columns (so the mask flags boundaries) and invalid spans of 1-40
+    px, about a third of each row.  The prediction adds noise and 10%
+    gross outliers, is exact on every 50th column (zero error) and is
+    clipped to (0, 192), so it is valid everywhere.  ``map_bytes`` is the
+    size of one float64 map (3.73 MB), the unit of the memory budgets.
+    """
+    rng = np.random.default_rng(2015)
+    h, w = 376, 1240
+    steps = 20.0 + 10.0 * (np.arange(w) // 97 % 5)
+    gt = np.round((steps + rng.normal(0.0, 0.3, (h, w))) * 4.0) / 4.0
+    for row in gt:
+        x = int(rng.integers(0, 40))
+        while x < w:
+            gap = int(rng.integers(1, 41))
+            row[x : x + gap] = 0.0
+            x += gap + int(rng.integers(1, 80))
+    pred = gt + rng.normal(0.0, 1.5, (h, w))
+    pred[rng.random((h, w)) < 0.1] += 25.0
+    pred[:, ::50] = gt[:, ::50]
+    pred = np.clip(pred, 0.25, 191.75)
+    gt = DisparityMap(gt)
+    return SimpleNamespace(pred=DisparityMap(pred), gt=gt, mask=discontinuity_mask(gt, 3.0),
+                           map_bytes=h * w * 8)
 
 
 @pytest.fixture

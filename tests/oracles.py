@@ -192,6 +192,27 @@ def mask_oracle(d_row: np.ndarray, epsilon: float) -> np.ndarray:
     return out
 
 
+def loss_reference(d_hat, d_gt, flags, tau, lam):
+    """Mean, per-pixel loss and gradient as plain whole-array expressions.
+
+    With w = |d_hat - d_gt| * (1 - lam * mask) and u = max(tau, w): the
+    loss is u ** (1/8) on valid ground-truth pixels and 0 elsewhere, its
+    mean runs over the valid pixels, and the gradient is (1/8) *
+    u ** (-7/8) * (1 - lam * mask) * sign(d_hat - d_gt) where the pixel
+    is valid and w > tau, +0.0 elsewhere.
+    """
+    valid = d_gt.valid
+    diff = d_hat.values - d_gt.values
+    factor = 1.0 - lam * flags
+    weighted = np.abs(diff) * factor
+    u = np.maximum(tau, weighted)
+    loss = np.where(valid, u ** 0.125, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = 0.125 * u ** -0.875 * factor * np.sign(diff)
+    grad = np.where(valid & (weighted > tau), grad, 0.0)
+    return float(loss[valid].mean()), loss, grad
+
+
 def assemble_traditional(c1, c2, c3) -> np.ndarray:
     """Interleave three 96-deep volumes per disparity and normalize.
 

@@ -239,6 +239,9 @@ class TestDispatch:
         gt, mask = str(tmp_path / "gt.pfm"), tmp_path / "m.pgm"
         assert main(["loss", "--pred", gt, "--gt", gt, "--tau", "nan"]) == 2
         assert "tau must be >= 0" in capsys.readouterr().err
+        assert main(["loss", "--pred", gt, "--gt", gt, "--tau", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert "tau must be >= 0 and finite" in captured.err and "loss=" not in captured.out
         assert main(["mask", "--gt", gt, "--out", str(mask), "--epsilon", "nan"]) == 2
         assert "epsilon must be >= 0" in capsys.readouterr().err
         assert not mask.exists()

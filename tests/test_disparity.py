@@ -14,7 +14,7 @@ from mscv.disparity import (
 )
 from mscv.imagekit import DisparityMap
 
-from oracles import mask_oracle
+from oracles import loss_reference, mask_oracle
 
 
 def dmap_from_rows(rows, valid=None):
@@ -144,7 +144,8 @@ def ones_mask(shape):
 
 
 class TestLossParams:
-    @pytest.mark.parametrize("value", [-1.0, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")],
+                             ids=["negative", "nan", "inf"])
     @pytest.mark.parametrize("field", ["tau", "lam"])
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -260,3 +261,43 @@ class TestLossGrad:
         grad = loss_grad(pred, gt, zero_mask((1, 2)))
         assert grad[0, 0] > 0 > grad[0, 1]
         assert grad[0, 0] == -grad[0, 1]
+
+
+class TestKittiSizedLoss:
+    """The loss path on a 376x1240 sparse ground truth (``kitti_maps``)."""
+
+    @pytest.mark.parametrize("tau,lam", [(1.0, 0.5), (0.0, 0.5), (2.0, 1.0), (1.0, 0.0)])
+    def test_bit_identical_to_reference(self, kitti_maps, tau, lam):
+        m = kitti_maps
+        p = LossParams(tau=tau, lam=lam)
+        want_mean, want_loss, want_grad = loss_reference(m.pred, m.gt, m.mask.flags, tau, lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, per_pixel = loss_eval(m.pred, m.gt, m.mask, p)
+            grad = loss_grad(m.pred, m.gt, m.mask, p)
+        assert mean == want_mean
+        np.testing.assert_array_equal(per_pixel, want_loss)
+        np.testing.assert_array_equal(grad, want_grad)
+        np.testing.assert_array_equal(np.signbit(per_pixel), np.signbit(want_loss))
+        np.testing.assert_array_equal(np.signbit(grad), np.signbit(want_grad))
+
+    # Peak bytes above the inputs, in float64 maps: the result map, the
+    # (1 - lambda * mask) factor map and bool masks.  Building a map per
+    # intermediate, as a loss-term tuple plus np.where copies does, peaks
+    # at 4.0 maps in loss_eval and 6.1 in loss_grad.
+    @pytest.mark.parametrize("fn,maps", [(loss_eval, 2.1), (loss_grad, 2.4)],
+                             ids=["loss_eval", "loss_grad"])
+    def test_peak_memory(self, kitti_maps, peak_bytes, fn, maps):
+        m = kitti_maps
+        peak = peak_bytes(lambda: fn(m.pred, m.gt, m.mask))
+        assert peak <= maps * m.map_bytes, f"peak {peak / m.map_bytes:.2f} maps"
+
+    @pytest.mark.parametrize("fn", [loss_eval, loss_grad, lambda pred, gt, mask:
+                                    discontinuity_mask(gt, 3.0)],
+                             ids=["loss_eval", "loss_grad", "discontinuity_mask"])
+    def test_inputs_left_unchanged(self, kitti_maps, fn):
+        m = kitti_maps
+        arrays = (m.pred.values, m.pred.valid, m.gt.values, m.gt.valid, m.mask.flags)
+        before = [a.tobytes() for a in arrays]
+        fn(m.pred, m.gt, m.mask)
+        assert [a.tobytes() for a in arrays] == before

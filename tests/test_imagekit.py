@@ -144,6 +144,36 @@ class TestPfmCodec:
         path.write_bytes(b"Pf\n1 1\n1.0\n" + np.array([7.0], dtype=">f4").tobytes())
         assert read_pfm(path).values[0, 0] == 7.0
 
+    def test_kitti_sized_read_peak_memory(self, tmp_path, kitti_maps, peak_bytes):
+        # The float32 payload (half a map), the validity mask and the
+        # float64 values.  Converting to float64 first and zero-filling
+        # into a second map peaks at 2.6 maps.
+        path = tmp_path / "gt.pfm"
+        write_pfm(kitti_maps.gt, path)
+        peak = peak_bytes(lambda: read_pfm(path))
+        assert peak <= 1.7 * kitti_maps.map_bytes, f"peak {peak / kitti_maps.map_bytes:.2f} maps"
+
+
+class TestDisparityMap:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_unusable_values_invalid_and_positive_zero(self, dtype):
+        raw = np.array([[np.nan, np.inf, -np.inf, 0.0, -0.0, -3.0],
+                        [192.0, 250.0, 0.25, 191.75, 5.0, 1e-3]], dtype=dtype)
+        before = raw.tobytes()
+        dmap = DisparityMap(raw)
+        np.testing.assert_array_equal(dmap.valid, [[False] * 6, [False, False] + [True] * 4])
+        assert dmap.values.dtype == np.float64
+        np.testing.assert_array_equal(dmap.values[~dmap.valid], 0.0)
+        assert not np.signbit(dmap.values).any()
+        np.testing.assert_array_equal(dmap.values[dmap.valid], raw[dmap.valid])
+        assert raw.tobytes() == before
+
+    def test_integer_values_converted(self):
+        dmap = DisparityMap(np.array([[0, 5, 192, -1]]))
+        assert dmap.values.dtype == np.float64
+        np.testing.assert_array_equal(dmap.values, [[0.0, 5.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(dmap.valid, [[False, True, False, False]])
+
 
 class TestColorspace:
     def test_white_maps_to_achromatic_axis(self):

@@ -150,3 +150,21 @@ class TestReportFormats:
         kv = dict(line.split("=") for line in report.as_keyvalues().splitlines())
         assert float(kv["epe"]) == pytest.approx(report.epe, abs=1e-6)
         assert int(kv["valid_count"]) == 16
+
+
+class TestKittiSized:
+    """``evaluate`` on a 376x1240 sparse ground truth (``kitti_maps``)."""
+
+    def test_peak_memory(self, kitti_maps, peak_bytes):
+        # The error map, its valid pixels (two thirds of a map) and bool masks.
+        m = kitti_maps
+        peak = peak_bytes(lambda: evaluate(m.pred, m.gt))
+        assert peak <= 2.2 * m.map_bytes, f"peak {peak / m.map_bytes:.2f} maps"
+
+    @pytest.mark.parametrize("kitti_rule", [False, True])
+    def test_inputs_left_unchanged(self, kitti_maps, kitti_rule):
+        m = kitti_maps
+        arrays = (m.pred.values, m.pred.valid, m.gt.values, m.gt.valid)
+        before = [a.tobytes() for a in arrays]
+        evaluate(m.pred, m.gt, kitti_rule=kitti_rule)
+        assert [a.tobytes() for a in arrays] == before
