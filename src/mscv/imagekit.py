@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -87,21 +88,16 @@ class DisparityMap:
 # ---------------------------------------------------------------------------
 
 
+# Whitespace and '#' comments between header tokens, then one token.  Each
+# is one regex match at C speed: no Python step per byte, one regex loop
+# step per comment.
+_PNM_GAP = re.compile(rb"\s*(?:#[^\n]*\s*)*")
+_PNM_TOKEN = re.compile(rb"\S*")
+
+
 def _read_pnm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    # Skip whitespace and '#' comments between header tokens.
-    n = len(buf)
-    while pos < n:
-        c = buf[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < n and buf[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace():
-        pos += 1
+    start = _PNM_GAP.match(buf, pos).end()
+    pos = _PNM_TOKEN.match(buf, start).end()
     if start == pos:
         raise FormatError(f"unexpected end of header at byte {start}")
     return buf[start:pos], pos

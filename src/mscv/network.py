@@ -31,7 +31,6 @@ from mscv.imagekit import DisparityMap, Image, crop, pad_reflect
 from mscv.tensorops import (
     ConvParams,
     bilinear_resize,
-    concat_channels,
     conv2d,
     deconv2d_s2,
     relu,
@@ -291,8 +290,11 @@ def load_weights(path) -> WeightStore:
 # ---------------------------------------------------------------------------
 
 
-def _layer(store, name, x):
-    """Apply architecture layer ``name`` to ``x`` as its table entry says.
+def _layer(store, name, *xs):
+    """Apply architecture layer ``name`` as its table entry says.
+
+    Several inputs ``xs`` are read as their channel concatenation
+    (``conv2d`` copies each into its rows of the band buffer).
 
     Batch norm is folded into the weights and bias in float64:
     s = gamma / sqrt(var + eps) scales the output axis (axis 0 for conv
@@ -305,7 +307,7 @@ def _layer(store, name, x):
         s = bn("gamma") / np.sqrt(bn("var") + BN_EPS)
         w, b = w * s[:, None, None, None], (b - bn("mean")) * s + bn("beta")
     p = ConvParams(w, b, l.stride)
-    y = deconv2d_s2(x, p) if l.deconv else conv2d(x, p)
+    y = deconv2d_s2(*xs, p) if l.deconv else conv2d(list(xs), p)
     return relu(y) if l.act else y
 
 
@@ -322,18 +324,16 @@ def unet_features(image: Image, store: WeightStore) -> tuple[np.ndarray, np.ndar
     h, w = image.height, image.width
     if h % 16 or w % 16:
         raise ValueError(f"dims must divide 16, got {h}x{w}")
-    layer = lambda name, x: _layer(store, f"unet.{name}", x)
+    layer = lambda name, *xs: _layer(store, f"unet.{name}", *xs)
     # Nested calls, del and reassignment free each activation at its last use.
     s_half = layer("enc1", layer("down1", layer("enc0", image.data.astype(np.float32))))
     s_quarter = layer("enc2", layer("down2", s_half))
     u2 = layer("up2.deconv", layer("enc3", layer("down3", s_quarter)))
-    x = concat_channels([u2, s_quarter])
+    x = layer("up2.fuse", u2, s_quarter)
     del u2, s_quarter
-    x = layer("up2.fuse", x)
     f_quarter = layer("up2.harvest", x)
-    x = concat_channels([layer("up1.deconv", f_quarter), s_half])
+    x = layer("up1.fuse", layer("up1.deconv", f_quarter), s_half)
     del s_half
-    x = layer("up1.fuse", x)
     return layer("up1.harvest", x), f_quarter
 
 
@@ -349,23 +349,24 @@ def reduce_traditional(
     288-channel volume [C(d), U(d), V(d)] normalized by its mean μ and
     std σ (+1e-8).  The interleave only permutes red0's input columns and
     the normalization is affine, so red0 runs per band as one float32
-    GEMM per cost (``W[:, k::3]``) on the costs centered at the first
-    band's mean μ̃ (taken in a pass of its own over that band's planes).
-    Each plane is centered in float64, its Σ(x-μ̃) and Σ(x-μ̃)² are
-    added in float64 (shifted data: Chan, Golub & LeVeque 1983), and it
-    is cast into one float32 (3, 96, rows·W) band buffer.  Then (μ-μ̃)·W·1
-    is subtracted and the output scaled by 1/(σ+1e-8).  As |μ̃-μ| <=
-    σ·√(N/n₁) (Cauchy-Schwarz, n₁ of the N values in the first band), the
-    float32 centering error stays within ε₃₂·(|x-μ| + √bands·σ) for any
-    input, and a constant volume stays exact.  Then 1x1 convs
-    144-72-36-32, concat of the half-resolution left image, three 3x3
-    harvesting convs.
+    K=288 GEMM, with its columns permuted once into [C | U | V] order, on
+    the costs centered at the first band's mean μ̃ (taken in a pass of its
+    own over that band's planes).  Each plane is centered in float64, its
+    Σ(x-μ̃) and Σ(x-μ̃)² are added in float64 (shifted data: Chan, Golub &
+    LeVeque 1983), and it is cast into one float32 (3, 96, rows·W) band
+    buffer.  Then (μ-μ̃)·W·1 is subtracted and the output scaled by
+    1/(σ+1e-8).  As |μ̃-μ| <= σ·√(N/n₁) (Cauchy-Schwarz, n₁ of the N values
+    in the first band), the float32 centering error stays within
+    ε₃₂·(|x-μ| + √bands·σ) for any input, and a constant volume stays
+    exact.  Then 1x1 convs 144-72-36-32, and three 3x3 harvesting convs,
+    the first reading the half-resolution left image as 3 more channels.
     """
     h, w = left_half.height, left_half.width
     p = ConvParams(store["trad.red0.w"], store["trad.red0.b"])
     if p.weights.shape[1:] != (288, 1, 1):
         raise WeightError(f"parameter 'trad.red0.w' has shape {p.weights.shape}")
     wmat = p.weights.reshape(p.out_channels, 288)
+    wcuv = wmat.reshape(-1, 96, 3).transpose(0, 2, 1).reshape(-1, 288)
     x = np.empty((p.out_channels, h * w), dtype=np.float32)
     flat = np.empty(0, dtype=np.float32)  # flat: a band's prefix is contiguous
     shift, rows, sums, squares = None, 0, 0.0, 0.0
@@ -388,15 +389,12 @@ def reduce_traditional(
         if d != 95:
             raise ValueError(f"band at row {y0} has {d + 1} planes, not 96")
         rows += n
-        xs = x[:, y0 * w : rows * w]
-        np.matmul(wmat[:, 0::3], band[0], out=xs)
-        xs += wmat[:, 1::3] @ band[1]
-        xs += wmat[:, 2::3] @ band[2]
+        np.matmul(wcuv, band.reshape(288, -1), out=x[:, y0 * w : rows * w])
     if rows != h:
         raise ValueError(f"bands cover {rows} of {h} rows")
-    # Loop names would keep the band buffer, red0's output (through xs)
-    # and the front end's arrays (through the last stream) alive.
-    del flat, band, xs, plane, planes
+    # Loop names would keep the band buffer and the front end's arrays
+    # (through the last stream) alive.
+    del flat, band, plane, planes
     n = 288 * h * w
     offset = sums / n  # μ - μ̃
     sigma = np.sqrt(max(squares / n - offset * offset, 0.0))
@@ -406,10 +404,8 @@ def reduce_traditional(
     x = relu(x.reshape(p.out_channels, h, w))
     for i in range(1, 4):
         x = _layer(store, f"trad.red{i}", x)
-    x = concat_channels([x, left_half.data.astype(np.float32)])
-    for i in range(3):
-        x = _layer(store, f"trad.harvest{i}", x)
-    return x
+    x = _layer(store, "trad.harvest0", x, left_half.data)
+    return _layer(store, "trad.harvest2", _layer(store, "trad.harvest1", x))
 
 
 def reduce_correlation(corr96: np.ndarray, store: WeightStore) -> np.ndarray:
@@ -471,7 +467,7 @@ def hourglass_forward(
             raise ValueError(
                 f"guide scale mismatch at {scale}: {g.shape[1:]} vs {y.shape[1:]}"
             )
-        return _layer(store, name, concat_channels([y, g]))
+        return _layer(store, name, y, g)
 
     y = fuse(f"{pre}.bottleneck", "bottleneck", y, guides.sixteenth)
     ups = (("eighth", guides.eighth), ("quarter", guides.quarter), ("half", guides.half))
@@ -494,10 +490,9 @@ def cascade_forward(
     upsampled output is fused (concat + 1x1 conv) with both 1/2-scale
     32-channel volumes to feed stage 2.
     """
-    u = _layer(store, "casc.up", hourglass_forward(corr48_quarter, guides, store, 1))
-    stage2_in = _layer(store, "casc.fuse", concat_channels([u, corr32_half, trad32]))
-    del u
-    return hourglass_forward(stage2_in, guides, store, 2)
+    x = _layer(store, "casc.up", hourglass_forward(corr48_quarter, guides, store, 1))
+    x = _layer(store, "casc.fuse", x, corr32_half, trad32)
+    return hourglass_forward(x, guides, store, 2)
 
 
 def disparity_head(

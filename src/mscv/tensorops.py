@@ -48,51 +48,56 @@ class ConvParams:
         return self.weights.shape[2], self.weights.shape[3]
 
 
-def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
+def conv2d(x: np.ndarray | list[np.ndarray], p: ConvParams) -> np.ndarray:
     """Cross-correlation convolution plus bias.
 
-    Zero-pads so output dims are ceil(in / stride); extra padding goes
-    to the bottom/right.
+    ``x`` is one (C, H, W) tensor or a list of tensors that share (H, W),
+    read as their channel concatenation without building it.  Zero-pads
+    so output dims are ceil(in / stride); extra padding goes to the
+    bottom/right.
 
     Banded im2col: each band of output rows (``_BAND_PIXELS`` pixels, at
-    least one row) copies its windows into an (I, kh, kw, rows, out_w)
-    buffer for one GEMM, (O, I*kh*kw) @ (I*kh*kw, rows*out_w).  An
-    input that needs no padding is not copied.
+    least one row) copies each input's windows into its channels of one
+    (I, kh, kw, rows, out_w) buffer for one GEMM, (O, I*kh*kw) @
+    (I*kh*kw, rows*out_w).  A C-contiguous float32 input that needs no
+    padding is not copied.
     """
-    if x.ndim != 3:
+    xs = [x] if isinstance(x, np.ndarray) else x
+    if not xs or any(t.ndim != 3 for t in xs):
         raise ValueError("input must be (C, H, W)")
-    if x.shape[0] != p.in_channels:
-        raise ValueError(
-            f"channel mismatch: input {x.shape[0]}, params {p.in_channels}"
-        )
+    h, w = xs[0].shape[1:]
+    if any(t.shape[1:] != (h, w) for t in xs):
+        raise ValueError(f"inputs differ in (H, W): {[t.shape[1:] for t in xs]}")
+    in_c = sum(t.shape[0] for t in xs)
+    if in_c != p.in_channels:
+        raise ValueError(f"channel mismatch: input {in_c}, params {p.in_channels}")
     if p.stride not in (1, 2):
         raise ValueError("stride must be 1 or 2")
     kh, kw = p.kernel
-    _, h, w = x.shape
     s = p.stride
     out_h = -(-h // s)
     out_w = -(-w // s)
     pad_h = max((out_h - 1) * s + kh - h, 0)
     pad_w = max((out_w - 1) * s + kw - w, 0)
-    if pad_h or pad_w:
-        x = np.pad(
-            x,
-            ((0, 0), (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2)),
-        )
-    x = np.ascontiguousarray(x, dtype=np.float32)
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::s, ::s][:, :out_h, :out_w].transpose(0, 3, 4, 1, 2)
+    pads = ((0, 0), (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2))
+    views = []
+    for t in xs:
+        if pad_h or pad_w:
+            t = np.pad(t, pads)
+        t = np.ascontiguousarray(t, dtype=np.float32)
+        windows = np.lib.stride_tricks.sliding_window_view(t, (kh, kw), axis=(1, 2))
+        views.append(windows[:, ::s, ::s][:, :out_h, :out_w].transpose(0, 3, 4, 1, 2))
     # One flat buffer per call (convs run concurrently under threads > 1);
     # a prefix of it keeps the short last band contiguous.
-    k = p.in_channels * kh * kw
+    k = in_c * kh * kw
     rows = min(max(_BAND_PIXELS // out_w, 1), out_h)
     buf = np.empty(k * rows * out_w, dtype=np.float32)
     w2 = p.weights.reshape(p.out_channels, k)
     out = np.empty((p.out_channels, out_h * out_w), dtype=np.float32)
     for y in range(0, out_h, rows):
         n = min(rows, out_h - y)
-        cols = buf[: k * n * out_w].reshape(p.in_channels, kh, kw, n, out_w)
-        np.copyto(cols, windows[:, :, :, y : y + n])
+        cols = buf[: k * n * out_w].reshape(in_c, kh, kw, n, out_w)
+        np.concatenate([v[:, :, :, y : y + n] for v in views], out=cols)
         np.matmul(w2, cols.reshape(k, -1), out=out[:, y * out_w : (y + n) * out_w])
     out += p.bias[:, None]
     return out.reshape(p.out_channels, out_h, out_w)

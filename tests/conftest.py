@@ -84,15 +84,16 @@ def forward_probe(monkeypatch):
     """Records what the forward pass computes, without changing it.
 
     ``layers`` gets ``(name, in_channels, out_channels)`` for every
-    ``network._layer`` call, and ``refined`` the features that reach
-    ``network.disparity_head``, one entry per forward pass.
+    ``network._layer`` call, with ``in_channels`` summed over its inputs,
+    and ``refined`` the features that reach ``network.disparity_head``,
+    one entry per forward pass.
     """
     probe = SimpleNamespace(layers=[], refined=[])
     layer, head = mscv.network._layer, mscv.network.disparity_head
 
-    def record_layer(store, name, x):
-        y = layer(store, name, x)
-        probe.layers.append((name, x.shape[0], y.shape[0]))
+    def record_layer(store, name, *xs):
+        y = layer(store, name, *xs)
+        probe.layers.append((name, sum(x.shape[0] for x in xs), y.shape[0]))
         return y
 
     def record_head(refined, dims, store):

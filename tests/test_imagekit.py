@@ -1,5 +1,7 @@
 """Codec round-trips, colorspace math, pooling and padding."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,17 @@ class TestPnmCodec:
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(FormatError, match="maxval"):
             read_image(path)
+
+    @pytest.mark.parametrize("start,fill", [(b"P6", b" "), (b"P6\n#", b"x")],
+                             ids=["blanks", "comment"])
+    def test_megabytes_of_header_padding_fail_fast(self, tmp_path, start, fill):
+        # 20 MB of whitespace or of one comment, and no token after it.
+        path = tmp_path / "padded.ppm"
+        path.write_bytes(start + fill * 20_000_000)
+        began = time.process_time()
+        with pytest.raises(FormatError, match=f"end of header at byte {len(start) + 20_000_000}"):
+            read_image(path)
+        assert time.process_time() - began < 0.5
 
 
 class TestPfmCodec:

@@ -542,6 +542,15 @@ class TestFullForward:
         assert [n for n in applied if n in unet] == unet * 2
         assert [n for n in applied if n not in unet] == [n for n in names if n not in unet]
 
+    def test_layer_channels_match_table(self, rng, store, forward_probe):
+        # Each _layer call reads (summed over its inputs) and writes the
+        # channels its table entry lists: trad.harvest0 35, casc.fuse 96.
+        full_forward(Image(rng.random((3, 32, 48))), Image(rng.random((3, 32, 48))), store)
+        table = {l.name: (l.in_c, l.out_c) for l in architecture()}
+        layers = forward_probe.layers
+        assert len(layers) == len(table) + 12  # unet layers twice, no trad.red0
+        assert layers == [(name, *table[name]) for name, _, _ in layers]
+
     def test_refined_independent_of_memory_layout(self, forward_probe, layouts):
         # The smallest unpadded frame on which pooling in a layout-dependent
         # order changed `refined`: four gray levels make exact ties common,

@@ -114,6 +114,15 @@ class TestConv2dBands:
         band_bytes = 4 * in_c * k * k * (_BAND_PIXELS // out_w) * out_w
         assert peak_bytes(lambda: conv2d(x, p)) <= out_bytes + band_bytes + 2**20
 
+    def test_inputs_are_not_concatenated(self, rng, peak_bytes):
+        # A 64+32-channel fuse layer: the concatenated input alone (46 MB)
+        # would exceed the bound.
+        xs = [rng.standard_normal((c, 192, 624), dtype=np.float32) for c in (64, 32)]
+        p = random_params(rng, 32, 96, 1)
+        out_bytes = 4 * p.out_channels * 192 * 624
+        band_bytes = 4 * 96 * (_BAND_PIXELS // 624) * 624
+        assert peak_bytes(lambda: conv2d(xs, p)) <= out_bytes + band_bytes + 2**20
+
     def test_concurrent_calls_match_serial(self, rng):
         x = rng.standard_normal((16, 64, 200)).astype(np.float32)
         p = random_params(rng, 16, 16, 3)
@@ -127,6 +136,28 @@ class TestConv2dBands:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(o, serial) for o in outs)
+
+
+class TestConv2dMultiInput:
+    """A list of inputs is convolved as their channel concatenation."""
+
+    @pytest.mark.parametrize("k,stride", KERNEL_CLASSES)
+    @pytest.mark.parametrize("channels", [(2, 3), (4, 1, 2)])
+    @pytest.mark.parametrize("last_dtype", [np.float32, np.float64])
+    def test_matches_concatenated_input(self, rng, k, stride, channels, last_dtype):
+        # 45x99 spans several bands with a short last one at either stride,
+        # and its odd sizes make the 3x3 and 2x2 kernels pad.
+        xs = [rng.standard_normal((c, 45, 99)).astype(np.float32) for c in channels]
+        xs[-1] = xs[-1].astype(last_dtype)
+        p = random_params(rng, 4, sum(channels), k, stride=stride)
+        assert conv2d(xs, p).tobytes() == conv2d(np.concatenate(xs), p).tobytes()
+
+    def test_mismatched_inputs_rejected(self, rng):
+        p = random_params(rng, 2, 5, 3)
+        with pytest.raises(ValueError, match="differ in"):
+            conv2d([rng.random((2, 5, 5)), rng.random((3, 5, 6))], p)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            conv2d([rng.random((2, 5, 5)), rng.random((2, 5, 5))], p)
 
 
 class TestDeconv2dS2:
