@@ -380,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         return dispatch(cfg)
     except SystemExit as exc:  # argparse --help / bad usage
         return int(exc.code or 0)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

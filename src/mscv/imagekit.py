@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,25 +164,35 @@ def write_pnm(pixels: np.ndarray, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+_PFM_LINE_BYTES = 128  # longest PFM header line read, newline included
+
+
+def _read_pfm_line(f, what: str) -> bytes:
+    line = f.readline(_PFM_LINE_BYTES)
+    if len(line) == _PFM_LINE_BYTES and not line.endswith(b"\n"):
+        raise FormatError(f"{what} line longer than {_PFM_LINE_BYTES} bytes")
+    return line
+
+
 def read_pfm(path) -> DisparityMap:
     """Read a grayscale PFM disparity file.
 
     Non-finite or out-of-range samples are marked invalid.
     """
     with open(path, "rb") as f:
-        magic = f.readline().strip()
+        magic = _read_pfm_line(f, "magic").strip()
         if magic == b"PF":
             raise FormatError("color PFM not supported")
         if magic != b"Pf":
             raise FormatError(f"bad magic {magic!r}")
-        dims = f.readline().split()
+        dims = _read_pfm_line(f, "dimensions").split()
         if len(dims) != 2 or not all(d.isdigit() for d in dims):
             raise FormatError(f"bad dimensions line {b' '.join(dims)!r}")
         width, height = int(dims[0]), int(dims[1])
         if width < 1 or height < 1:
             raise FormatError(f"dimensions must be positive, got {width}x{height}")
         try:
-            scale = float(f.readline())
+            scale = float(_read_pfm_line(f, "scale"))
         except ValueError as exc:
             raise FormatError(f"bad scale line: {exc}") from exc
         if scale == 0 or not math.isfinite(scale):

@@ -1,11 +1,12 @@
 """Forward pass of the stereo network.
 
 Pipeline: Unet feature extractor -> float32 1D correlation volumes at
-1/2 and 1/4 resolution; the census/U/V traditional volumes reduced to
-32 channels, with the normalized 288-channel interleave folded into the
-first 1x1 conv; a guide encoder turning the traditional volume into
-features at 1/2, 1/4, 1/8 and 1/16 scale; two cascade hourglass
-networks fusing everything; a 1x1 head regressing disparity, bilinearly
+1/2 and 1/4 resolution (DEPTH and DEPTH // 2 candidates); the census/U/V
+traditional volumes reduced to 32 channels, with the normalized
+3·DEPTH-channel interleave folded into the first 1x1 conv; a guide
+encoder turning the traditional volume into features at 1/2, 1/4, 1/8
+and 1/16 scale (LEVELS stride-2 steps); two cascade hourglass networks
+fusing everything; a 1x1 head regressing disparity, bilinearly
 upsampled to full resolution.
 
 All parameters live in a WeightStore serialized as the "MSCV1" binary
@@ -21,13 +22,12 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from mscv.costvol import correlate_1d, traditional_costs
-from mscv.imagekit import DisparityMap, Image, crop, pad_reflect
+from mscv.imagekit import MAX_DISPARITY, DisparityMap, Image, crop, pad_reflect
 from mscv.tensorops import (
     ConvParams,
     bilinear_resize,
@@ -38,6 +38,8 @@ from mscv.tensorops import (
 
 MAGIC = b"MSCV1"
 BN_EPS = 1e-5
+DEPTH = MAX_DISPARITY // 2  # half-scale disparity candidates
+LEVELS = 3  # stride-2 steps from 1/2 to 1/16 scale
 
 
 class WeightError(ValueError):
@@ -100,10 +102,10 @@ def _unet_layers() -> list[LayerDef]:
 
 
 def _trad_layers() -> list[LayerDef]:
-    # 1x1 reduction chain 288-144-72-36-32, then left image concat (+3)
+    # 1x1 reduction chain 3·DEPTH-144-72-36-32, then left image concat (+3)
     # and three 3x3 harvesting convs back down to 32 channels.
     return [
-        LayerDef("trad.red0", 144, 288, 1, 1),
+        LayerDef("trad.red0", 144, 3 * DEPTH, 1, 1),
         LayerDef("trad.red1", 72, 144, 1, 1),
         LayerDef("trad.red2", 36, 72, 1, 1),
         LayerDef("trad.red3", 32, 36, 1, 1),
@@ -115,17 +117,17 @@ def _trad_layers() -> list[LayerDef]:
 
 def _guide_layers() -> list[LayerDef]:
     layers = [LayerDef("guide.s0", 32, 32, 3, 3)]
-    for i in (1, 2, 3):
+    for i in range(1, LEVELS + 1):
         layers.append(LayerDef(f"guide.d{i}.a", 32, 32, 3, 3, stride=2))
         layers.append(LayerDef(f"guide.d{i}.b", 32, 32, 3, 3))
     return layers
 
 
 def _hourglass_layers(stage: int) -> list[LayerDef]:
-    # Stage 1 runs 1/4 -> 1/16 (2 down levels); stage 2 runs 1/2 -> 1/16
-    # (3 down levels).  Decoder mirrors the encoder depth.
-    in_c = 48 if stage == 1 else 32
-    downs = 2 if stage == 1 else 3
+    # Stage 1 runs 1/4 -> 1/16 on the quarter-scale correlation volume,
+    # stage 2 runs 1/2 -> 1/16; the decoder mirrors the encoder depth.
+    in_c = DEPTH // 2 if stage == 1 else 32
+    downs = LEVELS - 1 if stage == 1 else LEVELS
     pre = f"hg{stage}"
     layers = [LayerDef(f"{pre}.entry", 32, in_c, 3, 3)]
     for i in range(downs):
@@ -151,7 +153,7 @@ def architecture() -> list[LayerDef]:
     return (
         _unet_layers()
         + _trad_layers()
-        + [LayerDef("corr.reduce", 32, 96, 1, 1)]
+        + [LayerDef("corr.reduce", 32, DEPTH, 1, 1)]
         + _guide_layers()
         + _hourglass_layers(1)
         + [
@@ -337,65 +339,55 @@ def unet_features(image: Image, store: WeightStore) -> tuple[np.ndarray, np.ndar
     return layer("up1.harvest", x), f_quarter
 
 
-def reduce_traditional(
-    bands: Iterable[tuple[int, Callable[[], Iterator[np.ndarray]]]],
-    left_half: Image, store: WeightStore,
-) -> np.ndarray:
-    """Reduce the census, U and V 96-deep costs to 32 float32 channels.
+def reduce_traditional(left: Image, right: Image, store: WeightStore) -> np.ndarray:
+    """Reduce the census, U and V DEPTH-deep costs to 32 float32 channels.
 
-    The costs arrive from ``costvol.traditional_costs`` as row bands
-    ``(y0, planes)``, each streaming one (3, rows, W) plane [C(d), U(d),
-    V(d)] per disparity d.  ``trad.red0`` is a 1x1 conv over the paper's
-    288-channel volume [C(d), U(d), V(d)] normalized by its mean μ and
-    std σ (+1e-8).  The interleave only permutes red0's input columns and
-    the normalization is affine, so red0 runs per band as one float32
-    K=288 GEMM, with its columns permuted once into [C | U | V] order, on
-    the costs centered at the first band's mean μ̃ (taken in a pass of its
-    own over that band's planes).  Each plane is centered in float64, its
-    Σ(x-μ̃) and Σ(x-μ̃)² are added in float64 (shifted data: Chan, Golub &
-    LeVeque 1983), and it is cast into one float32 (3, 96, rows·W) band
-    buffer.  Then (μ-μ̃)·W·1 is subtracted and the output scaled by
-    1/(σ+1e-8).  As |μ̃-μ| <= σ·√(N/n₁) (Cauchy-Schwarz, n₁ of the N values
-    in the first band), the float32 centering error stays within
-    ε₃₂·(|x-μ| + √bands·σ) for any input, and a constant volume stays
-    exact.  Then 1x1 convs 144-72-36-32, and three 3x3 harvesting convs,
-    the first reading the half-resolution left image as 3 more channels.
+    Takes the 16-padded RGB pair.  ``costvol.traditional_costs`` streams
+    the half-scale costs as row bands ``(y0, planes)``, each yielding one
+    (3, rows, W) plane [C(d), U(d), V(d)] per disparity d.  ``trad.red0``
+    is a 1x1 conv over the paper's 3·DEPTH-channel volume [C(d), U(d),
+    V(d)] normalized by its mean μ and std σ (+1e-8).  The interleave only
+    permutes red0's input columns and the normalization is affine, so red0
+    runs per band as one float32 K = 3·DEPTH GEMM, with its columns
+    permuted once into [C | U | V] order, on the costs centered at the
+    first band's mean μ̃ (taken in a pass of its own over that band's
+    planes).  Each plane is centered in float64, its Σ(x-μ̃) and Σ(x-μ̃)²
+    are added in float64 (shifted data: Chan, Golub & LeVeque 1983), and
+    it is cast into one float32 (3, DEPTH, rows·W) band buffer.  Then
+    (μ-μ̃)·W·1 is subtracted and the output scaled by 1/(σ+1e-8).  As
+    |μ̃-μ| <= σ·√(N/n₁) (Cauchy-Schwarz, n₁ of the N values in the first
+    band), the float32 centering error stays within ε₃₂·(|x-μ| + √bands·σ)
+    for any input, and a constant volume stays exact.  Then 1x1 convs
+    144-72-36-32, and three 3x3 harvesting convs, the first reading the
+    half-resolution left image as 3 more channels.
     """
-    h, w = left_half.height, left_half.width
     p = ConvParams(store["trad.red0.w"], store["trad.red0.b"])
-    if p.weights.shape[1:] != (288, 1, 1):
+    if p.weights.shape[1:] != (3 * DEPTH, 1, 1):
         raise WeightError(f"parameter 'trad.red0.w' has shape {p.weights.shape}")
-    wmat = p.weights.reshape(p.out_channels, 288)
-    wcuv = wmat.reshape(-1, 96, 3).transpose(0, 2, 1).reshape(-1, 288)
+    wmat = p.weights.reshape(p.out_channels, 3 * DEPTH)
+    wcuv = wmat.reshape(-1, DEPTH, 3).transpose(0, 2, 1).reshape(-1, 3 * DEPTH)
+    left_half, bands = traditional_costs(left, right, DEPTH)
+    h, w = left_half.height, left_half.width
     x = np.empty((p.out_channels, h * w), dtype=np.float32)
-    flat = np.empty(0, dtype=np.float32)  # flat: a band's prefix is contiguous
-    shift, rows, sums, squares = None, 0, 0.0, 0.0
+    flat, shift, sums, squares = None, None, 0.0, 0.0
     for y0, planes in bands:
         if shift is None:  # a band's planes all have one size
             shift = np.mean([plane.mean() for plane in planes()])
-        d = -1
         for d, plane in enumerate(planes()):
-            if d == 0:
-                n = plane.shape[1]
-                if flat.size < 288 * n * w:
-                    flat = np.empty(288 * n * w, dtype=np.float32)
-                band = flat[: 288 * n * w].reshape(3, 96, n * w)
-            if y0 != rows or d >= 96 or plane.shape != (3, n, w) or rows + n > h:
-                raise ValueError(f"band at row {y0} does not fit 96-deep {h}x{w} costs")
+            if flat is None:  # the first band is the largest
+                flat = np.empty(DEPTH * plane.size, dtype=np.float32)
+            if d == 0:  # a band's prefix of flat is contiguous
+                band = flat[: DEPTH * plane.size].reshape(3, DEPTH, -1)
             plane -= shift
             sums += plane.sum()
             squares += np.vdot(plane, plane)
-            band[:, d] = plane.reshape(3, n * w)
-        if d != 95:
-            raise ValueError(f"band at row {y0} has {d + 1} planes, not 96")
-        rows += n
-        np.matmul(wcuv, band.reshape(288, -1), out=x[:, y0 * w : rows * w])
-    if rows != h:
-        raise ValueError(f"bands cover {rows} of {h} rows")
+            band[:, d] = plane.reshape(3, -1)
+        cols = band.shape[2]
+        np.matmul(wcuv, band.reshape(3 * DEPTH, cols), out=x[:, y0 * w : y0 * w + cols])
     # Loop names would keep the band buffer and the front end's arrays
     # (through the last stream) alive.
     del flat, band, plane, planes
-    n = 288 * h * w
+    n = 3 * DEPTH * h * w
     offset = sums / n  # μ - μ̃
     sigma = np.sqrt(max(squares / n - offset * offset, 0.0))
     x -= (offset * wmat.sum(axis=1, dtype=np.float64)).astype(np.float32)[:, None]
@@ -408,32 +400,22 @@ def reduce_traditional(
     return _layer(store, "trad.harvest2", _layer(store, "trad.harvest1", x))
 
 
-def reduce_correlation(corr96: np.ndarray, store: WeightStore) -> np.ndarray:
-    """1x1 conv collapsing the 96-candidate correlation volume to 32."""
-    return _layer(store, "corr.reduce", corr96)
+def reduce_correlation(costs: np.ndarray, store: WeightStore) -> np.ndarray:
+    """1x1 conv collapsing the DEPTH-candidate correlation volume to 32."""
+    return _layer(store, "corr.reduce", costs)
 
 
-@dataclass
-class GuideSet:
-    """Guide features at 1/2, 1/4, 1/8 and 1/16 of full resolution."""
+def guide_encoder(trad32: np.ndarray, store: WeightStore) -> list[np.ndarray]:
+    """Guides at 1/2, 1/4, 1/8 and 1/16 scale, in that order.
 
-    half: np.ndarray
-    quarter: np.ndarray
-    eighth: np.ndarray
-    sixteenth: np.ndarray
-
-
-def guide_encoder(trad32: np.ndarray, store: WeightStore) -> GuideSet:
-    """Multi-scale guides from the 32-channel half-scale traditional volume.
-
-    One stride-1 block at 1/2, then three down blocks (stride-2 conv +
-    stride-1 conv) reaching 1/16.
+    One stride-1 block on the 32-channel half-scale traditional volume,
+    then LEVELS down blocks (stride-2 conv + stride-1 conv).
     """
     guides = [_layer(store, "guide.s0", trad32)]
-    for i in (1, 2, 3):
+    for i in range(1, LEVELS + 1):
         g = _layer(store, f"guide.d{i}.a", guides[-1])
         guides.append(_layer(store, f"guide.d{i}.b", g))
-    return GuideSet(*guides)
+    return guides
 
 
 def _residual(store, prefix, x):
@@ -445,52 +427,44 @@ def _residual(store, prefix, x):
 
 
 def hourglass_forward(
-    x: np.ndarray, guides: GuideSet, store: WeightStore, stage: int
+    x: np.ndarray, guides: list[np.ndarray], store: WeightStore, stage: int
 ) -> np.ndarray:
     """One hourglass: residual encoder to 1/16, guided decoder back up.
 
-    Stage 1 takes the 1/4-scale correlation volume (48 channels) and
-    returns 1/4-scale features; stage 2 takes the fused 1/2-scale input
-    and returns 1/2-scale features, 32 channels each.
+    ``guides`` run from the input's scale down to 1/16, so the hourglass
+    has ``len(guides) - 1`` levels.  Stage 1 takes the 1/4-scale
+    correlation volume and returns 1/4-scale features; stage 2 takes the
+    fused 1/2-scale input and returns 1/2-scale features, 32 channels each.
     """
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
-    downs = 2 if stage == 1 else 3
     pre = f"hg{stage}"
     y = _layer(store, f"{pre}.entry", x)
-    for i in range(downs):
+    for i in range(len(guides) - 1):
         y = _residual(store, f"{pre}.down{i}", y)
         y = _residual(store, f"{pre}.res{i}", y)
-
-    def fuse(name, scale, y, g):
-        if g.shape[1:] != y.shape[1:]:
-            raise ValueError(
-                f"guide scale mismatch at {scale}: {g.shape[1:]} vs {y.shape[1:]}"
-            )
-        return _layer(store, name, y, g)
-
-    y = fuse(f"{pre}.bottleneck", "bottleneck", y, guides.sixteenth)
-    ups = (("eighth", guides.eighth), ("quarter", guides.quarter), ("half", guides.half))
-    for i, (scale, g) in enumerate(ups[:downs]):
+    y = _layer(store, f"{pre}.bottleneck", y, guides[-1])
+    for i in range(len(guides) - 1):
         y = _layer(store, f"{pre}.up{i}.deconv", y)
-        y = _layer(store, f"{pre}.up{i}.conv", fuse(f"{pre}.up{i}.fuse", scale, y, g))
+        y = _layer(store, f"{pre}.up{i}.fuse", y, guides[-2 - i])
+        y = _layer(store, f"{pre}.up{i}.conv", y)
     return y
 
 
 def cascade_forward(
     trad32: np.ndarray,
     corr32_half: np.ndarray,
-    corr48_quarter: np.ndarray,
-    guides: GuideSet,
+    corr_quarter: np.ndarray,
+    guides: list[np.ndarray],
     store: WeightStore,
 ) -> np.ndarray:
     """Two chained hourglasses with intermediate fusion.
 
-    Stage 1 consumes the 1/4-scale 48-channel correlation volume; its
-    upsampled output is fused (concat + 1x1 conv) with both 1/2-scale
-    32-channel volumes to feed stage 2.
+    Stage 1 takes the 1/4-scale correlation volume and the guides from
+    1/4 down; its upsampled output is fused (concat + 1x1 conv) with both
+    1/2-scale 32-channel volumes to feed stage 2, which takes every guide.
     """
-    x = _layer(store, "casc.up", hourglass_forward(corr48_quarter, guides, store, 1))
+    x = _layer(store, "casc.up", hourglass_forward(corr_quarter, guides[1:], store, 1))
     x = _layer(store, "casc.fuse", x, corr32_half, trad32)
     return hourglass_forward(x, guides, store, 2)
 
@@ -524,27 +498,22 @@ def full_forward(
     validate_store(store)
     left_p, orig = pad_reflect(left, 16)
     right_p, _ = pad_reflect(right, 16)
-
-    def trad_branch():
-        left_half, bands = traditional_costs(left_p, right_p, 96)
-        return reduce_traditional(bands, left_half, store)
-
     if threads > 1:
         with ThreadPoolExecutor(max_workers=min(threads, 3)) as pool:
-            fut_trad = pool.submit(trad_branch)
+            fut_trad = pool.submit(reduce_traditional, left_p, right_p, store)
             fut_l = pool.submit(unet_features, left_p, store)
             fut_r = pool.submit(unet_features, right_p, store)
             trad32 = fut_trad.result()
             fl_half, fl_quarter = fut_l.result()
             fr_half, fr_quarter = fut_r.result()
     else:
-        trad32 = trad_branch()
+        trad32 = reduce_traditional(left_p, right_p, store)
         fl_half, fl_quarter = unet_features(left_p, store)
         fr_half, fr_quarter = unet_features(right_p, store)
 
-    corr32 = reduce_correlation(correlate_1d(fl_half, fr_half, 96).costs, store)
-    corr48 = correlate_1d(fl_quarter, fr_quarter, 48).costs
+    corr32 = reduce_correlation(correlate_1d(fl_half, fr_half, DEPTH).costs, store)
+    corr_quarter = correlate_1d(fl_quarter, fr_quarter, DEPTH // 2).costs
     del left_p, right_p, fl_half, fl_quarter, fr_half, fr_quarter
     guides = guide_encoder(trad32, store)
-    refined = cascade_forward(trad32, corr32, corr48, guides, store)
+    refined = cascade_forward(trad32, corr32, corr_quarter, guides, store)
     return disparity_head(refined, orig, store)

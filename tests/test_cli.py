@@ -279,6 +279,20 @@ class TestDispatch:
         assert main(["mask", "--gt", str(bad), "--out",
                      str(tmp_path / "m.pgm")]) == 2
 
+    def test_megabyte_pfm_header_line_exits_2_briefly(self, tmp_path, capsys):
+        bad = tmp_path / "long.pfm"
+        bad.write_bytes(b"x" * 20_000_000)
+        assert main(["mask", "--gt", str(bad), "--out", str(tmp_path / "m.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 200
+
+    def test_unallocatable_size_exits_2(self, tmp_path, capsys):
+        # 10^6 x 10^6 RGB is 21.8 TiB: refused at once, never overcommitted.
+        assert main(["synth", "--out", str(tmp_path / "d"),
+                     "--width", "1000000", "--height", "1000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_infer_with_malformed_weights_exits_2(self, tmp_path, capsys):
         out = tmp_path / "data"
         main(["synth", "--out", str(out), "--width", "32", "--height", "16"])

@@ -152,6 +152,32 @@ class TestPfmCodec:
         with pytest.raises(FormatError, match="truncated"):
             read_pfm(path)
 
+    @pytest.mark.parametrize("header", [b"x" * 20_000_000, b"Pf\n" + b"1" * 20_000_000],
+                             ids=["magic", "dimensions"])
+    def test_megabyte_header_line_fails_fast(self, tmp_path, header):
+        # One 20 MB header line without a newline: rejected at the line
+        # bound, with a message that does not quote it.
+        path = tmp_path / "long.pfm"
+        path.write_bytes(header)
+        began = time.process_time()
+        with pytest.raises(FormatError, match="line longer than") as info:
+            read_pfm(path)
+        assert time.process_time() - began < 0.5
+        assert len(str(info.value)) < 200
+
+    def test_five_thousand_digit_width_rejected(self, tmp_path):
+        path = tmp_path / "w.pfm"
+        path.write_bytes(b"Pf\n" + b"1" * 5000 + b" 1\n-1.0\n" + b"\x00" * 4)
+        with pytest.raises(FormatError):
+            read_pfm(path)
+
+    def test_hundred_byte_header_lines_accepted(self, tmp_path):
+        path = tmp_path / "pad.pfm"
+        lines = [b"Pf", b"2 1", b"-1.0"]
+        path.write_bytes(b"".join(l.ljust(99) + b"\n" for l in lines)
+                         + np.array([1.0, 2.0], dtype="<f4").tobytes())
+        np.testing.assert_array_equal(read_pfm(path).values, [[1.0, 2.0]])
+
     def test_big_endian_scale(self, tmp_path):
         path = tmp_path / "be.pfm"
         path.write_bytes(b"Pf\n1 1\n1.0\n" + np.array([7.0], dtype=">f4").tobytes())

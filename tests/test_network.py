@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,7 +12,6 @@ import mscv.network
 from mscv.costvol import _BAND_ROWS, CostVolume
 from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
 from mscv.network import (
-    GuideSet,
     WeightError,
     WeightStore,
     _layer,
@@ -299,18 +299,25 @@ class TestUnetFeatures:
 
 class TestReductions:
     @staticmethod
-    def bands(vols):
-        # Row bands as costvol.traditional_costs streams them: (y0, planes),
-        # planes() yielding one (3, rows, W) [C(d), U(d), V(d)] per d.  Each
-        # plane is a copy: reduce_traditional centers it in place.
+    def reduce(monkeypatch, vols, left_half, store):
+        # reduce_traditional on hand-built costs: traditional_costs streams
+        # `vols` as row bands (y0, planes), planes() yielding one (3, rows, W)
+        # [C(d), U(d), V(d)] per d.  Each plane is a copy: reduce_traditional
+        # centers it in place.
         stacked = np.stack([v.costs for v in vols])
 
         def planes(y0):
             for d in range(stacked.shape[1]):
                 yield stacked[:, d, y0 : y0 + _BAND_ROWS].copy()
 
-        return [(y0, functools.partial(planes, y0))
-                for y0 in range(0, stacked.shape[2], _BAND_ROWS)]
+        def costs(left, right, max_d):
+            assert max_d == 96
+            bands = ((y0, functools.partial(planes, y0))
+                     for y0 in range(0, stacked.shape[2], _BAND_ROWS))
+            return left_half, bands
+
+        monkeypatch.setattr(mscv.network, "traditional_costs", costs)
+        return reduce_traditional(None, None, store)
 
     @staticmethod
     def trad_volumes(rng, h=8, w=12, depth=96):
@@ -332,40 +339,25 @@ class TestReductions:
             x = _layer(store, f"trad.harvest{i}", x)
         return x
 
-    def test_traditional_channel_trace_and_shape(self, rng, store, forward_probe):
+    def test_traditional_channel_trace_and_shape(self, rng, store, forward_probe,
+                                                 monkeypatch):
         # Reduction chain 288-144-72-36-32: trad.red0 reads the 288-channel
         # volume as band GEMMs, trad.red1..3 run through _layer.
         left_half = Image(rng.random((3, 8, 12)))
-        out = reduce_traditional(self.bands(self.trad_volumes(rng)), left_half, store)
+        out = self.reduce(monkeypatch, self.trad_volumes(rng), left_half, store)
         assert out.shape == (32, 8, 12)
         assert store["trad.red0.w"].shape == (144, 288, 1, 1)
         assert [l for l in forward_probe.layers if l[0].startswith("trad.red")] == [
             ("trad.red1", 144, 72), ("trad.red2", 72, 36), ("trad.red3", 36, 32),
         ]
 
-    def test_traditional_scale_mismatch_rejected(self, rng, store):
-        vols = self.trad_volumes(rng)
-        with pytest.raises(ValueError):
-            reduce_traditional(self.bands(vols), Image(rng.random((3, 4, 6))), store)
-        left_half = Image(rng.random((3, 8, 12)))
-        # 95 or 97 planes, quarter-scale costs for a half-scale image, and
-        # one column too many.
-        for bad in (
-            self.trad_volumes(rng, depth=95),
-            self.trad_volumes(rng, depth=97),
-            self.trad_volumes(rng, h=4, w=6),
-            self.trad_volumes(rng, w=13),
-        ):
-            with pytest.raises(ValueError, match="band at row 0"):
-                reduce_traditional(self.bands(bad), left_half, store)
-
     @pytest.mark.parametrize("seed", [0, 7, 11])
-    def test_traditional_matches_assembled_reference(self, rng, seed):
+    def test_traditional_matches_assembled_reference(self, rng, seed, monkeypatch):
         weights = init_weights(seed)
         # 8 rows fit in one band; 40 span two full bands and a short third.
         for h in (8, 40):
             left_half = Image(rng.random((3, h, 12)))
-            reduce = lambda vols: reduce_traditional(self.bands(vols), left_half, weights)
+            reduce = lambda vols: self.reduce(monkeypatch, vols, left_half, weights)
             near = lambda eps: tuple(
                 CostVolume(3.0 + eps * rng.random((96, h, 12)))
                 for _ in range(3)
@@ -413,16 +405,15 @@ class TestGuideEncoder:
     def test_four_scales_halving(self, rng, store):
         trad = rng.standard_normal((32, 16, 24)).astype(np.float32)
         guides = guide_encoder(trad, store)
-        assert guides.half.shape == (32, 16, 24)
-        assert guides.quarter.shape == (32, 8, 12)
-        assert guides.eighth.shape == (32, 4, 6)
-        assert guides.sixteenth.shape == (32, 2, 3)
+        assert [g.shape for g in guides] == [
+            (32, 16, 24), (32, 8, 12), (32, 4, 6), (32, 2, 3),
+        ]
 
     def test_deterministic(self, rng, store):
         trad = rng.standard_normal((32, 8, 8)).astype(np.float32)
         a = guide_encoder(trad, store)
         b = guide_encoder(trad, store)
-        assert (a.sixteenth == b.sixteenth).all()
+        assert all((x == y).all() for x, y in zip(a, b))
 
 
 class TestCascade:
@@ -439,14 +430,18 @@ class TestCascade:
         refined = cascade_forward(trad, corr32, corr48, guides, store)
         assert refined.shape == (32, 16, 24)
 
-    @pytest.mark.parametrize("scale", ["sixteenth", "quarter", "half"])
-    def test_guide_mismatch_names_scale(self, rng, store, scale):
+    @pytest.mark.parametrize("level", [
+        pytest.param(3, id="sixteenth"), pytest.param(1, id="quarter"),
+        pytest.param(0, id="half"),
+    ])
+    def test_guide_mismatch_names_scale(self, rng, store, level):
+        # A guide one row short: the layer that fuses it names both (H, W).
         trad, corr32, corr48, guides = self.inputs(rng, store)
-        fields = {f: getattr(guides, f) for f in ("half", "quarter", "eighth", "sixteenth")}
-        fields[scale] = fields[scale][:, :-1]
-        where = "bottleneck" if scale == "sixteenth" else scale
-        with pytest.raises(ValueError, match=f"guide scale mismatch at {where}"):
-            cascade_forward(trad, corr32, corr48, GuideSet(**fields), store)
+        h, w = guides[level].shape[1:]
+        guides[level] = guides[level][:, :-1]
+        shapes = re.escape(f"[{(h, w)}, {(h - 1, w)}]")
+        with pytest.raises(ValueError, match=rf"inputs differ in \(H, W\): {shapes}"):
+            cascade_forward(trad, corr32, corr48, guides, store)
 
     def test_residual_identity_with_zero_weights(self, rng, store):
         # Zeroing both convs of an identity-shortcut block leaves its
