@@ -11,12 +11,13 @@ folds their normalized per-disparity interleave (the paper's
 (``network.reduce_traditional``).  Two correlation volumes come from CNN
 feature maps at 1/2 and 1/4 resolution, in the features' dtype.
 
-Every plane is computed along contiguous flat runs: the (H, W) rows are
-read as one run of H·W pixels, so shifting by d pairs pixel i with
-pixel i - d, which is (y, x - d) for x >= d.  The d leading columns of
-each row, where that partner would lie in the row above, are then
-overwritten with the fill cost.  A strided 2-D shift costs several times
-more per pixel than the same ufunc on contiguous data.
+Both kinds write each disparity plane with one routine, ``_plane``,
+along contiguous flat runs: the callers read the (H, W) rows once as a
+run of H·W pixels, so shifting by d pairs pixel i with pixel i - d,
+which is (y, x - d) for x >= d.  The d leading columns of each row,
+where that partner would lie in the row above, are then overwritten
+with the fill cost.  A strided 2-D shift costs several times more per
+pixel than the same ufunc on contiguous data.
 
 Volume layout is (depth, height, width): depth indexes disparity
 candidates.  Matching costs are lower-is-better, correlations
@@ -76,35 +77,19 @@ def census_transform(plane: Image) -> np.ndarray:
     return desc
 
 
-def _planes(left, right, max_d, fill, cost, plane):
-    """Write the costs of each disparity d < max_d into ``plane(d)``; yield d.
+def _plane(left, right, d, fill, cost, out):
+    """Write the costs of disparity d into the C-contiguous (H, W) ``out``.
 
-    ``left``/``right`` share a shape ending in (H, W) and ``plane(d)`` is
-    a C-contiguous (H, W) array.  Both inputs are flattened to runs of
-    n = H·W pixels (a copy only if they are not contiguous) and
-    ``cost(l[..., d:], r[..., :n - d], out)`` writes the flat plane from
-    index d on.  Columns with x - d < 0 have no partner in their row and
-    get ``fill`` afterwards.  A plane that is not contiguous raises
-    instead of being written through a copy.
+    ``left``/``right`` are flat runs of n = H·W pixels (their shape ends
+    in n) and ``cost(left[..., d:], right[..., :n - d], run)`` writes
+    ``run``, the flattened ``out`` from index d on.  Columns with x - d < 0
+    have no partner in their row and get ``fill`` afterwards.  An ``out`` that is not
+    contiguous raises instead of being written through a copy.
     """
-    h, w = left.shape[-2:]
-    n = h * w
-    l = left.reshape(*left.shape[:-2], n)
-    r = right.reshape(*right.shape[:-2], n)
-    for d in range(max_d):
-        p = plane(d)
-        if d < w:
-            cost(l[..., d:], r[..., : n - d], np.reshape(p, -1, copy=False)[d:])
-        p[:, :d] = fill
-        yield d
-
-
-def _shifted(left, right, max_d, fill, cost, dtype=np.float64) -> np.ndarray:
-    """(max_d, H, W) ``dtype`` volume of ``_planes``' costs."""
-    costs = np.empty((max_d, *left.shape[-2:]), dtype=dtype)
-    for _ in _planes(left, right, max_d, fill, cost, costs.__getitem__):
-        pass
-    return costs
+    n = left.shape[-1]
+    if d < out.shape[1]:
+        cost(left[..., d:], right[..., : n - d], np.reshape(out, -1, copy=False)[d:])
+    out[:, :d] = fill
 
 
 def _hamming(l, r, out):
@@ -138,23 +123,21 @@ def traditional_costs(
     left_half = mean_pool_2x(left)
     lyuv = rgb_to_yuv(left_half).data
     ryuv = rgb_to_yuv(mean_pool_2x(right)).data
-    pairs = (
-        (census_transform(Image(lyuv[:1])), census_transform(Image(ryuv[:1])),
-         CENSUS_BITS, _hamming),
-        (lyuv[1], ryuv[1], 1.0, _absdiff),
-        (lyuv[2], ryuv[2], 1.0, _absdiff),
+    pairs = (  # flat runs: a band's rows are one contiguous slice
+        (census_transform(Image(lyuv[:1])).reshape(-1),
+         census_transform(Image(ryuv[:1])).reshape(-1), CENSUS_BITS, _hamming),
+        (lyuv[1].reshape(-1), ryuv[1].reshape(-1), 1.0, _absdiff),
+        (lyuv[2].reshape(-1), ryuv[2].reshape(-1), 1.0, _absdiff),
     )
     h, w = left_half.height, left_half.width
     flat = np.empty(3 * min(h, _BAND_ROWS) * w)  # flat: a band's prefix is contiguous
 
     def planes(y0):
-        rows = slice(y0, y0 + _BAND_ROWS)
-        out = flat[: 3 * (min(h, y0 + _BAND_ROWS) - y0) * w].reshape(3, -1, w)
-        streams = [
-            _planes(l[rows], r[rows], max_d, fill, cost, lambda d, o=o: o)
-            for (l, r, fill, cost), o in zip(pairs, out)
-        ]
-        for _ in zip(*streams):
+        run = slice(y0 * w, min(h, y0 + _BAND_ROWS) * w)
+        out = flat[: 3 * (run.stop - run.start)].reshape(3, -1, w)
+        for d in range(max_d):
+            for (l, r, fill, cost), o in zip(pairs, out):
+                _plane(l[run], r[run], d, fill, cost, o)
             yield out
 
     bands = (
@@ -175,12 +158,13 @@ def correlate_1d(f_left: np.ndarray, f_right: np.ndarray, max_d: int) -> CostVol
         raise ValueError("feature tensor shapes differ")
     if f_left.ndim != 3:
         raise ValueError("feature tensors must be (C, H, W)")
-    n = f_left.shape[0]
+    n, h, w = f_left.shape
     dtype = np.result_type(f_left.dtype, f_right.dtype, np.float32)
-    costs = _shifted(
-        f_left.astype(dtype, copy=False), f_right.astype(dtype, copy=False),
-        max_d, 0.0, lambda l, r, out: np.divide(np.einsum("cp,cp->p", l, r), n, out=out),
-        dtype,
-    )
+    l = f_left.astype(dtype, copy=False).reshape(n, h * w)
+    r = f_right.astype(dtype, copy=False).reshape(n, h * w)
+    costs = np.empty((max_d, h, w), dtype=dtype)
+    dot = lambda l, r, out: np.divide(np.einsum("cp,cp->p", l, r), n, out=out)
+    for d in range(max_d):
+        _plane(l, r, d, 0.0, dot, costs[d])
     return CostVolume(costs)
 

@@ -191,8 +191,9 @@ def read_pfm(path) -> DisparityMap:
         width, height = int(dims[0]), int(dims[1])
         if width < 1 or height < 1:
             raise FormatError(f"dimensions must be positive, got {width}x{height}")
+        line = _read_pfm_line(f, "scale")
         try:
-            scale = float(_read_pfm_line(f, "scale"))
+            scale = float(line)
         except ValueError as exc:
             raise FormatError(f"bad scale line: {exc}") from exc
         if scale == 0 or not math.isfinite(scale):

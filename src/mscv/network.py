@@ -40,6 +40,8 @@ MAGIC = b"MSCV1"
 BN_EPS = 1e-5
 DEPTH = MAX_DISPARITY // 2  # half-scale disparity candidates
 LEVELS = 3  # stride-2 steps from 1/2 to 1/16 scale
+# Hourglass levels per stage: stage 1 runs 1/4 -> 1/16, stage 2 1/2 -> 1/16.
+_STAGE_LEVELS = {1: LEVELS - 1, 2: LEVELS}
 
 
 class WeightError(ValueError):
@@ -124,10 +126,10 @@ def _guide_layers() -> list[LayerDef]:
 
 
 def _hourglass_layers(stage: int) -> list[LayerDef]:
-    # Stage 1 runs 1/4 -> 1/16 on the quarter-scale correlation volume,
-    # stage 2 runs 1/2 -> 1/16; the decoder mirrors the encoder depth.
+    # Stage 1 takes the quarter-scale correlation volume; the decoder
+    # mirrors the encoder depth.
     in_c = DEPTH // 2 if stage == 1 else 32
-    downs = LEVELS - 1 if stage == 1 else LEVELS
+    downs = _STAGE_LEVELS[stage]
     pre = f"hg{stage}"
     layers = [LayerDef(f"{pre}.entry", 32, in_c, 3, 3)]
     for i in range(downs):
@@ -431,20 +433,25 @@ def hourglass_forward(
 ) -> np.ndarray:
     """One hourglass: residual encoder to 1/16, guided decoder back up.
 
-    ``guides`` run from the input's scale down to 1/16, so the hourglass
-    has ``len(guides) - 1`` levels.  Stage 1 takes the 1/4-scale
-    correlation volume and returns 1/4-scale features; stage 2 takes the
-    fused 1/2-scale input and returns 1/2-scale features, 32 channels each.
+    ``guides`` run from the input's scale down to 1/16, one more than the
+    stage's levels.  Stage 1 takes the 1/4-scale correlation volume and
+    returns 1/4-scale features; stage 2 takes the fused 1/2-scale input
+    and returns 1/2-scale features, 32 channels each.
     """
-    if stage not in (1, 2):
+    if stage not in _STAGE_LEVELS:
         raise ValueError("stage must be 1 or 2")
+    levels = _STAGE_LEVELS[stage]
+    if len(guides) != levels + 1:
+        raise ValueError(
+            f"hourglass stage {stage} takes {levels + 1} guides, got {len(guides)}"
+        )
     pre = f"hg{stage}"
     y = _layer(store, f"{pre}.entry", x)
-    for i in range(len(guides) - 1):
+    for i in range(levels):
         y = _residual(store, f"{pre}.down{i}", y)
         y = _residual(store, f"{pre}.res{i}", y)
     y = _layer(store, f"{pre}.bottleneck", y, guides[-1])
-    for i in range(len(guides) - 1):
+    for i in range(levels):
         y = _layer(store, f"{pre}.up{i}.deconv", y)
         y = _layer(store, f"{pre}.up{i}.fuse", y, guides[-2 - i])
         y = _layer(store, f"{pre}.up{i}.conv", y)

@@ -15,7 +15,7 @@ from mscv.costvol import (
     CostVolume,
     _absdiff,
     _hamming,
-    _shifted,
+    _plane,
     census_transform,
     correlate_1d,
 )
@@ -74,6 +74,14 @@ def plane(data):
     return Image(np.asarray(data, dtype=np.float64)[None])
 
 
+def plane_volume(left, right, max_d, fill, cost):
+    # The per-disparity planes that traditional_costs streams, as one volume.
+    vol = np.empty((max_d, *left.shape))
+    for d in range(max_d):
+        _plane(left.reshape(-1), right.reshape(-1), d, fill, cost, vol[d])
+    return vol
+
+
 def test_criterion_01_census_oracle():
     rng = np.random.default_rng(101)
     # CPU time of this process: wall time also counts other processes' load.
@@ -92,12 +100,11 @@ def test_criterion_02_hamming_ad_oracles():
     for _ in range(10):
         dl = census_transform(plane(rng.random((16, 16))))
         dr = census_transform(plane(rng.random((16, 16))))
-        # The per-disparity loop that traditional_costs streams.
-        got = _shifted(dl, dr, 8, CENSUS_BITS, _hamming)
+        got = plane_volume(dl, dr, 8, CENSUS_BITS, _hamming)
         np.testing.assert_array_equal(got, hamming_volume_oracle(dl, dr, 8))
         l = rng.random((16, 16)) - 0.5
         r = rng.random((16, 16)) - 0.5
-        got = _shifted(l, r, 8, 1.0, _absdiff)
+        got = plane_volume(l, r, 8, 1.0, _absdiff)
         np.testing.assert_array_equal(got, ad_volume_oracle(l, r, 8))
     ok(2, "Hamming and AD volumes exactly match brute-force oracles")
 
@@ -108,7 +115,7 @@ def test_criterion_03_synthetic_traditional_path():
     t0 = time.perf_counter()
     lh = rgb_to_yuv(mean_pool_2x(left))
     rh = rgb_to_yuv(mean_pool_2x(right))
-    vol = _shifted(
+    vol = plane_volume(
         census_transform(Image(lh.data[0:1])),
         census_transform(Image(rh.data[0:1])),
         96, CENSUS_BITS, _hamming,

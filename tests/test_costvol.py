@@ -11,8 +11,7 @@ from mscv.costvol import (
     CostVolume,
     _absdiff,
     _hamming,
-    _planes,
-    _shifted,
+    _plane,
     census_transform,
     correlate_1d,
     traditional_costs,
@@ -32,14 +31,21 @@ def plane(data):
     return Image(np.asarray(data, dtype=np.float64)[None])
 
 
-# The per-disparity loop that traditional_costs streams, gathered into
-# (max_d, H, W) volumes.
+# The per-disparity planes that traditional_costs streams, gathered into
+# (max_d, H, W) volumes.  Flattening copies a transposed view.
+def plane_volume(left, right, max_d, fill, cost):
+    vol = np.empty((max_d, *left.shape))
+    for d in range(max_d):
+        _plane(left.reshape(-1), right.reshape(-1), d, fill, cost, vol[d])
+    return vol
+
+
 def hamming_volume(left, right, max_d):
-    return _shifted(left, right, max_d, CENSUS_BITS, _hamming)
+    return plane_volume(left, right, max_d, CENSUS_BITS, _hamming)
 
 
 def ad_volume(left, right, max_d):
-    return _shifted(left, right, max_d, 1.0, _absdiff)
+    return plane_volume(left, right, max_d, 1.0, _absdiff)
 
 
 class TestCensusTransform:
@@ -132,10 +138,11 @@ class TestAdVolume:
 
     def test_non_contiguous_plane_rejected(self, rng):
         # Writing a flat run into a strided plane would fill a copy.
-        l = rng.random((4, 6))
+        l = rng.random(24)
         out = np.empty((6, 4)).T
-        with pytest.raises(ValueError):
-            list(_planes(l, l, 2, 1.0, _absdiff, lambda d: out))
+        for d in (0, 1):
+            with pytest.raises(ValueError):
+                _plane(l, l, d, 1.0, _absdiff, out)
 
 
 class TestTraditionalCosts:
@@ -166,6 +173,22 @@ class TestTraditionalCosts:
             np.testing.assert_array_equal(vols[1], ad_volume_oracle(lyuv[1], ryuv[1], max_d))
             np.testing.assert_array_equal(vols[2], ad_volume_oracle(lyuv[2], ryuv[2], max_d))
             np.testing.assert_array_equal(left_half.data, mean_pool_2x(left).data)
+
+    def test_band_stream_repeats_byte_identical(self, rng):
+        # reduce_traditional reads a band's planes() twice (its shift pass,
+        # then the costs), and consumers may overwrite each plane in place.
+        left = Image(rng.random((3, 40, 28)))
+        right = Image(rng.random((3, 40, 28)))
+        _, bands = traditional_costs(left, right, 20)
+        shapes = []
+        for _, planes in bands:  # a full band, then a short last one
+            first = []
+            for p in planes():
+                first.append(p.tobytes())
+                shapes.append(p.shape)
+                p.fill(np.nan)
+            assert [p.tobytes() for p in planes()] == first
+        assert shapes == [(3, _BAND_ROWS, 14)] * 20 + [(3, 20 - _BAND_ROWS, 14)] * 20
 
     # Equal pixel counts (8x16 and 16x8) would pair unrelated pixels along
     # the flat runs; unequal ones would fail inside NumPy.

@@ -165,6 +165,16 @@ class TestPfmCodec:
         assert time.process_time() - began < 0.5
         assert len(str(info.value)) < 200
 
+    def test_long_scale_line_message_said_once(self, tmp_path):
+        path = tmp_path / "scale.pfm"
+        path.write_bytes(b"Pf\n1 1\n" + b"1" * 20_000_000)
+        with pytest.raises(FormatError) as info:
+            read_pfm(path)
+        assert str(info.value) == "scale line longer than 128 bytes"
+        path.write_bytes(b"Pf\n1 1\nx\n" + b"\x00" * 4)  # float() fails
+        with pytest.raises(FormatError, match="^bad scale line: could not convert"):
+            read_pfm(path)
+
     def test_five_thousand_digit_width_rejected(self, tmp_path):
         path = tmp_path / "w.pfm"
         path.write_bytes(b"Pf\n" + b"1" * 5000 + b" 1\n-1.0\n" + b"\x00" * 4)

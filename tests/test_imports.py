@@ -1,7 +1,9 @@
-"""Every name a library module imports is used.
+"""Every name a library module imports is used, and every private one is too.
 
 Names listed in ``__all__``, ``from __future__`` imports and lines marked
-``# noqa: F401`` are exempt.
+``# noqa: F401`` are exempt from the import check.  A module-level
+``_name`` must be referenced somewhere in the library outside its own
+definition, so a helper that only tests call cannot stay in ``src/``.
 """
 
 import ast
@@ -33,6 +35,37 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used and name not in exported)
 
 
+def _private_defs(stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    else:
+        return set()
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_names`` of ``sources`` ({module: source}) that no
+    name, attribute or import refers to outside their defining statement."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = _private_defs(stmt)
+            defined += [(name, f"{module} line {stmt.lineno}") for name in own]
+            refs = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    refs.add(node.name)
+            referenced |= refs - own
+    return sorted(f"{name} ({where})" for name, where in defined if name not in referenced)
+
+
 @pytest.mark.parametrize("source,unused", [
     ("import os\nimport re\nre.compile('x')\n", ["os (line 1)"]),
     ("from a import (\n    b,\n    c,\n)\nc()\n", ["b (line 2)"]),
@@ -49,3 +82,22 @@ def test_checker_flags_only_unused_names(source, unused):
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("sources,unused", [
+    ({"a": "def _f():\n    pass\n"}, ["_f (a line 1)"]),
+    ({"a": "def _f():\n    return _f()\n"}, ["_f (a line 1)"]),
+    ({"a": "_X = 1\n_Y: int = 2\nprint(_Y)\n"}, ["_X (a line 1)"]),
+    ({"a": "class _C:\n    pass\n", "b": "from a import _C\n"}, []),
+    ({"a": "def _f():\n    pass\n", "b": "import a\na._f()\n"}, []),
+    ({"a": "def _f():\n    pass\ndef g():\n    return _f\n"}, []),
+    ({"a": "def _f():\n    pass\n", "b": "def _f():\n    _f = 1\n"},
+     ["_f (a line 1)", "_f (b line 1)"]),
+    ({"a": "__all__ = []\n__version__ = '1'\nx = 1\n"}, []),
+])
+def test_checker_flags_only_unreferenced_privates(sources, unused):
+    assert unreferenced_privates(sources) == unused
+
+
+def test_no_unreferenced_privates():
+    assert unreferenced_privates({p.name: p.read_text() for p in SRC}) == []

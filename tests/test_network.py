@@ -22,6 +22,7 @@ from mscv.network import (
     disparity_head,
     full_forward,
     guide_encoder,
+    hourglass_forward,
     init_weights,
     load_weights,
     reduce_correlation,
@@ -442,6 +443,19 @@ class TestCascade:
         shapes = re.escape(f"[{(h, w)}, {(h - 1, w)}]")
         with pytest.raises(ValueError, match=rf"inputs differ in \(H, W\): {shapes}"):
             cascade_forward(trad, corr32, corr48, guides, store)
+
+    def test_stage1_rejects_every_guide(self, rng, store):
+        # Stage 1 starts at 1/4 scale: it takes the guides from 1/4 down.
+        _, _, corr48, guides = self.inputs(rng, store)
+        with pytest.raises(ValueError, match="hourglass stage 1 takes 3 guides, got 4"):
+            hourglass_forward(corr48, guides, store, 1)
+
+    def test_stage2_rejects_missing_half_guide(self, rng, store):
+        # Shapes alone match from 1/4 down; the stage must still run 3 levels.
+        _, corr32, _, guides = self.inputs(rng, store)
+        x = corr32[:, ::2, ::2]
+        with pytest.raises(ValueError, match="hourglass stage 2 takes 4 guides, got 3"):
+            hourglass_forward(x, guides[1:], store, 2)
 
     def test_residual_identity_with_zero_weights(self, rng, store):
         # Zeroing both convs of an identity-shortcut block leaves its
