@@ -6,14 +6,14 @@ absolute difference on U and V) come from one front end,
 Disparity shifts only along x, so the costs are per row: the front end
 streams them by bands of ``_BAND_ROWS`` rows and, within a band, one
 disparity plane at a time, so no consumer holds a volume.  The network
-folds their normalized per-disparity interleave (the paper's
-288-channel volume) into its first 1x1 reduction
-(``network.reduce_traditional``).  Two correlation volumes come from CNN
-feature maps at 1/2 and 1/4 resolution, in the features' dtype.
+folds their normalized per-disparity interleave (the paper's 288-channel
+volume) into its first 1x1 reduction (``network.reduce_traditional``).
+Correlations of CNN feature maps at 1/2 and 1/4 resolution run as
+blocked GEMMs (``_correlate``), in the features' dtype.
 
-Both kinds write each disparity plane with one routine, ``_plane``,
-along contiguous flat runs: the callers read the (H, W) rows once as a
-run of H·W pixels, so shifting by d pairs pixel i with pixel i - d,
+The stream writes each disparity plane with one routine, ``_plane``,
+along contiguous flat runs: it reads the (H, W) rows once as a run of
+H·W pixels, so shifting by d pairs pixel i with pixel i - d,
 which is (y, x - d) for x >= d.  The d leading columns of each row,
 where that partner would lie in the row above, are then overwritten
 with the fill cost.  A strided 2-D shift costs several times more per
@@ -37,6 +37,7 @@ from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
 CENSUS_WINDOW = 5
 CENSUS_BITS = CENSUS_WINDOW * CENSUS_WINDOW - 1  # center-vs-center bit omitted
 _BAND_ROWS = 16  # half-scale rows per traditional cost band
+_CORR_COLS = 32  # correlation block width: 37-48 ms at 192x624x96, 45-65 at 16-64
 
 
 @dataclass
@@ -149,22 +150,33 @@ def traditional_costs(
 def correlate_1d(f_left: np.ndarray, f_right: np.ndarray, max_d: int) -> CostVolume:
     """Channel-normalized inner product at horizontal offsets 0..max_d-1.
 
-    C(d, y, x) = <f_l(y, x), f_r(y, x - d)> / N with N the channel
-    count; out-of-range columns are filled with 0.  Computed in the
-    features' float dtype, float32 at least: float32 network features
-    give a float32 volume.
+    C(d, y, x) = <f_l(y, x), f_r(y, x - d)> / N with N the channel count,
+    exactly 0 where x - d < 0; in the features' float dtype, float32 at
+    least.
     """
-    if f_left.shape != f_right.shape:
-        raise ValueError("feature tensor shapes differ")
-    if f_left.ndim != 3:
-        raise ValueError("feature tensors must be (C, H, W)")
+    return CostVolume(_correlate(f_left, f_right, max_d, np.eye(max_d)))
+
+
+def _correlate(f_left, f_right, max_d, weights):
+    """Σ_d weights[:, d]·C(d), C of ``correlate_1d`` never built: per block of
+    ``_CORR_COLS`` output columns, a batched GEMM pairs left and right pixels
+    (x < 0: zeros no earlier block wrote), a strided view reads C off its
+    diagonals, and a GEMM with the weights reversed and divided by N projects them."""
+    if f_left.shape != f_right.shape or f_left.ndim != 3:
+        raise ValueError(f"feature shapes {f_left.shape}, {f_right.shape}: need one (C, H, W)")
     n, h, w = f_left.shape
     dtype = np.result_type(f_left.dtype, f_right.dtype, np.float32)
-    l = f_left.astype(dtype, copy=False).reshape(n, h * w)
-    r = f_right.astype(dtype, copy=False).reshape(n, h * w)
-    costs = np.empty((max_d, h, w), dtype=dtype)
-    dot = lambda l, r, out: np.divide(np.einsum("cp,cp->p", l, r), n, out=out)
-    for d in range(max_d):
-        _plane(l, r, d, 0.0, dot, costs[d])
-    return CostVolume(costs)
-
+    lt = np.ascontiguousarray(f_left, dtype=dtype).transpose(1, 2, 0)  # (H, W, N)
+    rt = np.ascontiguousarray(f_right, dtype=dtype).transpose(1, 0, 2)  # (H, N, W)
+    wr = np.ascontiguousarray(weights[:, ::-1], dtype=dtype) / n
+    out = np.empty((len(wr), h, w), dtype=dtype)
+    pairs = np.zeros((h, _CORR_COLS, _CORR_COLS + max_d - 1), dtype=dtype)
+    diagonals = pairs.strides[0], pairs.strides[1] + pairs.strides[2], pairs.strides[2]
+    for x0 in range(0, w, _CORR_COLS):
+        b, lead = min(_CORR_COLS, w - x0), max(max_d - 1 - x0, 0)  # lead: x < 0, shrinking
+        block = pairs[:, :b, : b + max_d - 1]
+        np.matmul(lt[:, x0 : x0 + b], rt[:, :, x0 + lead + 1 - max_d : x0 + b],
+                  out=block[:, :, lead:])
+        vol = np.lib.stride_tricks.as_strided(block, (h, b, max_d), diagonals, writeable=False)
+        np.matmul(wr, vol.transpose(0, 2, 1), out=out[:, :, x0 : x0 + b].transpose(1, 0, 2))
+    return out

@@ -1,13 +1,13 @@
 """Forward pass of the stereo network.
 
-Pipeline: Unet feature extractor -> float32 1D correlation volumes at
-1/2 and 1/4 resolution (DEPTH and DEPTH // 2 candidates); the census/U/V
-traditional volumes reduced to 32 channels, with the normalized
-3·DEPTH-channel interleave folded into the first 1x1 conv; a guide
-encoder turning the traditional volume into features at 1/2, 1/4, 1/8
-and 1/16 scale (LEVELS stride-2 steps); two cascade hourglass networks
-fusing everything; a 1x1 head regressing disparity, bilinearly
-upsampled to full resolution.
+Pipeline: Unet feature extractor -> float32 1D correlations at 1/2 and
+1/4 resolution (DEPTH and DEPTH // 2 candidates), the first reduced to 32
+channels as it is computed; the census/U/V traditional volumes reduced
+to 32 channels, with the normalized 3·DEPTH-channel interleave folded
+into the first 1x1 conv; a guide encoder turning the traditional volume
+into features at 1/2, 1/4, 1/8 and 1/16 scale (LEVELS stride-2 steps);
+two cascade hourglass networks fusing everything; a 1x1 head regressing
+disparity, bilinearly upsampled to full resolution.
 
 All parameters live in a WeightStore serialized as the "MSCV1" binary
 container.  The architecture table decides each layer's stride, batch
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mscv.costvol import correlate_1d, traditional_costs
+from mscv.costvol import _correlate, correlate_1d, traditional_costs
 from mscv.imagekit import MAX_DISPARITY, DisparityMap, Image, crop, pad_reflect
 from mscv.tensorops import (
     ConvParams,
@@ -402,9 +402,15 @@ def reduce_traditional(left: Image, right: Image, store: WeightStore) -> np.ndar
     return _layer(store, "trad.harvest2", _layer(store, "trad.harvest1", x))
 
 
-def reduce_correlation(costs: np.ndarray, store: WeightStore) -> np.ndarray:
-    """1x1 conv collapsing the DEPTH-candidate correlation volume to 32."""
-    return _layer(store, "corr.reduce", costs)
+def reduce_correlation(
+    f_left: np.ndarray, f_right: np.ndarray, store: WeightStore
+) -> np.ndarray:
+    """``corr.reduce`` on the half-scale features' DEPTH-deep correlation, never built."""
+    p = ConvParams(store["corr.reduce.w"], store["corr.reduce.b"])
+    if p.weights.shape[1:] != (DEPTH, 1, 1):
+        raise WeightError(f"parameter 'corr.reduce.w' has shape {p.weights.shape}")
+    x = _correlate(f_left, f_right, DEPTH, p.weights.reshape(p.out_channels, DEPTH))
+    return relu(np.add(x, p.bias[:, None, None], out=x))
 
 
 def guide_encoder(trad32: np.ndarray, store: WeightStore) -> list[np.ndarray]:
@@ -518,7 +524,7 @@ def full_forward(
         fl_half, fl_quarter = unet_features(left_p, store)
         fr_half, fr_quarter = unet_features(right_p, store)
 
-    corr32 = reduce_correlation(correlate_1d(fl_half, fr_half, DEPTH).costs, store)
+    corr32 = reduce_correlation(fl_half, fr_half, store)
     corr_quarter = correlate_1d(fl_quarter, fr_quarter, DEPTH // 2).costs
     del left_p, right_p, fl_half, fl_quarter, fr_half, fr_quarter
     guides = guide_encoder(trad32, store)

@@ -108,9 +108,9 @@ def deconv2d_s2(x: np.ndarray, p: ConvParams) -> np.ndarray:
 
     Adjoint of the stride-2 valid 2x2 convolution with transposed
     channel axes.  Runs as one GEMM: the four taps of every output
-    channel form a (O*4, I) matrix that multiplies the (I, H*W) input,
-    and each output pixel's 2x2 block is read back from the four rows
-    of its channel.
+    channel form a (O*4, I) matrix that multiplies the (I, H*W) input.
+    Each tap's (H, W) result is then copied, row by row, to every other
+    pixel of every other output row.
     """
     kh, kw = p.kernel
     if (kh, kw) != (2, 2) or p.stride != 2:
@@ -122,12 +122,14 @@ def deconv2d_s2(x: np.ndarray, p: ConvParams) -> np.ndarray:
     _, h, w = x.shape
     o, i = p.out_channels, p.in_channels
     # Non-overlapping taps, out[o, 2y+u, 2x+v] = sum_i w[o, i, u, v] * x[i, y, x]:
-    # (O*4, I) @ (I, H*W) gives (O, u, v, H, W), interleaved to (O, 2H, 2W).
+    # (O*4, I) @ (I, H*W) gives (O, u, v, H, W), copied per tap in W-long runs.
     taps = p.weights.transpose(0, 2, 3, 1).reshape(o * 4, i)
-    flat = taps @ x.astype(np.float32, copy=False).reshape(i, h * w)
-    out = flat.reshape(o, 2, 2, h, w).transpose(0, 3, 1, 4, 2).reshape(o, 2 * h, 2 * w)
-    out += p.bias[:, None, None]
-    return out
+    flat = (taps @ x.astype(np.float32, copy=False).reshape(i, h * w)).reshape(o, 2, 2, h, w)
+    out = np.empty((o, h, 2, w, 2), dtype=np.float32)
+    for u, v in np.ndindex(2, 2):
+        out[:, :, u, :, v] = flat[:, u, v]
+    out += p.bias[:, None, None, None, None]
+    return out.reshape(o, 2 * h, 2 * w)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from mscv.costvol import (
     _BAND_ROWS,
+    _CORR_COLS,
     CENSUS_BITS,
     CostVolume,
     _absdiff,
@@ -259,16 +260,45 @@ class TestCorrelate1d:
         np.testing.assert_array_equal(best[:, k:], k)
 
     def test_matches_triple_loop_oracle(self, rng):
-        # 9 > width; then a transposed view, 1 row and 1 column.
+        # 9 > width; then a transposed view, 1 row and 1 column; then widths
+        # the block width does not divide, with max_d = 1, max_d reaching
+        # into the second block, and max_d > width (three blocks of zeros).
         feats = lambda *shape: rng.standard_normal(shape)
         pairs = [(feats(4, 5, 6), feats(4, 5, 6), max_d) for max_d in (4, 9)]
         pairs.append((feats(4, 6, 5).transpose(0, 2, 1), feats(4, 6, 5).transpose(0, 2, 1), 4))
         pairs += [(feats(4, 1, 7), feats(4, 1, 7), 4), (feats(4, 5, 1), feats(4, 5, 1), 3)]
+        w = 2 * _CORR_COLS + 5
+        pairs += [(feats(3, 2, w), feats(3, 2, w), max_d)
+                  for max_d in (1, _CORR_COLS + 7, w + _CORR_COLS)]
         for fl, fr, max_d in pairs:
             vol = correlate_1d(fl, fr, max_d=max_d)
             np.testing.assert_allclose(
                 vol.costs, correlation_oracle(fl, fr, max_d), atol=1e-6
             )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_of_range_exactly_zero(self, rng, dtype):
+        # Columns x < d have no partner: exactly 0.0, also where the zero
+        # run spans whole blocks; every in-range value here is nonzero.
+        w, max_d = 2 * _CORR_COLS + 5, _CORR_COLS + 40
+        fl = (100.0 + rng.random((5, 3, w))).astype(dtype)
+        fr = (100.0 + rng.random((5, 3, w))).astype(dtype)
+        costs = correlate_1d(fl, fr, max_d).costs
+        assert costs.dtype == dtype
+        x = np.arange(w)
+        out_of_range = x[None, None, :] < np.arange(max_d)[:, None, None]
+        np.testing.assert_array_equal(costs[np.broadcast_to(out_of_range, costs.shape)], 0.0)
+        assert (costs[np.broadcast_to(~out_of_range, costs.shape)] != 0).all()
+
+    def test_peak_memory_output_plus_one_block(self, peak_bytes):
+        # Only the (H, B, B+D-1) product block is allocated besides the
+        # volume: a whole-feature transposed or padded copy (2.5 MB
+        # here) fails.
+        fl, fr = np.random.default_rng(3).standard_normal((2, 32, 48, 400), dtype=np.float32)
+        out_bytes = 4 * 96 * 48 * 400
+        block_bytes = 4 * 48 * _CORR_COLS * (_CORR_COLS + 95)
+        peak = peak_bytes(lambda: correlate_1d(fl, fr, 96))
+        assert peak <= out_bytes + block_bytes + 2**18
 
     def test_bilinear_in_left_argument(self, rng):
         fl = rng.standard_normal((3, 4, 5))

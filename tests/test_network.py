@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mscv.network
-from mscv.costvol import _BAND_ROWS, CostVolume
+from mscv.costvol import _BAND_ROWS, _CORR_COLS, CostVolume
 from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
 from mscv.network import (
     WeightError,
@@ -383,23 +383,42 @@ class TestReductions:
             )
 
     def test_correlation_reduce_shape_and_linearity(self, rng, store):
-        costs = rng.standard_normal((96, 6, 10)).astype(np.float32)
-        out1 = reduce_correlation(costs, store)
-        assert out1.shape == (32, 6, 10)
-        # 1x1 conv + ReLU: doubling a non-negatively-mapped input scales
-        # positive outputs; check the underlying per-pixel matmul instead.
-        w = store["corr.reduce.w"].reshape(32, 96).astype(np.float64)
-        b = store["corr.reduce.b"].astype(np.float64)
-        expected = np.maximum(
-            (w @ costs.astype(np.float64).reshape(96, -1)
-             ).reshape(32, 6, 10) + b[:, None, None],
-            0.0,
-        )
-        np.testing.assert_allclose(out1, expected, atol=1e-4)
+        # The fused corr.reduce against float64: correlation_f64, then the
+        # 1x1 conv's weights, bias and ReLU.  Widths below DEPTH, one the
+        # block width does not divide, and 1.  Float32 rounding of 32-term
+        # dot products and a 96-term sum stays near 1e-7 on outputs of
+        # about 0.3.
+        w64 = store["corr.reduce.w"].reshape(32, 96).astype(np.float64)
+        b64 = store["corr.reduce.b"].astype(np.float64)
+        for h, w in ((6, 10), (3, 3 * _CORR_COLS + 7), (2, 1)):
+            fl, fr = rng.standard_normal((2, 32, h, w)).astype(np.float32)
+            out = reduce_correlation(fl, fr, store)
+            assert out.shape == (32, h, w) and out.dtype == np.float32
+            linear = np.tensordot(w64, correlation_f64(fl, fr, 96), 1)
+            expected = np.maximum(linear + b64[:, None, None], 0.0)
+            assert expected.max() > 0.05
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-6)
 
     def test_correlation_wrong_depth_rejected(self, rng, store):
-        with pytest.raises(ValueError):
-            reduce_correlation(rng.random((48, 6, 10)).astype(np.float32), store)
+        shallow = WeightStore(dict(store.entries))
+        shallow.entries["corr.reduce.w"] = rng.random((32, 48, 1, 1)).astype(np.float32)
+        fl = rng.random((32, 6, 10)).astype(np.float32)
+        with pytest.raises(WeightError, match=r"'corr.reduce.w' has shape \(32, 48, 1, 1\)"):
+            reduce_correlation(fl, fl, shallow)
+
+    def test_correlation_feature_shapes_must_match(self, rng, store):
+        fl = rng.random((32, 6, 10)).astype(np.float32)
+        with pytest.raises(ValueError, match=r"feature shapes \(32, 6, 10\), \(32, 6, 9\)"):
+            reduce_correlation(fl, fl[:, :, :9], store)
+
+    def test_correlation_peak_memory_output_plus_one_block(self, store, peak_bytes):
+        # The DEPTH-deep volume is never built: only the (H, B, B+D-1)
+        # product block is allocated besides the 32-channel output.
+        fl, fr = np.random.default_rng(3).standard_normal((2, 32, 48, 400), dtype=np.float32)
+        out_bytes = 4 * 32 * 48 * 400
+        block_bytes = 4 * 48 * _CORR_COLS * (_CORR_COLS + 95)
+        peak = peak_bytes(lambda: reduce_correlation(fl, fr, store))
+        assert peak <= out_bytes + block_bytes + 2**18
 
 
 class TestGuideEncoder:
@@ -542,10 +561,11 @@ class TestFullForward:
     def test_every_layer_applied_once_in_table_order(self, rng, store, forward_probe):
         # The architecture table is the one place that decides each layer's
         # stride, batch norm, deconvolution and ReLU: every layer but
-        # trad.red0 (run as band GEMMs) goes through _layer, once per use.
+        # trad.red0 (run as band GEMMs) and corr.reduce (run inside the
+        # blocked correlation) goes through _layer, once per use.
         full_forward(Image(rng.random((3, 32, 48))), Image(rng.random((3, 32, 48))), store)
         applied = [name for name, _, _ in forward_probe.layers]
-        names = [l.name for l in architecture() if l.name != "trad.red0"]
+        names = [l.name for l in architecture() if l.name not in ("trad.red0", "corr.reduce")]
         unet = [n for n in names if n.startswith("unet.")]
         # The feature extractor runs once per image of the pair.
         assert [n for n in applied if n in unet] == unet * 2
@@ -557,7 +577,7 @@ class TestFullForward:
         full_forward(Image(rng.random((3, 32, 48))), Image(rng.random((3, 32, 48))), store)
         table = {l.name: (l.in_c, l.out_c) for l in architecture()}
         layers = forward_probe.layers
-        assert len(layers) == len(table) + 12  # unet layers twice, no trad.red0
+        assert len(layers) == len(table) + 11  # unet layers twice, no trad.red0 or corr.reduce
         assert layers == [(name, *table[name]) for name, _, _ in layers]
 
     def test_refined_independent_of_memory_layout(self, forward_probe, layouts):
@@ -582,11 +602,13 @@ class TestFullForward:
 # disparity map, as a fraction of the largest |refined| value: float32
 # rounding through ~80 layers (measured up to 1e-6).
 FORWARD_RTOL = 1e-5
-# tracemalloc peak of one 376x1240 full_forward: 138.3 MB measured, in
-# corr.reduce (245 MB before unpadded convs stopped copying their input and
-# activations were freed at their last use, 170.8 MB before the traditional
-# costs streamed one disparity plane at a time); a re-inflated peak fails.
-KITTI_FORWARD_PEAK_MB = 141.8
+# tracemalloc peak of one 376x1240 full_forward: 130.0 MB measured, in
+# trad.red1 (138.3 MB in corr.reduce before the correlation volume was
+# reduced block by block, 245 MB before unpadded convs stopped copying their
+# input and activations were freed at their last use, 170.8 MB before the
+# traditional costs streamed one disparity plane at a time); a re-inflated
+# peak fails.
+KITTI_FORWARD_PEAK_MB = 133.2
 
 
 def scaled_weights(seed, gain):
