@@ -7,9 +7,9 @@ Disparity shifts only along x, so the costs are per row: the front end
 streams them by bands of ``_BAND_ROWS`` rows and, within a band, one
 disparity plane at a time, so no consumer holds a volume.  The network
 folds their normalized per-disparity interleave (the paper's 288-channel
-volume) into its first 1x1 reduction (``network.reduce_traditional``).
-Correlations of CNN feature maps at 1/2 and 1/4 resolution run as
-blocked GEMMs (``_correlate``), in the features' dtype.
+volume) into the lowering of its first 1x1 conv, ``trad.red0``.
+Correlations of CNN feature maps at 1/2 and 1/4 resolution run as blocked
+GEMMs in the features' dtype (``_correlate``, also ``corr.reduce``'s lowering).
 
 The stream writes each disparity plane with one routine, ``_plane``,
 along contiguous flat runs: it reads the (H, W) rows once as a run of

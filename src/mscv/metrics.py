@@ -72,8 +72,8 @@ def evaluate(
     err = np.subtract(pred.values, gt.values)
     np.abs(err, out=err)
     d1_out = err > D1_THRESHOLD_PX
-    if kitti_rule:
-        d1_out &= err > D1_RELATIVE * np.abs(gt.values)
+    if kitti_rule:  # compared only where the 3 px rule already holds
+        d1_out[d1_out] = err[d1_out] > D1_RELATIVE * np.abs(gt.values[d1_out])
 
     def d1_rate(sel):
         return float(100.0 * d1_out[sel].mean()) if sel.any() else None

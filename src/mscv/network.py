@@ -10,10 +10,11 @@ two cascade hourglass networks fusing everything; a 1x1 head regressing
 disparity, bilinearly upsampled to full resolution.
 
 All parameters live in a WeightStore serialized as the "MSCV1" binary
-container.  The architecture table decides each layer's stride, batch
-norm, deconvolution and ReLU.  Only the Unet layers use batch norm; at
-inference it is a per-channel affine map, folded into the conv weights
-and bias when the layer is applied.  Blocks pass plain float32 arrays.
+container.  Every layer runs through ``_layer``, which checks its weights
+against the architecture table and reads its stride, batch norm,
+lowering (conv, deconv, or the fused trad.red0 and corr.reduce) and ReLU
+there.  Batch norm (Unet layers only) is a per-channel affine map at
+inference, folded into the weights and bias.  Blocks pass float32 arrays.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class LayerDef:
     kw: int
     stride: int = 1
     bn: bool = False
-    deconv: bool = False
+    op: str = "conv"  # lowering: "conv", "deconv", "trad" (trad.red0), "corr" (corr.reduce)
     act: bool = True
 
 
@@ -94,10 +95,10 @@ def _unet_layers() -> list[LayerDef]:
         LayerDef("unet.enc2", 64, 64, 3, 3, bn=True),
         LayerDef("unet.down3", 128, 64, 2, 2, stride=2, bn=True),
         LayerDef("unet.enc3", 128, 128, 3, 3, bn=True),
-        LayerDef("unet.up2.deconv", 64, 128, 2, 2, stride=2, bn=True, deconv=True),
+        LayerDef("unet.up2.deconv", 64, 128, 2, 2, stride=2, bn=True, op="deconv"),
         LayerDef("unet.up2.fuse", 64, 128, 1, 1, bn=True),
         LayerDef("unet.up2.harvest", 32, 64, 3, 3, bn=True),
-        LayerDef("unet.up1.deconv", 32, 32, 2, 2, stride=2, bn=True, deconv=True),
+        LayerDef("unet.up1.deconv", 32, 32, 2, 2, stride=2, bn=True, op="deconv"),
         LayerDef("unet.up1.fuse", 32, 64, 1, 1, bn=True),
         LayerDef("unet.up1.harvest", 32, 32, 3, 3, bn=True),
     ]
@@ -107,7 +108,7 @@ def _trad_layers() -> list[LayerDef]:
     # 1x1 reduction chain 3·DEPTH-144-72-36-32, then left image concat (+3)
     # and three 3x3 harvesting convs back down to 32 channels.
     return [
-        LayerDef("trad.red0", 144, 3 * DEPTH, 1, 1),
+        LayerDef("trad.red0", 144, 3 * DEPTH, 1, 1, op="trad"),
         LayerDef("trad.red1", 72, 144, 1, 1),
         LayerDef("trad.red2", 36, 72, 1, 1),
         LayerDef("trad.red3", 32, 36, 1, 1),
@@ -143,7 +144,7 @@ def _hourglass_layers(stage: int) -> list[LayerDef]:
     layers.append(LayerDef(f"{pre}.bottleneck", 32, 64, 1, 1))
     for i in range(downs):
         layers += [
-            LayerDef(f"{pre}.up{i}.deconv", 32, 32, 2, 2, stride=2, deconv=True),
+            LayerDef(f"{pre}.up{i}.deconv", 32, 32, 2, 2, stride=2, op="deconv"),
             LayerDef(f"{pre}.up{i}.fuse", 32, 64, 1, 1),
             LayerDef(f"{pre}.up{i}.conv", 32, 32, 3, 3),
         ]
@@ -155,11 +156,11 @@ def architecture() -> list[LayerDef]:
     return (
         _unet_layers()
         + _trad_layers()
-        + [LayerDef("corr.reduce", 32, DEPTH, 1, 1)]
+        + [LayerDef("corr.reduce", 32, DEPTH, 1, 1, op="corr")]
         + _guide_layers()
         + _hourglass_layers(1)
         + [
-            LayerDef("casc.up", 32, 32, 2, 2, stride=2, deconv=True),
+            LayerDef("casc.up", 32, 32, 2, 2, stride=2, op="deconv"),
             LayerDef("casc.fuse", 32, 96, 1, 1),
         ]
         + _hourglass_layers(2)
@@ -182,14 +183,17 @@ def architecture_manifest() -> list[tuple[str, tuple[int, ...]]]:
     return manifest
 
 
+def _param(store, name, shape):
+    arr = store[name]
+    if arr.shape != shape:
+        raise WeightError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def validate_store(store: WeightStore) -> None:
     """Check every architecture parameter exists with the right shape."""
     for name, shape in architecture_manifest():
-        arr = store[name]
-        if arr.shape != shape:
-            raise WeightError(
-                f"parameter {name!r} has shape {arr.shape}, expected {shape}"
-            )
+        _param(store, name, shape)
 
 
 def describe_architecture() -> str:
@@ -297,22 +301,78 @@ def load_weights(path) -> WeightStore:
 def _layer(store, name, *xs):
     """Apply architecture layer ``name`` as its table entry says.
 
-    Several inputs ``xs`` are read as their channel concatenation
-    (``conv2d`` copies each into its rows of the band buffer).
+    The weights must have the table's shape.  Several inputs ``xs`` are
+    read as their channel concatenation (``conv2d`` copies each into its
+    rows of the band buffer); ``trad.red0`` reads ``traditional_costs``'
+    bands and left image, ``corr.reduce`` the two feature maps.
 
     Batch norm is folded into the weights and bias in float64:
     s = gamma / sqrt(var + eps) scales the output axis (axis 0 for conv
     and deconv alike), and the bias becomes (b - mean)·s + beta.
     """
     l = _LAYERS[name]
-    w, b = store[f"{name}.w"], store[f"{name}.b"]
+    w, b = _param(store, f"{name}.w", (l.out_c, l.in_c, l.kh, l.kw)), store[f"{name}.b"]
     if l.bn:
         bn = lambda k: store[f"{name}.bn.{k}"].astype(np.float64)
         s = bn("gamma") / np.sqrt(bn("var") + BN_EPS)
         w, b = w * s[:, None, None, None], (b - bn("mean")) * s + bn("beta")
     p = ConvParams(w, b, l.stride)
-    y = deconv2d_s2(*xs, p) if l.deconv else conv2d(list(xs), p)
+    # Names looked up at call time: a wrapper put on this module's names sees every call.
+    if l.op == "deconv":
+        y = deconv2d_s2(*xs, p)
+    elif l.op == "trad":
+        y = _reduce_stream(*xs, p)
+    elif l.op == "corr":
+        y = _correlate(*xs, l.in_c, p.weights.reshape(l.out_c, l.in_c))
+        y += p.bias[:, None, None]
+    else:
+        y = conv2d(list(xs), p)
     return relu(y) if l.act else y
+
+
+def _reduce_stream(bands, left_half, p):
+    """``trad.red0`` on the ``(y0, planes)`` bands of ``traditional_costs``.
+
+    ``trad.red0`` is a 1x1 conv over the paper's 3·DEPTH-channel volume
+    [C(d), U(d), V(d)] normalized by its mean μ and std σ (+1e-8).  The
+    interleave only permutes red0's input columns and the normalization is
+    affine, so red0 runs per band as one float32 K = 3·DEPTH GEMM, with
+    its columns permuted once into [C | U | V] order, on the costs
+    centered at the first band's mean μ̃ (taken in a pass of its own over
+    that band's planes).  Each plane is centered in float64, its Σ(x-μ̃)
+    and Σ(x-μ̃)² are added in float64 (shifted data: Chan, Golub &
+    LeVeque 1983), and it is cast into one float32 (3, DEPTH, rows·W) band
+    buffer.  Then (μ-μ̃)·W·1 is subtracted and the output scaled by
+    1/(σ+1e-8).  As |μ̃-μ| <= σ·√(N/n₁) (Cauchy-Schwarz, n₁ of the N
+    values in the first band), the float32 centering error stays within
+    ε₃₂·(|x-μ| + √bands·σ) for any input, and a constant volume stays exact.
+    """
+    wmat = p.weights.reshape(p.out_channels, 3 * DEPTH)
+    wcuv = wmat.reshape(-1, DEPTH, 3).transpose(0, 2, 1).reshape(-1, 3 * DEPTH)
+    h, w = left_half.height, left_half.width
+    x = np.empty((p.out_channels, h * w), dtype=np.float32)
+    flat, shift, sums, squares = None, None, 0.0, 0.0
+    for y0, planes in bands:
+        if shift is None:  # a band's planes all have one size
+            shift = np.mean([plane.mean() for plane in planes()])
+        for d, plane in enumerate(planes()):
+            if flat is None:  # the first band is the largest
+                flat = np.empty(DEPTH * plane.size, dtype=np.float32)
+            if d == 0:  # a band's prefix of flat is contiguous
+                band = flat[: DEPTH * plane.size].reshape(3, DEPTH, -1)
+            plane -= shift
+            sums += plane.sum()
+            squares += np.vdot(plane, plane)
+            band[:, d] = plane.reshape(3, -1)
+        cols = band.shape[2]
+        np.matmul(wcuv, band.reshape(3 * DEPTH, cols), out=x[:, y0 * w : y0 * w + cols])
+    n = 3 * DEPTH * h * w
+    offset = sums / n  # μ - μ̃
+    sigma = np.sqrt(max(squares / n - offset * offset, 0.0))
+    x -= (offset * wmat.sum(axis=1, dtype=np.float64)).astype(np.float32)[:, None]
+    x *= np.float32(1.0 / (sigma + 1e-8))
+    x += p.bias[:, None]
+    return x.reshape(p.out_channels, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -344,58 +404,12 @@ def unet_features(image: Image, store: WeightStore) -> tuple[np.ndarray, np.ndar
 def reduce_traditional(left: Image, right: Image, store: WeightStore) -> np.ndarray:
     """Reduce the census, U and V DEPTH-deep costs to 32 float32 channels.
 
-    Takes the 16-padded RGB pair.  ``costvol.traditional_costs`` streams
-    the half-scale costs as row bands ``(y0, planes)``, each yielding one
-    (3, rows, W) plane [C(d), U(d), V(d)] per disparity d.  ``trad.red0``
-    is a 1x1 conv over the paper's 3·DEPTH-channel volume [C(d), U(d),
-    V(d)] normalized by its mean μ and std σ (+1e-8).  The interleave only
-    permutes red0's input columns and the normalization is affine, so red0
-    runs per band as one float32 K = 3·DEPTH GEMM, with its columns
-    permuted once into [C | U | V] order, on the costs centered at the
-    first band's mean μ̃ (taken in a pass of its own over that band's
-    planes).  Each plane is centered in float64, its Σ(x-μ̃) and Σ(x-μ̃)²
-    are added in float64 (shifted data: Chan, Golub & LeVeque 1983), and
-    it is cast into one float32 (3, DEPTH, rows·W) band buffer.  Then
-    (μ-μ̃)·W·1 is subtracted and the output scaled by 1/(σ+1e-8).  As
-    |μ̃-μ| <= σ·√(N/n₁) (Cauchy-Schwarz, n₁ of the N values in the first
-    band), the float32 centering error stays within ε₃₂·(|x-μ| + √bands·σ)
-    for any input, and a constant volume stays exact.  Then 1x1 convs
-    144-72-36-32, and three 3x3 harvesting convs, the first reading the
-    half-resolution left image as 3 more channels.
+    Takes the 16-padded RGB pair: ``trad.red0`` on the streamed costs,
+    1x1 convs 144-72-36-32, then three 3x3 harvesting convs, the first
+    also reading the half-resolution left image.
     """
-    p = ConvParams(store["trad.red0.w"], store["trad.red0.b"])
-    if p.weights.shape[1:] != (3 * DEPTH, 1, 1):
-        raise WeightError(f"parameter 'trad.red0.w' has shape {p.weights.shape}")
-    wmat = p.weights.reshape(p.out_channels, 3 * DEPTH)
-    wcuv = wmat.reshape(-1, DEPTH, 3).transpose(0, 2, 1).reshape(-1, 3 * DEPTH)
     left_half, bands = traditional_costs(left, right, DEPTH)
-    h, w = left_half.height, left_half.width
-    x = np.empty((p.out_channels, h * w), dtype=np.float32)
-    flat, shift, sums, squares = None, None, 0.0, 0.0
-    for y0, planes in bands:
-        if shift is None:  # a band's planes all have one size
-            shift = np.mean([plane.mean() for plane in planes()])
-        for d, plane in enumerate(planes()):
-            if flat is None:  # the first band is the largest
-                flat = np.empty(DEPTH * plane.size, dtype=np.float32)
-            if d == 0:  # a band's prefix of flat is contiguous
-                band = flat[: DEPTH * plane.size].reshape(3, DEPTH, -1)
-            plane -= shift
-            sums += plane.sum()
-            squares += np.vdot(plane, plane)
-            band[:, d] = plane.reshape(3, -1)
-        cols = band.shape[2]
-        np.matmul(wcuv, band.reshape(3 * DEPTH, cols), out=x[:, y0 * w : y0 * w + cols])
-    # Loop names would keep the band buffer and the front end's arrays
-    # (through the last stream) alive.
-    del flat, band, plane, planes
-    n = 3 * DEPTH * h * w
-    offset = sums / n  # μ - μ̃
-    sigma = np.sqrt(max(squares / n - offset * offset, 0.0))
-    x -= (offset * wmat.sum(axis=1, dtype=np.float64)).astype(np.float32)[:, None]
-    x *= np.float32(1.0 / (sigma + 1e-8))
-    x += p.bias[:, None]
-    x = relu(x.reshape(p.out_channels, h, w))
+    x = _layer(store, "trad.red0", bands, left_half)
     for i in range(1, 4):
         x = _layer(store, f"trad.red{i}", x)
     x = _layer(store, "trad.harvest0", x, left_half.data)
@@ -406,11 +420,7 @@ def reduce_correlation(
     f_left: np.ndarray, f_right: np.ndarray, store: WeightStore
 ) -> np.ndarray:
     """``corr.reduce`` on the half-scale features' DEPTH-deep correlation, never built."""
-    p = ConvParams(store["corr.reduce.w"], store["corr.reduce.b"])
-    if p.weights.shape[1:] != (DEPTH, 1, 1):
-        raise WeightError(f"parameter 'corr.reduce.w' has shape {p.weights.shape}")
-    x = _correlate(f_left, f_right, DEPTH, p.weights.reshape(p.out_channels, DEPTH))
-    return relu(np.add(x, p.bias[:, None, None], out=x))
+    return _layer(store, "corr.reduce", f_left, f_right)
 
 
 def guide_encoder(trad32: np.ndarray, store: WeightStore) -> list[np.ndarray]:

@@ -84,16 +84,20 @@ def forward_probe(monkeypatch):
     """Records what the forward pass computes, without changing it.
 
     ``layers`` gets ``(name, in_channels, out_channels)`` for every
-    ``network._layer`` call, with ``in_channels`` summed over its inputs,
-    and ``refined`` the features that reach ``network.disparity_head``,
-    one entry per forward pass.
+    ``network._layer`` call, with ``in_channels`` summed over a conv's or
+    deconv's inputs and None for the two fused layers, whose inputs are
+    the cost stream (``trad.red0``) and the feature maps it correlates
+    (``corr.reduce``); ``refined`` gets the features that reach
+    ``network.disparity_head``, one entry per forward pass.
     """
     probe = SimpleNamespace(layers=[], refined=[])
     layer, head = mscv.network._layer, mscv.network.disparity_head
+    fused = {l.name for l in mscv.network.architecture() if l.op in ("trad", "corr")}
 
     def record_layer(store, name, *xs):
         y = layer(store, name, *xs)
-        probe.layers.append((name, sum(x.shape[0] for x in xs), y.shape[0]))
+        in_c = None if name in fused else sum(x.shape[0] for x in xs)
+        probe.layers.append((name, in_c, y.shape[0]))
         return y
 
     def record_head(refined, dims, store):

@@ -320,9 +320,10 @@ def test_criterion_10_full_forward_kitti_size(forward_probe):
     assert (a.values == b.values).all()
     assert (a.values == c.values).all()
     # Reduction chain 288-144-72-36-32: trad.red0 reads the 288-channel
-    # volume as band GEMMs, trad.red1..3 run through _layer.
+    # volume as band GEMMs, with weights _layer checks against the table.
     assert store["trad.red0.w"].shape == (144, 288, 1, 1)
-    chain = [("trad.red1", 144, 72), ("trad.red2", 72, 36), ("trad.red3", 36, 32)]
+    chain = [("trad.red0", None, 144), ("trad.red1", 144, 72), ("trad.red2", 72, 36),
+             ("trad.red3", 36, 32)]
     assert [l for l in forward_probe.layers if l[0].startswith("trad.red")] == chain * 3
     # Padded canvas is 384x1248; refined features at half scale.
     refined = forward_probe.refined

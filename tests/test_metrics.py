@@ -155,10 +155,12 @@ class TestReportFormats:
 class TestKittiSized:
     """``evaluate`` on a 376x1240 sparse ground truth (``kitti_maps``)."""
 
-    def test_peak_memory(self, kitti_maps, peak_bytes):
-        # The error map, its valid pixels (two thirds of a map) and bool masks.
+    @pytest.mark.parametrize("kitti_rule", [False, True])
+    def test_peak_memory(self, kitti_maps, peak_bytes, kitti_rule):
+        # The error map, its valid pixels (two thirds of a map) and bool
+        # masks; the relative rule reads only the 3 px outliers.
         m = kitti_maps
-        peak = peak_bytes(lambda: evaluate(m.pred, m.gt))
+        peak = peak_bytes(lambda: evaluate(m.pred, m.gt, kitti_rule=kitti_rule))
         assert peak <= 2.2 * m.map_bytes, f"peak {peak / m.map_bytes:.2f} maps"
 
     @pytest.mark.parametrize("kitti_rule", [False, True])

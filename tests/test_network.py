@@ -1,5 +1,6 @@
 """Weight container, initialization, and forward-pass shape/determinism."""
 
+import collections
 import functools
 import math
 import re
@@ -31,7 +32,7 @@ from mscv.network import (
     unet_features,
     validate_store,
 )
-from mscv.tensorops import concat_channels
+from mscv.tensorops import ConvParams, concat_channels, conv2d, relu
 
 from oracles import (
     ad_volume_oracle,
@@ -275,6 +276,39 @@ class TestLayer:
         np.testing.assert_allclose(got, want, atol=1e-5)
 
 
+class TestLayerWeights:
+    """``_layer`` checks each layer's weights against the table, so a kernel
+    of the wrong size raises instead of running as a different conv."""
+
+    BLOCKS = [
+        pytest.param("unet.enc0.w", (16, 3, 5, 5),
+                     lambda s, r: unet_features(Image(r.random((3, 32, 32))), s), id="unet"),
+        pytest.param("guide.s0.w", (32, 32, 1, 1),
+                     lambda s, r: guide_encoder(r.random((32, 8, 8), np.float32), s),
+                     id="guide"),
+        pytest.param("hg1.down0.c1.w", (32, 32, 1, 1),
+                     lambda s, r: hourglass_forward(
+                         r.random((48, 8, 12), np.float32),
+                         guide_encoder(r.random((32, 16, 24), np.float32), s)[1:], s, 1),
+                     id="hourglass"),
+        pytest.param("head.conv.w", (1, 32, 3, 3),
+                     lambda s, r: disparity_head(r.random((32, 4, 4), np.float32), (8, 8), s),
+                     id="head"),
+        pytest.param("trad.harvest0.w", (32, 35, 1, 1),
+                     lambda s, r: reduce_traditional(Image(r.random((3, 16, 16))),
+                                                     Image(r.random((3, 16, 16))), s),
+                     id="traditional"),
+    ]
+
+    @pytest.mark.parametrize("name,shape,run", BLOCKS)
+    def test_wrong_kernel_rejected(self, rng, store, name, shape, run):
+        broken = WeightStore(dict(store.entries))
+        broken.entries[name] = np.zeros(shape, dtype=np.float32)
+        want = f"parameter {name!r} has shape {shape}, expected {store[name].shape}"
+        with pytest.raises(WeightError, match=re.escape(want)):
+            run(broken, rng)
+
+
 class TestUnetFeatures:
     def test_output_shapes(self, rng, store):
         img = Image(rng.random((3, 32, 48)))
@@ -296,6 +330,11 @@ class TestUnetFeatures:
     def test_non_multiple_16_rejected(self, rng, store):
         with pytest.raises(ValueError):
             unet_features(Image(rng.random((3, 30, 32))), store)
+
+
+# The reduction chain 288-144-72-36-32 as forward_probe records it.
+TRAD_CHAIN = [("trad.red0", None, 144), ("trad.red1", 144, 72), ("trad.red2", 72, 36),
+              ("trad.red3", 36, 32)]
 
 
 class TestReductions:
@@ -331,9 +370,10 @@ class TestReductions:
     @staticmethod
     def reduce_reference(vols, left_half, store):
         # trad.red0 ... trad.harvest2 applied to the normalized, interleaved
-        # 288-channel volume.
+        # 288-channel volume, trad.red0 as a plain 1x1 conv.
         x = assemble_traditional(*vols).astype(np.float32)
-        for i in range(4):
+        x = relu(conv2d(x, ConvParams(store["trad.red0.w"], store["trad.red0.b"])))
+        for i in range(1, 4):
             x = _layer(store, f"trad.red{i}", x)
         x = concat_channels([x, left_half.data.astype(np.float32)])
         for i in range(3):
@@ -343,14 +383,12 @@ class TestReductions:
     def test_traditional_channel_trace_and_shape(self, rng, store, forward_probe,
                                                  monkeypatch):
         # Reduction chain 288-144-72-36-32: trad.red0 reads the 288-channel
-        # volume as band GEMMs, trad.red1..3 run through _layer.
+        # volume as band GEMMs, with weights _layer checks against the table.
         left_half = Image(rng.random((3, 8, 12)))
         out = self.reduce(monkeypatch, self.trad_volumes(rng), left_half, store)
         assert out.shape == (32, 8, 12)
         assert store["trad.red0.w"].shape == (144, 288, 1, 1)
-        assert [l for l in forward_probe.layers if l[0].startswith("trad.red")] == [
-            ("trad.red1", 144, 72), ("trad.red2", 72, 36), ("trad.red3", 36, 32),
-        ]
+        assert [l for l in forward_probe.layers if l[0].startswith("trad.red")] == TRAD_CHAIN
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_traditional_matches_assembled_reference(self, rng, seed, monkeypatch):
@@ -552,33 +590,46 @@ class TestFullForward:
         left = Image(rng.random((3, 32, 48)))
         right = Image(rng.random((3, 32, 48)))
         full_forward(left, right, store)
-        assert [l for l in forward_probe.layers if l[0].startswith("trad.red")] == [
-            ("trad.red1", 144, 72), ("trad.red2", 72, 36), ("trad.red3", 36, 32),
-        ]
+        assert store["trad.red0.w"].shape == (144, 288, 1, 1)
+        assert [l for l in forward_probe.layers if l[0].startswith("trad.red")] == TRAD_CHAIN
         # padded 32x48 halves to 16x24
         assert [r.shape for r in forward_probe.refined] == [(32, 16, 24)]
 
     def test_every_layer_applied_once_in_table_order(self, rng, store, forward_probe):
         # The architecture table is the one place that decides each layer's
-        # stride, batch norm, deconvolution and ReLU: every layer but
-        # trad.red0 (run as band GEMMs) and corr.reduce (run inside the
-        # blocked correlation) goes through _layer, once per use.
+        # weight shape, stride, batch norm, lowering and ReLU: every layer
+        # goes through _layer, once per use.
         full_forward(Image(rng.random((3, 32, 48))), Image(rng.random((3, 32, 48))), store)
         applied = [name for name, _, _ in forward_probe.layers]
-        names = [l.name for l in architecture() if l.name not in ("trad.red0", "corr.reduce")]
+        names = [l.name for l in architecture()]
         unet = [n for n in names if n.startswith("unet.")]
         # The feature extractor runs once per image of the pair.
         assert [n for n in applied if n in unet] == unet * 2
         assert [n for n in applied if n not in unet] == [n for n in names if n not in unet]
 
     def test_layer_channels_match_table(self, rng, store, forward_probe):
-        # Each _layer call reads (summed over its inputs) and writes the
+        # Each conv or deconv reads (summed over its inputs) and writes the
         # channels its table entry lists: trad.harvest0 35, casc.fuse 96.
+        # The fused trad.red0 and corr.reduce write 144 and 32.
         full_forward(Image(rng.random((3, 32, 48))), Image(rng.random((3, 32, 48))), store)
-        table = {l.name: (l.in_c, l.out_c) for l in architecture()}
+        table = {l.name: (None if l.op in ("trad", "corr") else l.in_c, l.out_c)
+                 for l in architecture()}
         layers = forward_probe.layers
-        assert len(layers) == len(table) + 11  # unet layers twice, no trad.red0 or corr.reduce
+        assert len(layers) == len(table) + 13  # the 13 unet layers run twice
         assert layers == [(name, *table[name]) for name, _, _ in layers]
+
+    def test_kernels_looked_up_at_call_time(self, rng, store, monkeypatch):
+        # _layer calls conv2d and deconv2d_s2 through this module's names, so
+        # wrappers put there (perfbench --trace 1 counts conv2d calls) see
+        # every call: 76 convs and 10 deconvs per forward.
+        calls = collections.Counter()
+        for kernel in ("conv2d", "deconv2d_s2"):
+            def counted(*args, f=getattr(mscv.network, kernel), kernel=kernel):
+                calls[kernel] += 1
+                return f(*args)
+            monkeypatch.setattr(mscv.network, kernel, counted)
+        full_forward(Image(rng.random((3, 32, 48))), Image(rng.random((3, 32, 48))), store)
+        assert calls == {"conv2d": 76, "deconv2d_s2": 10}
 
     def test_refined_independent_of_memory_layout(self, forward_probe, layouts):
         # The smallest unpadded frame on which pooling in a layout-dependent
