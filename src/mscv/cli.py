@@ -173,21 +173,19 @@ def traditional_match(
     left_p, orig = pad_reflect(left, 2)
     right_p, _ = pad_reflect(right, 2)
     w = left_p.width // 2
-    left_half, bands = traditional_costs(left_p, right_p, max(1, min(max_disp // 2, w)))
+    left_half, costs = traditional_costs(left_p, right_p, max(1, min(max_disp // 2, w)))
     half = np.zeros((left_half.height, w))
-    for y0, planes in bands:
-        for d, (c, u, v) in enumerate(planes()):
-            c /= CENSUS_BITS  # the stream lets its consumer overwrite a plane
-            c += u
-            c += v
-            if d == 0:
-                best, better = c.copy(), np.empty(c.shape, dtype=bool)
-                arg = half[y0 : y0 + len(c)]
-                continue
-            np.less(c, best, out=better)
-            np.minimum(best, c, out=best)
-            np.copyto(arg, d, where=better)
-    del planes  # the last band's stream holds the front end's YUV and census
+    for y0, d, (c, u, v) in costs:
+        c /= CENSUS_BITS  # the stream lets its consumer overwrite a plane
+        c += u
+        c += v
+        if d == 0:
+            best, better = c.copy(), np.empty(c.shape, dtype=bool)
+            arg = half[y0 : y0 + len(c)]
+            continue
+        np.less(c, best, out=better)
+        np.minimum(best, c, out=best)
+        np.copyto(arg, d, where=better)
     # Half-scale candidates count 2 full-resolution pixels.
     full = np.repeat(np.repeat(2.0 * half, 2, axis=0), 2, axis=1)
     values = crop(full, orig)

@@ -26,8 +26,7 @@ higher-is-better.
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,19 +102,19 @@ def _absdiff(l, r, out):
 
 def traditional_costs(
     left: Image, right: Image, max_d: int
-) -> tuple[Image, Iterator[tuple[int, Callable[[], Iterator[np.ndarray]]]]]:
+) -> tuple[Image, Iterator[tuple[int, int, np.ndarray]]]:
     """Half-scale census and chroma-AD costs for an even-sized RGB pair.
 
     Both images are mean-pooled 2x and converted to YUV once, and the
     census descriptors of Y are computed on the whole plane (the window
-    reaches into neighbor rows).  Returns ``(left_half, bands)``, the
-    pooled RGB left image and an iterator yielding ``(y0, planes)`` for
-    each band of ``_BAND_ROWS`` rows from row ``y0`` (the last may be
-    shorter).  Each call of ``planes()`` streams the band's costs one
-    disparity at a time, d = 0..max_d-1, as a float64 (3, rows, W) array:
-    Hamming costs on Y, absolute differences on U and V.  It is one
-    buffer, rewritten for every plane, so a consumer uses (and may
-    overwrite) each plane before it asks for the next.
+    reaches into neighbor rows).  Returns ``(left_half, costs)``, the
+    pooled RGB left image and a generator yielding ``(y0, d, planes)``
+    band by band, d = 0..max_d-1 within each band of ``_BAND_ROWS`` rows
+    from row ``y0`` (the last may be shorter).  ``planes`` is the band's
+    float64 (3, rows, W) costs at disparity d: Hamming costs on Y,
+    absolute differences on U and V.  It is one buffer, rewritten for
+    every plane, so a consumer uses (and may overwrite) each plane before
+    it asks for the next.  Each plane is computed once.
     """
     if left.data.shape != right.data.shape:
         raise ValueError("stereo pair dimensions differ")
@@ -131,20 +130,18 @@ def traditional_costs(
         (lyuv[2].reshape(-1), ryuv[2].reshape(-1), 1.0, _absdiff),
     )
     h, w = left_half.height, left_half.width
-    flat = np.empty(3 * min(h, _BAND_ROWS) * w)  # flat: a band's prefix is contiguous
 
-    def planes(y0):
-        run = slice(y0 * w, min(h, y0 + _BAND_ROWS) * w)
-        out = flat[: 3 * (run.stop - run.start)].reshape(3, -1, w)
-        for d in range(max_d):
-            for (l, r, fill, cost), o in zip(pairs, out):
-                _plane(l[run], r[run], d, fill, cost, o)
-            yield out
+    def costs():
+        flat = np.empty(3 * min(h, _BAND_ROWS) * w)  # flat: a band's prefix is contiguous
+        for y0 in range(0, h, _BAND_ROWS):
+            run = slice(y0 * w, min(h, y0 + _BAND_ROWS) * w)
+            out = flat[: 3 * (run.stop - run.start)].reshape(3, -1, w)
+            for d in range(max_d):
+                for (l, r, fill, cost), o in zip(pairs, out):
+                    _plane(l[run], r[run], d, fill, cost, o)
+                yield y0, d, out
 
-    bands = (
-        (y0, functools.partial(planes, y0)) for y0 in range(0, h, _BAND_ROWS)
-    )
-    return left_half, bands
+    return left_half, costs()
 
 
 def correlate_1d(f_left: np.ndarray, f_right: np.ndarray, max_d: int) -> CostVolume:

@@ -75,16 +75,17 @@ def evaluate(
     if kitti_rule:  # compared only where the 3 px rule already holds
         d1_out[d1_out] = err[d1_out] > D1_RELATIVE * np.abs(gt.values[d1_out])
 
-    def d1_rate(sel):
-        return float(100.0 * d1_out[sel].mean()) if sel.any() else None
+    def rate(hits, sel):  # counts, as a bool array's mean is exactly count / n
+        n = np.count_nonzero(sel)
+        return float(100.0 * (np.count_nonzero(hits & sel) / n)) if n else None
 
     err_valid = err[valid]
     return EvalReport(
         epe=float(err_valid.mean()),
-        outlier_3px=float(100.0 * (err_valid > 3.0).mean()),
-        outlier_5px=float(100.0 * (err_valid > 5.0).mean()),
-        d1_bg=d1_rate(valid & ~fg_mask),
-        d1_fg=d1_rate(valid & fg_mask),
-        d1_all=d1_rate(valid),
+        outlier_3px=rate(err > 3.0, valid),
+        outlier_5px=rate(err > 5.0, valid),
+        d1_bg=rate(d1_out, valid & ~fg_mask),
+        d1_fg=rate(d1_out, valid & fg_mask),
+        d1_all=rate(d1_out, valid),
         valid_count=err_valid.size,
     )

@@ -301,19 +301,20 @@ def load_weights(path) -> WeightStore:
 def _layer(store, name, *xs):
     """Apply architecture layer ``name`` as its table entry says.
 
-    The weights must have the table's shape.  Several inputs ``xs`` are
+    Every parameter must have the table's shape.  Several inputs ``xs`` are
     read as their channel concatenation (``conv2d`` copies each into its
     rows of the band buffer); ``trad.red0`` reads ``traditional_costs``'
-    bands and left image, ``corr.reduce`` the two feature maps.
+    cost stream and left image, ``corr.reduce`` the two feature maps.
 
     Batch norm is folded into the weights and bias in float64:
     s = gamma / sqrt(var + eps) scales the output axis (axis 0 for conv
     and deconv alike), and the bias becomes (b - mean)·s + beta.
     """
     l = _LAYERS[name]
-    w, b = _param(store, f"{name}.w", (l.out_c, l.in_c, l.kh, l.kw)), store[f"{name}.b"]
+    w = _param(store, f"{name}.w", (l.out_c, l.in_c, l.kh, l.kw))
+    b = _param(store, f"{name}.b", (l.out_c,))
     if l.bn:
-        bn = lambda k: store[f"{name}.bn.{k}"].astype(np.float64)
+        bn = lambda k: _param(store, f"{name}.bn.{k}", (l.out_c,)).astype(np.float64)
         s = bn("gamma") / np.sqrt(bn("var") + BN_EPS)
         w, b = w * s[:, None, None, None], (b - bn("mean")) * s + bn("beta")
     p = ConvParams(w, b, l.stride)
@@ -330,42 +331,41 @@ def _layer(store, name, *xs):
     return relu(y) if l.act else y
 
 
-def _reduce_stream(bands, left_half, p):
-    """``trad.red0`` on the ``(y0, planes)`` bands of ``traditional_costs``.
+def _reduce_stream(costs, left_half, p):
+    """``trad.red0`` on the ``(y0, d, planes)`` stream of ``traditional_costs``.
 
     ``trad.red0`` is a 1x1 conv over the paper's 3·DEPTH-channel volume
     [C(d), U(d), V(d)] normalized by its mean μ and std σ (+1e-8).  The
     interleave only permutes red0's input columns and the normalization is
     affine, so red0 runs per band as one float32 K = 3·DEPTH GEMM, with
     its columns permuted once into [C | U | V] order, on the costs
-    centered at the first band's mean μ̃ (taken in a pass of its own over
-    that band's planes).  Each plane is centered in float64, its Σ(x-μ̃)
-    and Σ(x-μ̃)² are added in float64 (shifted data: Chan, Golub &
-    LeVeque 1983), and it is cast into one float32 (3, DEPTH, rows·W) band
-    buffer.  Then (μ-μ̃)·W·1 is subtracted and the output scaled by
-    1/(σ+1e-8).  As |μ̃-μ| <= σ·√(N/n₁) (Cauchy-Schwarz, n₁ of the N
-    values in the first band), the float32 centering error stays within
-    ε₃₂·(|x-μ| + √bands·σ) for any input, and a constant volume stays exact.
+    centered at the mean μ̃ of the first plane (band 0, d = 0).  Each
+    plane is centered in float64, its Σ(x-μ̃) and Σ(x-μ̃)² are added in
+    float64 (shifted data: Chan, Golub & LeVeque 1983), and it is cast
+    into a float32 (3, DEPTH, rows·W) band buffer, multiplied at d =
+    DEPTH-1.  Then (μ-μ̃)·W·1 is subtracted and the output scaled by
+    1/(σ+1e-8).  As |μ̃-μ| <= σ·√(N/n₁) (Cauchy-Schwarz, n₁ = 3·rows·W of
+    the N values), the float32 centering error stays within
+    ε₃₂·(|x-μ| + √(DEPTH·bands)·σ) for any input; a constant volume stays exact.
     """
     wmat = p.weights.reshape(p.out_channels, 3 * DEPTH)
     wcuv = wmat.reshape(-1, DEPTH, 3).transpose(0, 2, 1).reshape(-1, 3 * DEPTH)
     h, w = left_half.height, left_half.width
     x = np.empty((p.out_channels, h * w), dtype=np.float32)
-    flat, shift, sums, squares = None, None, 0.0, 0.0
-    for y0, planes in bands:
-        if shift is None:  # a band's planes all have one size
-            shift = np.mean([plane.mean() for plane in planes()])
-        for d, plane in enumerate(planes()):
-            if flat is None:  # the first band is the largest
-                flat = np.empty(DEPTH * plane.size, dtype=np.float32)
-            if d == 0:  # a band's prefix of flat is contiguous
-                band = flat[: DEPTH * plane.size].reshape(3, DEPTH, -1)
-            plane -= shift
-            sums += plane.sum()
-            squares += np.vdot(plane, plane)
-            band[:, d] = plane.reshape(3, -1)
-        cols = band.shape[2]
-        np.matmul(wcuv, band.reshape(3 * DEPTH, cols), out=x[:, y0 * w : y0 * w + cols])
+    sums, squares = 0.0, 0.0
+    for y0, d, plane in costs:
+        if y0 == d == 0:  # the first plane; band 0 is the largest
+            flat = np.empty(DEPTH * plane.size, dtype=np.float32)
+            shift = plane.mean()
+        if d == 0:  # a band's prefix of flat is contiguous
+            band = flat[: DEPTH * plane.size].reshape(3, DEPTH, -1)
+        plane -= shift
+        sums += plane.sum()
+        squares += np.vdot(plane, plane)
+        band[:, d] = plane.reshape(3, -1)
+        if d == DEPTH - 1:
+            cols = band.shape[2]
+            np.matmul(wcuv, band.reshape(3 * DEPTH, cols), out=x[:, y0 * w : y0 * w + cols])
     n = 3 * DEPTH * h * w
     offset = sums / n  # μ - μ̃
     sigma = np.sqrt(max(squares / n - offset * offset, 0.0))
@@ -408,8 +408,8 @@ def reduce_traditional(left: Image, right: Image, store: WeightStore) -> np.ndar
     1x1 convs 144-72-36-32, then three 3x3 harvesting convs, the first
     also reading the half-resolution left image.
     """
-    left_half, bands = traditional_costs(left, right, DEPTH)
-    x = _layer(store, "trad.red0", bands, left_half)
+    left_half, costs = traditional_costs(left, right, DEPTH)
+    x = _layer(store, "trad.red0", costs, left_half)
     for i in range(1, 4):
         x = _layer(store, f"trad.red{i}", x)
     x = _layer(store, "trad.harvest0", x, left_half.data)

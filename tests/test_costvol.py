@@ -150,19 +150,27 @@ class TestTraditionalCosts:
     def test_matches_oracles_on_pooled_yuv(self, rng, layouts):
         # 20 half-scale rows: a full band of _BAND_ROWS and a short one;
         # 14 half-scale columns, so at max_d 20 planes 14..19 are all fill.
-        # Every memory layout of the same pixels gives the same costs.
+        # Every memory layout of the same pixels gives the same costs.  A
+        # consumer may overwrite each plane: the next one is still right.
         left = Image(rng.random((3, 40, 28)))
         right = Image(rng.random((3, 40, 28)))
         lyuv = rgb_to_yuv(mean_pool_2x(left)).data
         ryuv = rgb_to_yuv(mean_pool_2x(right)).data
         inputs = zip(layouts(left.data), layouts(right.data))
         for (l, r), max_d in itertools.product(inputs, (8, 20)):
-            left_half, bands = traditional_costs(Image(l), Image(r), max_d)
-            y0s, planes = zip(*bands)
-            assert y0s == (0, _BAND_ROWS)
-            # (3, max_d, rows, W) per band; the stream reuses one buffer.
+            left_half, costs = traditional_costs(Image(l), Image(r), max_d)
+            order, planes = [], []
+            for y0, d, p in costs:
+                order.append((y0, d))
+                planes.append(p.copy())
+                p.fill(np.nan)
+            assert order == [(y0, d) for y0 in (0, _BAND_ROWS) for d in range(max_d)]
+            assert [p.shape for p in planes] == (
+                [(3, _BAND_ROWS, 14)] * max_d + [(3, 20 - _BAND_ROWS, 14)] * max_d
+            )
+            # (3, max_d, rows, W) per band, joined along the rows.
             vols = np.concatenate(
-                [np.stack([p.copy() for p in band()], axis=1) for band in planes],
+                [np.stack(planes[:max_d], axis=1), np.stack(planes[max_d:], axis=1)],
                 axis=2,
             )
             np.testing.assert_array_equal(
@@ -174,22 +182,6 @@ class TestTraditionalCosts:
             np.testing.assert_array_equal(vols[1], ad_volume_oracle(lyuv[1], ryuv[1], max_d))
             np.testing.assert_array_equal(vols[2], ad_volume_oracle(lyuv[2], ryuv[2], max_d))
             np.testing.assert_array_equal(left_half.data, mean_pool_2x(left).data)
-
-    def test_band_stream_repeats_byte_identical(self, rng):
-        # reduce_traditional reads a band's planes() twice (its shift pass,
-        # then the costs), and consumers may overwrite each plane in place.
-        left = Image(rng.random((3, 40, 28)))
-        right = Image(rng.random((3, 40, 28)))
-        _, bands = traditional_costs(left, right, 20)
-        shapes = []
-        for _, planes in bands:  # a full band, then a short last one
-            first = []
-            for p in planes():
-                first.append(p.tobytes())
-                shapes.append(p.shape)
-                p.fill(np.nan)
-            assert [p.tobytes() for p in planes()] == first
-        assert shapes == [(3, _BAND_ROWS, 14)] * 20 + [(3, 20 - _BAND_ROWS, 14)] * 20
 
     # Equal pixel counts (8x16 and 16x8) would pair unrelated pixels along
     # the flat runs; unequal ones would fail inside NumPy.

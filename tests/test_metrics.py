@@ -1,10 +1,12 @@
 """The evaluation report: EPE, outlier rates, D1 components, identities."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from mscv.imagekit import DisparityMap
-from mscv.metrics import evaluate
+from mscv.metrics import EvalReport, evaluate
 
 
 def maps_with_errors(errors, gt_value=50.0):
@@ -170,3 +172,28 @@ class TestKittiSized:
         before = [a.tobytes() for a in arrays]
         evaluate(m.pred, m.gt, kitti_rule=kitti_rule)
         assert [a.tobytes() for a in arrays] == before
+
+    @pytest.mark.parametrize("kitti_rule", [False, True])
+    def test_rates_match_gather_formulas(self, kitti_maps, kitti_rule):
+        # Rates taken as counts over n equal the boolean gathers' means bit
+        # for bit; the discontinuity mask serves as a non-empty foreground.
+        m = kitti_maps
+        valid, fg = m.gt.valid, m.mask.flags.astype(bool)
+        err = np.abs(m.pred.values - m.gt.values)
+        out = err > 3.0
+        if kitti_rule:
+            out &= err > 0.05 * np.abs(m.gt.values)
+        ev = err[valid]
+        expected = EvalReport(
+            epe=float(ev.mean()),
+            outlier_3px=float(100.0 * (ev > 3.0).mean()),
+            outlier_5px=float(100.0 * (ev > 5.0).mean()),
+            d1_bg=float(100.0 * out[valid & ~fg].mean()),
+            d1_fg=float(100.0 * out[valid & fg].mean()),
+            d1_all=float(100.0 * out[valid].mean()),
+            valid_count=ev.size,
+        )
+        assert (valid & fg).any() and (valid & ~fg).any()
+        report = evaluate(m.pred, m.gt, fg, kitti_rule=kitti_rule)
+        assert report == expected
+        assert {type(v) for v in astuple(report)} == {float, int}

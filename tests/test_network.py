@@ -1,7 +1,6 @@
 """Weight container, initialization, and forward-pass shape/determinism."""
 
 import collections
-import functools
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -9,10 +8,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import mscv.costvol
 import mscv.network
 from mscv.costvol import _BAND_ROWS, _CORR_COLS, CostVolume
 from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
 from mscv.network import (
+    DEPTH,
     WeightError,
     WeightStore,
     _layer,
@@ -277,36 +278,53 @@ class TestLayer:
 
 
 class TestLayerWeights:
-    """``_layer`` checks each layer's weights against the table, so a kernel
-    of the wrong size raises instead of running as a different conv."""
+    """``_layer`` checks each layer's parameters against the table, so a
+    kernel of the wrong size raises instead of running as a different conv,
+    and a bias or BN vector of the wrong length instead of broadcasting."""
 
-    BLOCKS = [
-        pytest.param("unet.enc0.w", (16, 3, 5, 5),
-                     lambda s, r: unet_features(Image(r.random((3, 32, 32))), s), id="unet"),
-        pytest.param("guide.s0.w", (32, 32, 1, 1),
-                     lambda s, r: guide_encoder(r.random((32, 8, 8), np.float32), s),
-                     id="guide"),
-        pytest.param("hg1.down0.c1.w", (32, 32, 1, 1),
-                     lambda s, r: hourglass_forward(
-                         r.random((48, 8, 12), np.float32),
-                         guide_encoder(r.random((32, 16, 24), np.float32), s)[1:], s, 1),
-                     id="hourglass"),
-        pytest.param("head.conv.w", (1, 32, 3, 3),
-                     lambda s, r: disparity_head(r.random((32, 4, 4), np.float32), (8, 8), s),
-                     id="head"),
-        pytest.param("trad.harvest0.w", (32, 35, 1, 1),
-                     lambda s, r: reduce_traditional(Image(r.random((3, 16, 16))),
-                                                     Image(r.random((3, 16, 16))), s),
-                     id="traditional"),
-    ]
+    RUNS = {
+        "unet": lambda s, r: unet_features(Image(r.random((3, 32, 32))), s),
+        "guide": lambda s, r: guide_encoder(r.random((32, 8, 8), np.float32), s),
+        "hourglass": lambda s, r: hourglass_forward(
+            r.random((48, 8, 12), np.float32),
+            guide_encoder(r.random((32, 16, 24), np.float32), s)[1:], s, 1),
+        "head": lambda s, r: disparity_head(r.random((32, 4, 4), np.float32), (8, 8), s),
+        "traditional": lambda s, r: reduce_traditional(Image(r.random((3, 16, 16))),
+                                                       Image(r.random((3, 16, 16))), s),
+        "correlation": lambda s, r: reduce_correlation(*r.random((2, 32, 4, 4), np.float32), s),
+    }
 
-    @pytest.mark.parametrize("name,shape,run", BLOCKS)
-    def test_wrong_kernel_rejected(self, rng, store, name, shape, run):
+    @staticmethod
+    def run_broken(rng, store, run, name, shape):
         broken = WeightStore(dict(store.entries))
         broken.entries[name] = np.zeros(shape, dtype=np.float32)
         want = f"parameter {name!r} has shape {shape}, expected {store[name].shape}"
         with pytest.raises(WeightError, match=re.escape(want)):
-            run(broken, rng)
+            TestLayerWeights.RUNS[run](broken, rng)
+
+    @pytest.mark.parametrize("run,name,shape", [
+        pytest.param("unet", "unet.enc0.w", (16, 3, 5, 5), id="unet"),
+        pytest.param("guide", "guide.s0.w", (32, 32, 1, 1), id="guide"),
+        pytest.param("hourglass", "hg1.down0.c1.w", (32, 32, 1, 1), id="hourglass"),
+        pytest.param("head", "head.conv.w", (1, 32, 3, 3), id="head"),
+        pytest.param("traditional", "trad.harvest0.w", (32, 35, 1, 1), id="traditional"),
+    ])
+    def test_wrong_kernel_rejected(self, rng, store, run, name, shape):
+        self.run_broken(rng, store, run, name, shape)
+
+    # A (1,) vector would broadcast through the BN fold and the bias add.
+    @pytest.mark.parametrize("run,name", [
+        pytest.param(run, name, id=name) for run, name in [
+            ("unet", "unet.enc0.b"),
+            ("unet", "unet.enc0.bn.gamma"),
+            ("unet", "unet.up2.deconv.bn.var"),
+            ("guide", "guide.s0.b"),
+            ("traditional", "trad.red0.b"),
+            ("correlation", "corr.reduce.b"),
+        ]
+    ])
+    def test_wrong_vector_rejected(self, rng, store, run, name):
+        self.run_broken(rng, store, run, name, (1,))
 
 
 class TestUnetFeatures:
@@ -341,20 +359,18 @@ class TestReductions:
     @staticmethod
     def reduce(monkeypatch, vols, left_half, store):
         # reduce_traditional on hand-built costs: traditional_costs streams
-        # `vols` as row bands (y0, planes), planes() yielding one (3, rows, W)
-        # [C(d), U(d), V(d)] per d.  Each plane is a copy: reduce_traditional
+        # `vols` band by band as (y0, d, planes), planes the (3, rows, W)
+        # [C(d), U(d), V(d)].  Each plane is a copy: reduce_traditional
         # centers it in place.
         stacked = np.stack([v.costs for v in vols])
 
-        def planes(y0):
-            for d in range(stacked.shape[1]):
-                yield stacked[:, d, y0 : y0 + _BAND_ROWS].copy()
-
         def costs(left, right, max_d):
             assert max_d == 96
-            bands = ((y0, functools.partial(planes, y0))
-                     for y0 in range(0, stacked.shape[2], _BAND_ROWS))
-            return left_half, bands
+            return left_half, (
+                (y0, d, stacked[:, d, y0 : y0 + _BAND_ROWS].copy())
+                for y0 in range(0, stacked.shape[2], _BAND_ROWS)
+                for d in range(max_d)
+            )
 
         monkeypatch.setattr(mscv.network, "traditional_costs", costs)
         return reduce_traditional(None, None, store)
@@ -401,7 +417,7 @@ class TestReductions:
                 CostVolume(3.0 + eps * rng.random((96, h, 12)))
                 for _ in range(3)
             )
-            # The first band's mean lies far from the global one.
+            # Band 0, and so the first plane's mean, lies far from the global one.
             offset = self.trad_volumes(rng, h=h)
             for v in offset:
                 v.costs[:, :_BAND_ROWS] += 5.0
@@ -419,6 +435,36 @@ class TestReductions:
             np.testing.assert_array_equal(
                 reduce(const), self.reduce_reference(const, left_half, weights),
             )
+
+    def test_traditional_hostile_shift(self, rng, store, monkeypatch):
+        # The centering shift is the mean of the first plane alone (band 0,
+        # d = 0): here 0, while every other plane lies near 1e4, so the shift
+        # is off by about σ·√(DEPTH·bands), the bound's worst case.
+        for h in (8, 40):
+            left_half = Image(rng.random((3, h, 12)))
+            vols = tuple(CostVolume(1e4 + rng.random((96, h, 12))) for _ in range(3))
+            for v in vols:
+                v.costs[0, :_BAND_ROWS] = 0.0
+            np.testing.assert_allclose(
+                self.reduce(monkeypatch, vols, left_half, store),
+                self.reduce_reference(vols, left_half, store),
+                rtol=0, atol=1e-6,
+            )
+            const = tuple(CostVolume(np.full((96, h, 12), 1e4)) for _ in range(3))
+            np.testing.assert_array_equal(
+                self.reduce(monkeypatch, const, left_half, store),
+                self.reduce_reference(const, left_half, store),
+            )
+
+    def test_traditional_streams_each_plane_once(self, rng, store, monkeypatch):
+        # 48 full-resolution rows are 24 half-scale rows: a full band and a
+        # short one, each DEPTH planes of three costs.
+        calls = []
+        plane = mscv.costvol._plane
+        monkeypatch.setattr(mscv.costvol, "_plane", lambda *a: calls.append(a) or plane(*a))
+        left, right = (Image(rng.random((3, 48, 32))) for _ in range(2))
+        reduce_traditional(left, right, store)
+        assert len(calls) == 3 * DEPTH * math.ceil(24 / _BAND_ROWS)
 
     def test_correlation_reduce_shape_and_linearity(self, rng, store):
         # The fused corr.reduce against float64: correlation_f64, then the
