@@ -183,6 +183,20 @@ class TestTraditionalCosts:
             np.testing.assert_array_equal(vols[2], ad_volume_oracle(lyuv[2], ryuv[2], max_d))
             np.testing.assert_array_equal(left_half.data, mean_pool_2x(left).data)
 
+    def test_band_stream_repeats_byte_identical(self, rng):
+        # Two streams of one pair are byte-identical, plane for plane, even
+        # when the consumer of the first overwrites each plane in place.
+        left = Image(rng.random((3, 40, 28)))
+        right = Image(rng.random((3, 40, 28)))
+        first = []
+        for y0, d, p in traditional_costs(left, right, 20)[1]:
+            first.append((y0, d, p.shape, p.tobytes()))
+            p.fill(np.nan)
+        again = [(y0, d, p.shape, p.tobytes())
+                 for y0, d, p in traditional_costs(left, right, 20)[1]]
+        assert again == first
+        assert len(first) == 2 * 20
+
     # Equal pixel counts (8x16 and 16x8) would pair unrelated pixels along
     # the flat runs; unequal ones would fail inside NumPy.
     @pytest.mark.parametrize("right_hw", [(16, 8), (8, 20), (10, 16)],
