@@ -163,32 +163,38 @@ def traditional_match(
     in (census normalized to [0,1]) to disambiguate.  The winner is kept
     as a running minimum over the cost planes of each row band; the
     strict ``<`` leaves ties with the smaller disparity, as ``np.argmin``
-    does.  Candidates stop at the half-scale width W: planes with d >= W
-    hold only the maximum cost (1 + 1 + 1), which never wins.  Output
-    values are in full-resolution pixel units; nearest-neighbor
-    upsampling back to the input dimensions.
+    does.  The argmin map holds the narrowest unsigned integer type that
+    fits every candidate; since d exceeds every earlier candidate, the
+    running maximum of ``better * d`` puts d exactly where plane d won.
+    Candidates stop at the half-scale width W: planes with d >= W hold
+    only the maximum cost (1 + 1 + 1), which never wins.  Output values
+    are in full-resolution pixel units; nearest-neighbor upsampling back
+    to the input dimensions.
     """
     if left.data.shape != right.data.shape:  # padding could make them agree
         raise ValueError("stereo pair dimensions differ")
     left_p, orig = pad_reflect(left, 2)
     right_p, _ = pad_reflect(right, 2)
     w = left_p.width // 2
-    left_half, costs = traditional_costs(left_p, right_p, max(1, min(max_disp // 2, w)))
-    half = np.zeros((left_half.height, w))
+    n = max(1, min(max_disp // 2, w))
+    left_half, costs = traditional_costs(left_p, right_p, n)
+    half = np.zeros((left_half.height, w), dtype=np.min_scalar_type(n - 1))
     for y0, d, (c, u, v) in costs:
         c /= CENSUS_BITS  # the stream lets its consumer overwrite a plane
         c += u
         c += v
         if d == 0:
             best, better = c.copy(), np.empty(c.shape, dtype=bool)
+            step = np.empty(c.shape, dtype=half.dtype)
             arg = half[y0 : y0 + len(c)]
             continue
         np.less(c, best, out=better)
         np.minimum(best, c, out=best)
-        np.copyto(arg, d, where=better)
-    # Half-scale candidates count 2 full-resolution pixels.
-    full = np.repeat(np.repeat(2.0 * half, 2, axis=0), 2, axis=1)
-    values = crop(full, orig)
+        np.maximum(arg, np.multiply(better, d, out=step, dtype=step.dtype), out=arg)
+    # One write upsamples; half-scale candidates count 2 full-resolution pixels.
+    full = np.empty((len(half), 2, w, 2))
+    np.multiply(half[:, None, :, None], 2.0, out=full)
+    values = crop(full.reshape(2 * len(half), 2 * w), orig)
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 
 

@@ -123,13 +123,14 @@ def loss_grad(
     """
     grad, factor = _weighted_error(d_hat, d_gt, mask, p)
     active = (grad > p.tau) & d_gt.valid
-    # Active pixels have u = weighted > tau, so the clamp is skipped.  The
-    # inf/nan of inactive ones (u = 0 at tau = 0) is zeroed at the end.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.power(grad, LOSS_EXPONENT - 1.0, out=grad)
-        grad *= LOSS_EXPONENT
-        grad *= factor
-        sign = np.subtract(d_hat.values, d_gt.values, out=factor)  # factor is spent
-        grad *= np.sign(sign, out=sign)
-    np.copyto(grad, 0.0, where=~active)
+    # Active pixels have u = weighted > tau >= 0 and pass the clamp unchanged;
+    # its floor at the least positive double keeps the others finite (u = 0
+    # gives inf), so * active zeroes them, and + 0.0 turns -0.0 into +0.0.
+    np.maximum(max(p.tau, np.nextafter(0.0, 1.0)), grad, out=grad)
+    np.power(grad, LOSS_EXPONENT - 1.0, out=grad)
+    grad *= LOSS_EXPONENT
+    grad *= factor
+    np.copysign(grad, np.subtract(d_hat.values, d_gt.values, out=factor), out=grad)
+    grad *= active
+    grad += 0.0
     return grad

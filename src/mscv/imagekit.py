@@ -129,15 +129,14 @@ def read_image(path) -> Image:
         raise FormatError(f"bad dimensions {width}x{height}")
     pos += 1  # single whitespace after maxval
     need = width * height * channels
-    payload = buf[pos : pos + need]
-    if len(payload) != need:
+    got = max(0, min(need, len(buf) - pos))
+    if got != need:
         raise FormatError(
-            f"truncated payload at byte {pos + len(payload)}: "
-            f"expected {need} bytes, got {len(payload)}"
+            f"truncated payload at byte {pos + got}: expected {need} bytes, got {got}"
         )
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    data = raw.astype(np.float64).transpose(2, 0, 1) / 255.0
-    return Image(data)
+    raw = np.frombuffer(buf, np.uint8, count=need, offset=pos).reshape(height, width, channels)
+    # One pass from the file bytes into a planar float64 array.
+    return Image(np.divide(raw.transpose(2, 0, 1), 255.0, out=np.empty((channels, height, width))))
 
 
 def write_image(image: Image, path) -> None:
@@ -249,10 +248,11 @@ def mean_pool_2x(image: Image) -> Image:
 
     Each block sums as ((x00 + x01) + x10) + x11 and then divides by 4,
     whatever the memory layout of ``image.data``, so equal pixels pool to
-    equal bits.  It is the order in which NumPy's ``mean`` summed the
-    channel-interleaved arrays that :func:`read_image` returns, so images
-    read from files pool as they always did.  Dimensions must be even;
-    pad with :func:`pad_reflect` first.
+    equal bits.  It is the order in which NumPy's ``mean`` summed
+    channel-interleaved (H, W, C) arrays seen as (C, H, W), the layout
+    :func:`read_image` once returned, so images read from files pool as
+    they always did.  Dimensions must be even; pad with
+    :func:`pad_reflect` first.
     """
     x = image.data
     c, h, w = x.shape

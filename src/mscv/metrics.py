@@ -66,26 +66,40 @@ def evaluate(
     valid = gt.valid
     if not valid.any():
         raise ValueError("no valid ground-truth pixels")
-    fg_mask = np.zeros_like(valid) if fg_mask is None else np.asarray(fg_mask, dtype=bool)
-    if fg_mask.shape != valid.shape:
-        raise ValueError("foreground mask dimensions differ")
+    if fg_mask is not None:
+        fg_mask = np.asarray(fg_mask, dtype=bool)
+        if fg_mask.shape != valid.shape:
+            raise ValueError("foreground mask dimensions differ")
     err = np.subtract(pred.values, gt.values)
     np.abs(err, out=err)
-    d1_out = err > D1_THRESHOLD_PX
-    if kitti_rule:  # compared only where the 3 px rule already holds
-        d1_out[d1_out] = err[d1_out] > D1_RELATIVE * np.abs(gt.values[d1_out])
-
-    def rate(hits, sel):  # counts, as a bool array's mean is exactly count / n
-        n = np.count_nonzero(sel)
-        return float(100.0 * (np.count_nonzero(hits & sel) / n)) if n else None
-
+    if kitti_rule:  # > 5% of ground truth as well; rel is freed before the 3 px test
+        rel = np.abs(gt.values)
+        rel *= D1_RELATIVE
+        d1_out = err > rel
+        del rel
+        d1_out &= err > D1_THRESHOLD_PX
+    else:
+        d1_out = err > D1_THRESHOLD_PX
+    d1_out &= valid
     err_valid = err[valid]
+    n = err_valid.size
+
+    def rate(hits, total):  # counts, as a bool array's mean is exactly count / n
+        return float(100.0 * (hits / total)) if total else None
+
+    d1_hits = np.count_nonzero(d1_out)
+    d1_bg = d1_all = rate(d1_hits, n)
+    d1_fg = None
+    if fg_mask is not None:  # background counts are the valid ones minus foreground's
+        fg_hits, fg_n = np.count_nonzero(d1_out & fg_mask), np.count_nonzero(valid & fg_mask)
+        d1_bg, d1_fg = rate(d1_hits - fg_hits, n - fg_n), rate(fg_hits, fg_n)
     return EvalReport(
         epe=float(err_valid.mean()),
-        outlier_3px=rate(err > 3.0, valid),
-        outlier_5px=rate(err > 5.0, valid),
-        d1_bg=rate(d1_out, valid & ~fg_mask),
-        d1_fg=rate(d1_out, valid & fg_mask),
-        d1_all=rate(d1_out, valid),
-        valid_count=err_valid.size,
+        # D1_THRESHOLD_PX is 3 px, so the literal D1 rule is the 3 px rate.
+        outlier_3px=rate(np.count_nonzero(err_valid > 3.0), n) if kitti_rule else d1_all,
+        outlier_5px=rate(np.count_nonzero(err_valid > 5.0), n),
+        d1_bg=d1_bg,
+        d1_fg=d1_fg,
+        d1_all=d1_all,
+        valid_count=n,
     )

@@ -65,8 +65,8 @@ def kitti_maps():
 @pytest.fixture
 def layouts():
     """``layouts(x)``: the (C, H, W) samples ``x`` as a channel-interleaved
-    view (the layout ``read_image`` returns), a C-contiguous copy and a
-    Fortran-ordered copy."""
+    view (as callers holding (H, W, C) pixels pass), a C-contiguous copy
+    (the layout ``read_image`` returns) and a Fortran-ordered copy."""
 
     def make(x):
         x = np.asarray(x)

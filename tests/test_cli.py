@@ -340,9 +340,10 @@ class TestDispatch:
 
 
 # tracemalloc peak of traditional_match on a 376x1240 pair at max_disp 192:
-# 12.03 MB measured (63.8 MB while each band was built as float64 96-deep
-# volumes); one float64 96-deep band volume (7.6 MB) more fails.
-TRADITIONAL_MATCH_PEAK_MB = 12.3
+# 11.54 MB measured with a uint8 argmin map (11.96 MB with a float64 one,
+# 63.8 MB while each band was built as float64 96-deep volumes); one
+# float64 96-deep band volume (7.6 MB) more fails.
+TRADITIONAL_MATCH_PEAK_MB = 11.8
 
 
 class TestTraditionalMatchBands:
@@ -380,6 +381,15 @@ class TestTraditionalMatchBands:
         assert np.array_equal(got.values, want.values)
         if case != "period8_shift4":
             assert (got.values == 0).all()
+
+    def test_more_than_256_candidates_equal_reference(self, rng):
+        # 300 half-scale candidates: the argmin map needs 16-bit indices.
+        left = Image(rng.random((3, 16, 600)))
+        right = Image(np.roll(left.data, -540, axis=2))  # disparity 540 from x = 540
+        got = traditional_match(left, right, 600)
+        want = traditional_match_reference(left, right, 600)
+        assert np.array_equal(got.values, want.values)
+        assert got.values.max() > 2 * 255
 
     # Odd widths are padded to even first; W is the padded half width.
     @pytest.mark.parametrize("width", [60, 59])

@@ -55,6 +55,27 @@ class TestPnmCodec:
         assert img.data.shape == (3, 1, 2)
         np.testing.assert_array_equal(img.data.ravel(), [0, 1, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("channels", [3, 1], ids=["P6", "P5"])
+    def test_decodes_planar_bit_identical(self, tmp_path, rng, channels):
+        # A comment in the header moves the payload off any alignment.
+        raw = rng.integers(0, 256, (5, 7, channels), dtype=np.uint8)
+        path = tmp_path / "img.pnm"
+        magic = b"P6" if channels == 3 else b"P5"
+        path.write_bytes(magic + b" # c\n7 5\n255\n" + raw.tobytes())
+        data = read_image(path).data
+        assert data.shape == (channels, 5, 7) and data.flags.c_contiguous
+        assert data.tobytes() == (raw.astype(np.float64).transpose(2, 0, 1) / 255.0).tobytes()
+
+    def test_kitti_sized_read_peak_memory(self, tmp_path, rng, peak_bytes):
+        # The file bytes (1/8 image), the float64 image and its finiteness
+        # mask (1/8).  Converting to float64 and then dividing into a
+        # second image, as a two-step decode does, peaks at 2.25 images.
+        path = tmp_path / "kitti.ppm"
+        path.write_bytes(b"P6\n1240 376\n255\n" + rng.bytes(3 * 376 * 1240))
+        image_bytes = 3 * 376 * 1240 * 8
+        peak = peak_bytes(lambda: read_image(path))
+        assert peak <= 1.5 * image_bytes, f"peak {peak / image_bytes:.2f} images"
+
     def test_bad_magic_reports_offset(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(b"P7\n1 1\n255\n\x00")

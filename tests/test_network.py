@@ -719,9 +719,10 @@ def scaled_weights(seed, gain):
 
 def kitti_pair():
     # The right view shifted by 20 px: a pair whose disparity map is not
-    # all zero under scaled_weights(7, sqrt(6)).  Values and layout are
-    # what read_image returns for an 8-bit PPM: multiples of 1/255 in a
-    # channel-interleaved (H, W, 3) array seen as (3, H, W).
+    # all zero under scaled_weights(7, sqrt(6)).  Values are those of an
+    # 8-bit PPM, multiples of 1/255, in a channel-interleaved (H, W, 3)
+    # array seen as (3, H, W): the layout read_image returned before it
+    # decoded straight into planar arrays.
     rgb = np.random.default_rng(2024).integers(0, 256, (376, 1240, 3)) / 255
     right = rgb.transpose(2, 0, 1)
     return Image(np.roll(right, 20, axis=2)), Image(right)
