@@ -4,7 +4,13 @@ Combines traditional matching costs (census transform + absolute
 difference) with CNN correlation features, aggregates them through a
 guided cascade hourglass network, and evaluates disparity maps with
 KITTI-style metrics.  Pure numpy, CPU only, inference only.
+
+The network stack (``network`` and the ``tensorops`` engine under it)
+loads on first use, as ``mscv.network`` or one of its exported names,
+so commands that need no network start without it.
 """
+
+import importlib
 
 from mscv.imagekit import (
     DisparityMap,
@@ -33,14 +39,18 @@ from mscv.disparity import (
     warp_row,
 )
 from mscv.metrics import EvalReport, evaluate
-from mscv.network import (
-    WeightStore,
-    describe_architecture,
-    full_forward,
-    init_weights,
-    load_weights,
-    save_weights,
-)
+
+_NETWORK_NAMES = ("WeightStore", "describe_architecture", "full_forward",
+                  "init_weights", "load_weights", "save_weights")
+
+
+def __getattr__(name):
+    if name in ("network", "tensorops"):
+        return importlib.import_module(f"mscv.{name}")
+    if name in _NETWORK_NAMES:
+        return getattr(importlib.import_module("mscv.network"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CostVolume",

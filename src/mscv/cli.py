@@ -7,7 +7,6 @@ overrides built-in defaults.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -36,14 +35,6 @@ from mscv.imagekit import (
     write_pnm,
 )
 from mscv.metrics import evaluate
-from mscv.network import (
-    describe_architecture,
-    full_forward,
-    init_weights,
-    load_weights,
-    save_weights,
-    validate_store,
-)
 
 class ConfigError(ValueError):
     """Raised on an invalid run configuration."""
@@ -88,14 +79,15 @@ class RunConfig:
 def parse_plan(plan: str, width: int) -> list[tuple[int, int, int]]:
     """Parse "x0:x1:d,..." (or a single "d" covering the full width)."""
     plan = plan.strip()
-    if ":" not in plan:
-        return [(0, width, int(plan))]
+    listed = ":" in plan
     regions = []
-    for part in plan.split(","):
-        values = part.split(":")
-        if len(values) != 3:
-            raise ConfigError(f"bad plan region {part!r} (want x0:x1:d)")
-        regions.append((int(values[0]), int(values[1]), int(values[2])))
+    for part in plan.split(",") if listed else [plan]:
+        try:
+            x0, x1, d = map(int, part.split(":") if listed else (0, width, part))
+        except ValueError:  # not an integer, or not three of them
+            want = "x0:x1:d" if listed else "d"
+            raise ConfigError(f"bad plan region {part!r} (want {want})") from None
+        regions.append((x0, x1, d))
     cursor = 0
     for x0, x1, _ in regions:
         if x0 != cursor or x1 <= x0:
@@ -246,6 +238,7 @@ def _cmd_trad_match(cfg: RunConfig) -> None:
 
 
 def _cmd_infer(cfg: RunConfig) -> None:
+    from mscv.network import full_forward, load_weights
     _require(cfg, "left", "right", "weights", "out")
     left = read_image(cfg.left)
     right = read_image(cfg.right)
@@ -283,6 +276,7 @@ def _cmd_eval(cfg: RunConfig) -> None:
 
 
 def _cmd_init_weights(cfg: RunConfig) -> None:
+    from mscv.network import init_weights, save_weights, validate_store
     _require(cfg, "out")
     store = init_weights(cfg.seed)
     validate_store(store)
@@ -291,6 +285,7 @@ def _cmd_init_weights(cfg: RunConfig) -> None:
 
 
 def _cmd_describe(cfg: RunConfig) -> None:
+    from mscv.network import describe_architecture
     print(describe_architecture())
 
 
@@ -353,8 +348,9 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One ``--option`` per ``RunConfig`` field, in field order."""
+def build_parser():
+    """The argparse parser: one ``--option`` per ``RunConfig`` field, in order."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="mscv", description="Multi-scale cost-volume stereo matching."
     )

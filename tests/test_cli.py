@@ -43,6 +43,16 @@ class TestPlanParsing:
         with pytest.raises(ConfigError):
             parse_plan("0:40:4", 100)
 
+    @pytest.mark.parametrize("plan,message", [
+        ("0:32:5,32:64:x", "bad plan region '32:64:x' (want x0:x1:d)"),
+        ("0:32:5,32:64", "bad plan region '32:64' (want x0:x1:d)"),
+        ("x", "bad plan region 'x' (want d)"),
+    ])
+    def test_bad_region_named(self, tmp_path, capsys, plan, message):
+        assert main(["synth", "--out", str(tmp_path), "--width", "64", "--plan", plan]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not list(tmp_path.iterdir())
+
 
 class TestGenerateSyntheticPair:
     def test_zero_disparity_plan(self):

@@ -4,14 +4,22 @@ Names listed in ``__all__``, ``from __future__`` imports and lines marked
 ``# noqa: F401`` are exempt from the import check.  A module-level
 ``_name`` must be referenced somewhere in the library outside its own
 definition, so a helper that only tests call cannot stay in ``src/``.
+
+The import boundary is checked in fresh interpreters: ``import mscv.cli``
+loads neither the network stack nor ``argparse``, and the package still
+hands out ``network``, ``tensorops`` and the network's exports on first use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "mscv").glob("*.py"))
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
+SRC = sorted((SRC_ROOT / "mscv").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -101,3 +109,46 @@ def test_checker_flags_only_unreferenced_privates(sources, unused):
 
 def test_no_unreferenced_privates():
     assert unreferenced_privates({p.name: p.read_text() for p in SRC}) == []
+
+
+def fresh_python(*args: str) -> str:
+    """Run ``python *args`` with ``src/`` on the path; returns its stdout."""
+    path = os.pathsep.join(filter(None, [str(SRC_ROOT), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_leaves_network_stack_unloaded():
+    out = fresh_python("-c", "import sys, mscv.cli; print(sorted(m for m in "
+                       "('mscv.network', 'mscv.tensorops', 'argparse') if m in sys.modules))")
+    assert out.strip() == "[]"
+
+
+def test_lazy_export_is_the_network_function():
+    out = fresh_python("-c", "import mscv; print(mscv.full_forward is mscv.network.full_forward)")
+    assert out.strip() == "True"
+
+
+def test_tensorops_resolves_from_package():
+    out = fresh_python("-c", "import mscv; print(mscv.tensorops.conv2d.__module__)")
+    assert out.strip() == "mscv.tensorops"
+
+
+def test_star_import_binds_every_export():
+    out = fresh_python("-c", "import mscv\nfrom mscv import *\n"
+                       "print([n for n in mscv.__all__ if n not in globals()])")
+    assert out.strip() == "[]"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    out = fresh_python("-c", "import mscv\ntry:\n    mscv.no_such_name\n"
+                       "except AttributeError as exc:\n    print(exc)")
+    assert out.strip() == "module 'mscv' has no attribute 'no_such_name'"
+
+
+def test_describe_runs_as_module():
+    from mscv.network import describe_architecture
+
+    assert describe_architecture() in fresh_python("-m", "mscv.cli", "describe")
