@@ -108,8 +108,8 @@ def generate_synthetic_pair(
     """Random-texture stereo pair with exact piecewise-constant disparity.
 
     The right image is an iid random field; the left image samples it
-    at x - d(x).  Ground truth marks out-of-range and occluded left
-    pixels invalid.
+    at x - d(x).  Out-of-range and occluded left pixels hold 0 in the
+    ground truth, so ``DisparityMap``'s validity rule marks them invalid.
     """
     for x0, x1, d in plan:
         if d < 0 or d >= max_disp:
@@ -133,10 +133,7 @@ def generate_synthetic_pair(
     y = xs.astype(np.float64) - d_of_x
     running = np.concatenate(([-np.inf], np.maximum.accumulate(y)[:-1]))
     visible = in_range & (y > running)
-    values = np.where(visible, d_of_x, 0).astype(np.float64)
-    valid = np.broadcast_to(visible & (d_of_x > 0) & (d_of_x < MAX_DISPARITY),
-                            (height, width)).copy()
-    gt = DisparityMap(np.broadcast_to(values, (height, width)).copy(), valid=valid)
+    gt = DisparityMap(np.broadcast_to(np.where(visible, d_of_x, 0), (height, width)))
     return Image(left), Image(right), gt
 
 

@@ -118,6 +118,8 @@ def traditional_costs(
     """
     if left.data.shape != right.data.shape:
         raise ValueError("stereo pair dimensions differ")
+    if left.channels != 3:
+        raise ValueError(f"stereo matching expects an RGB pair, got {left.channels} channel(s)")
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
     left_half = mean_pool_2x(left)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -516,27 +515,22 @@ def full_forward(
     """
     if left.data.shape != right.data.shape:
         raise ValueError("stereo pair dimensions differ")
-    if left.channels != 3:
-        raise ValueError("full_forward expects RGB input")
     validate_store(store)
     left_p, orig = pad_reflect(left, 16)
     right_p, _ = pad_reflect(right, 16)
+    branches = [(reduce_traditional, (left_p, right_p, store)),
+                (unet_features, (left_p, store)), (unet_features, (right_p, store))]
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pooled forward loads it
         with ThreadPoolExecutor(max_workers=min(threads, 3)) as pool:
-            fut_trad = pool.submit(reduce_traditional, left_p, right_p, store)
-            fut_l = pool.submit(unet_features, left_p, store)
-            fut_r = pool.submit(unet_features, right_p, store)
-            trad32 = fut_trad.result()
-            fl_half, fl_quarter = fut_l.result()
-            fr_half, fr_quarter = fut_r.result()
+            results = [f.result() for f in [pool.submit(fn, *args) for fn, args in branches]]
     else:
-        trad32 = reduce_traditional(left_p, right_p, store)
-        fl_half, fl_quarter = unet_features(left_p, store)
-        fr_half, fr_quarter = unet_features(right_p, store)
-
+        results = [fn(*args) for fn, args in branches]
+    trad32, (fl_half, fl_quarter), (fr_half, fr_quarter) = results
+    del branches, results, left_p, right_p  # the padded pair dies with the list
     corr32 = reduce_correlation(fl_half, fr_half, store)
     corr_quarter = correlate_1d(fl_quarter, fr_quarter, DEPTH // 2).costs
-    del left_p, right_p, fl_half, fl_quarter, fr_half, fr_quarter
+    del fl_half, fl_quarter, fr_half, fr_quarter
     guides = guide_encoder(trad32, store)
     refined = cascade_forward(trad32, corr32, corr_quarter, guides, store)
     return disparity_head(refined, orig, store)

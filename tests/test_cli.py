@@ -82,6 +82,14 @@ class TestGenerateSyntheticPair:
             np.testing.assert_array_equal(x.data, y.data)
         np.testing.assert_array_equal(a[2].values, b[2].values)
 
+    def test_disparity_beyond_max_disparity_invalid(self):
+        # d = 250 is a legal plan under max_disp 400 but no valid disparity.
+        _, _, gt = generate_synthetic_pair(4, 600, 4, [(0, 300, 250), (300, 600, 20)], 400)
+        assert not gt.valid[:, :300].any()
+        np.testing.assert_array_equal(gt.values[:, :300], 0.0)
+        assert gt.valid[:, 300:].all()
+        np.testing.assert_array_equal(gt.values[:, 300:], 20.0)
+
     def test_infeasible_plan_rejected(self):
         with pytest.raises(ConfigError):
             generate_synthetic_pair(0, 64, 8, [(0, 64, 200)])
@@ -282,6 +290,20 @@ class TestDispatch:
                      "--out", str(out)]) == 2
         assert "stereo pair dimensions differ" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["trad-match"], ["infer"], ["infer", "--threads", "2"]],
+                             ids=["trad-match", "infer", "infer-threads-2"])
+    def test_grey_pair_exits_2(self, tmp_path, capsys, rng, command):
+        left, right, out = tmp_path / "l.pgm", tmp_path / "r.pgm", tmp_path / "o.pfm"
+        write_image(Image(rng.random((1, 16, 32))), left)
+        write_image(Image(rng.random((1, 16, 32))), right)
+        weights = tmp_path / "w.bin"
+        save_weights(init_weights(1), weights)
+        assert main([*command, "--left", str(left), "--right", str(right),
+                     "--weights", str(weights), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: stereo matching expects an RGB pair, got 1 channel(s)")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.pgm", "r.pgm", "w.bin"]
 
     def test_malformed_input_no_crash(self, tmp_path, capsys):
         bad = tmp_path / "bad.pfm"

@@ -212,6 +212,11 @@ class TestTraditionalCosts:
         with pytest.raises(ValueError, match="max_d"):
             traditional_costs(img, img, 0)
 
+    def test_grey_pair_rejected(self, rng):
+        img = Image(rng.random((1, 8, 16)))  # Image holds 1 or 3 channels
+        with pytest.raises(ValueError, match=r"expects an RGB pair, got 1 channel\(s\)"):
+            traditional_costs(img, img, 4)
+
 
 class TestAssembleTraditional:
     @staticmethod

@@ -6,8 +6,10 @@ Names listed in ``__all__``, ``from __future__`` imports and lines marked
 definition, so a helper that only tests call cannot stay in ``src/``.
 
 The import boundary is checked in fresh interpreters: ``import mscv.cli``
-loads neither the network stack nor ``argparse``, and the package still
-hands out ``network``, ``tensorops`` and the network's exports on first use.
+loads neither the network stack nor ``argparse``, ``import mscv.network``
+leaves the thread pool to a forward that asks for one, and the package
+still hands out ``network``, ``tensorops`` and the network's exports on
+first use.
 """
 
 import ast
@@ -124,6 +126,12 @@ def test_cli_import_leaves_network_stack_unloaded():
     out = fresh_python("-c", "import sys, mscv.cli; print(sorted(m for m in "
                        "('mscv.network', 'mscv.tensorops', 'argparse') if m in sys.modules))")
     assert out.strip() == "[]"
+
+
+def test_network_import_leaves_thread_pool_unloaded():
+    out = fresh_python("-c", "import sys, mscv.network; "
+                       "print('concurrent.futures' in sys.modules)")
+    assert out.strip() == "False"
 
 
 def test_lazy_export_is_the_network_function():

@@ -1,9 +1,9 @@
 """Weight container, initialization, and forward-pass shape/determinism."""
 
 import collections
+import concurrent.futures
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -619,12 +619,12 @@ class TestFullForward:
     def test_worker_count_follows_threads(self, rng, store, monkeypatch):
         workers = []
 
-        class Recording(ThreadPoolExecutor):
+        class Recording(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 workers.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(mscv.network, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         left = Image(rng.random((3, 32, 48)))
         right = Image(rng.random((3, 32, 48)))
         serial = full_forward(left, right, store, threads=1)
