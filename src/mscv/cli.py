@@ -26,7 +26,6 @@ from mscv.imagekit import (
     MAX_DISPARITY,
     DisparityMap,
     Image,
-    crop,
     pad_reflect,
     read_image,
     read_pfm,
@@ -183,7 +182,7 @@ def traditional_match(
     # One write upsamples; half-scale candidates count 2 full-resolution pixels.
     full = np.empty((len(half), 2, w, 2))
     np.multiply(half[:, None, :, None], 2.0, out=full)
-    values = crop(full.reshape(2 * len(half), 2 * w), orig)
+    values = full.reshape(2 * len(half), 2 * w)[: orig[0], : orig[1]]
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 
 
@@ -273,10 +272,9 @@ def _cmd_eval(cfg: RunConfig) -> None:
 
 
 def _cmd_init_weights(cfg: RunConfig) -> None:
-    from mscv.network import init_weights, save_weights, validate_store
+    from mscv.network import init_weights, save_weights
     _require(cfg, "out")
     store = init_weights(cfg.seed)
-    validate_store(store)
     save_weights(store, cfg.out)
     print(f"wrote {cfg.out} ({store.param_count()} parameters)")
 

@@ -80,15 +80,15 @@ def census_transform(plane: Image) -> np.ndarray:
 def _plane(left, right, d, fill, cost, out):
     """Write the costs of disparity d into the C-contiguous (H, W) ``out``.
 
-    ``left``/``right`` are flat runs of n = H·W pixels (their shape ends
-    in n) and ``cost(left[..., d:], right[..., :n - d], run)`` writes
-    ``run``, the flattened ``out`` from index d on.  Columns with x - d < 0
-    have no partner in their row and get ``fill`` afterwards.  An ``out`` that is not
+    ``left``/``right`` are flat 1-D runs of n = H·W pixels and
+    ``cost(left[d:], right[:n - d], run)`` writes ``run``, the flattened
+    ``out`` from index d on.  Columns with x - d < 0 have no partner in
+    their row and get ``fill`` afterwards.  An ``out`` that is not
     contiguous raises instead of being written through a copy.
     """
-    n = left.shape[-1]
+    n = len(left)
     if d < out.shape[1]:
-        cost(left[..., d:], right[..., : n - d], np.reshape(out, -1, copy=False)[d:])
+        cost(left[d:], right[: n - d], np.reshape(out, -1, copy=False)[d:])
     out[:, :d] = fill
 
 

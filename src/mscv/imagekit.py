@@ -280,9 +280,3 @@ def pad_reflect(image: Image, multiple: int) -> tuple[Image, tuple[int, int]]:
         return image, (h, w)
     padded = np.pad(image.data, ((0, 0), (0, ph), (0, pw)), mode="reflect")
     return Image(padded), (h, w)
-
-
-def crop(image_data: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Crop trailing rows/columns back to original (height, width)."""
-    h, w = dims
-    return image_data[..., :h, :w]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mscv.costvol import _correlate, correlate_1d, traditional_costs
-from mscv.imagekit import MAX_DISPARITY, DisparityMap, Image, crop, pad_reflect
+from mscv.imagekit import MAX_DISPARITY, DisparityMap, Image, pad_reflect
 from mscv.tensorops import (
     ConvParams,
     bilinear_resize,
@@ -170,27 +170,32 @@ def architecture() -> list[LayerDef]:
 _LAYERS = {l.name: l for l in architecture()}
 
 
+def _params(l: LayerDef) -> dict[str, tuple[int, ...]]:
+    """Layer ``l``'s parameter suffixes and shapes, in container order."""
+    params = {"w": (l.out_c, l.in_c, l.kh, l.kw), "b": (l.out_c,)}
+    if l.bn:
+        params.update((f"bn.{k}", (l.out_c,)) for k in ("gamma", "beta", "mean", "var"))
+    return params
+
+
 def architecture_manifest() -> list[tuple[str, tuple[int, ...]]]:
     """Expected (parameter name, shape) pairs for the whole network."""
-    manifest = []
-    for l in architecture():
-        manifest.append((f"{l.name}.w", (l.out_c, l.in_c, l.kh, l.kw)))
-        manifest.append((f"{l.name}.b", (l.out_c,)))
-        if l.bn:
-            for p in ("gamma", "beta", "mean", "var"):
-                manifest.append((f"{l.name}.bn.{p}", (l.out_c,)))
-    return manifest
+    return [(f"{l.name}.{k}", shape) for l in architecture() for k, shape in _params(l).items()]
 
 
 def _param(store, name, shape):
     arr = store[name]
     if arr.shape != shape:
         raise WeightError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise WeightError(f"parameter {name!r} is not finite")
+    if name.endswith(".bn.var") and (arr < 0).any():
+        raise WeightError(f"parameter {name!r} has a negative variance")
     return arr
 
 
 def validate_store(store: WeightStore) -> None:
-    """Check every architecture parameter exists with the right shape."""
+    """Check every architecture parameter exists with the right shape and values."""
     for name, shape in architecture_manifest():
         _param(store, name, shape)
 
@@ -217,16 +222,11 @@ def init_weights(seed: int) -> WeightStore:
     store = WeightStore()
     for l in architecture():
         bound = float(np.sqrt(1.0 / (l.in_c * l.kh * l.kw)))
-        params = {
-            "w": rng.uniform(-bound, bound, (l.out_c, l.in_c, l.kh, l.kw)),
-            "b": rng.uniform(-bound, bound, l.out_c),
-        }
-        if l.bn:
-            params["bn.gamma"] = rng.uniform(0.9, 1.1, l.out_c)
-            params["bn.beta"] = rng.uniform(-0.1, 0.1, l.out_c)
-            params["bn.mean"] = np.zeros(l.out_c)
-            params["bn.var"] = np.ones(l.out_c)
-        for key, value in params.items():
+        # (low, high) in _params order: w, b, then BN gamma, beta, mean and
+        # var; an empty range is a constant and draws nothing.
+        ranges = [(-bound, bound)] * 2 + [(0.9, 1.1), (-0.1, 0.1), (0.0, 0.0), (1.0, 1.0)]
+        for (key, shape), (lo, hi) in zip(_params(l).items(), ranges):
+            value = rng.uniform(lo, hi, shape) if lo < hi else np.full(shape, lo)
             store.entries[f"{l.name}.{key}"] = value.astype(np.float32)
     return store
 
@@ -300,22 +300,22 @@ def load_weights(path) -> WeightStore:
 def _layer(store, name, *xs):
     """Apply architecture layer ``name`` as its table entry says.
 
-    Every parameter must have the table's shape.  Several inputs ``xs`` are
-    read as their channel concatenation (``conv2d`` copies each into its
-    rows of the band buffer); ``trad.red0`` reads ``traditional_costs``'
-    cost stream and left image, ``corr.reduce`` the two feature maps.
+    Every parameter must have its ``_params`` shape and finite values, and
+    no variance may be negative.  Several inputs ``xs`` are read as their
+    channel concatenation (``conv2d`` copies each into its rows of the band
+    buffer); ``trad.red0`` reads ``traditional_costs``' cost stream and
+    left image, ``corr.reduce`` the two feature maps.
 
     Batch norm is folded into the weights and bias in float64:
     s = gamma / sqrt(var + eps) scales the output axis (axis 0 for conv
     and deconv alike), and the bias becomes (b - mean)·s + beta.
     """
     l = _LAYERS[name]
-    w = _param(store, f"{name}.w", (l.out_c, l.in_c, l.kh, l.kw))
-    b = _param(store, f"{name}.b", (l.out_c,))
-    if l.bn:
-        bn = lambda k: _param(store, f"{name}.bn.{k}", (l.out_c,)).astype(np.float64)
-        s = bn("gamma") / np.sqrt(bn("var") + BN_EPS)
-        w, b = w * s[:, None, None, None], (b - bn("mean")) * s + bn("beta")
+    w, b, *bn = [_param(store, f"{name}.{k}", shape) for k, shape in _params(l).items()]
+    if bn:
+        gamma, beta, mean, var = np.array(bn, dtype=np.float64)
+        s = gamma / np.sqrt(var + BN_EPS)
+        w, b = w * s[:, None, None, None], (b - mean) * s + beta
     p = ConvParams(w, b, l.stride)
     # Names looked up at call time: a wrapper put on this module's names sees every call.
     if l.op == "deconv":
@@ -494,11 +494,11 @@ def cascade_forward(
 def disparity_head(
     refined: np.ndarray, original_dims: tuple[int, int], store: WeightStore
 ) -> DisparityMap:
-    """1x1 regression head, bilinear upsample to full res, crop, clamp."""
+    """1x1 regression head, bilinear upsample to full res, float32 clamp, crop."""
     d = _layer(store, "head.conv", refined)
     full = bilinear_resize(d, 2 * d.shape[1], 2 * d.shape[2])
-    cropped = crop(full[0], original_dims)
-    values = np.maximum(cropped.astype(np.float64), 0.0)
+    h, w = original_dims
+    values = np.maximum(full, 0.0, out=full)[0, :h, :w]  # DisparityMap widens as it copies
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 
 

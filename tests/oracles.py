@@ -13,7 +13,6 @@ from mscv.costvol import CENSUS_BITS, CostVolume, census_transform
 from mscv.imagekit import (
     DisparityMap,
     Image,
-    crop,
     mean_pool_2x,
     pad_reflect,
     rgb_to_yuv,
@@ -279,7 +278,7 @@ def traditional_match_reference(left, right, max_disp):
     census, ad_u, ad_v, _ = traditional_volumes(left_p, right_p, max(1, max_disp // 2))
     combined = census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs
     half = 2.0 * np.argmin(combined, axis=0)  # half-scale candidates count 2 px
-    full = crop(np.repeat(np.repeat(half, 2, axis=0), 2, axis=1), orig)
+    full = np.repeat(np.repeat(half, 2, axis=0), 2, axis=1)[: orig[0], : orig[1]]
     return DisparityMap(full, valid=np.ones_like(full, dtype=bool))
 
 
@@ -403,4 +402,4 @@ def forward_oracle(left, right, store):
     refined = hourglass(conv("casc.fuse", fused), 2, guides)
     d = conv("head.conv", refined, act=False)
     full = bilinear_oracle(d, 2 * d.shape[1], 2 * d.shape[2])
-    return refined, np.maximum(crop(full[0], orig), 0.0)
+    return refined, np.maximum(full[0, : orig[0], : orig[1]], 0.0)

@@ -348,6 +348,23 @@ class TestDispatch:
             ]) == 2
             assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,value,error", [
+        ("unet.enc0.bn.var", -1.0, "has a negative variance"),
+        ("head.conv.w", np.nan, "is not finite"),
+    ], ids=["negative-variance", "nan-weight"])
+    def test_infer_with_bad_weight_values_exits_2(self, tmp_path, capsys, name, value, error):
+        main(["synth", "--out", str(tmp_path), "--width", "64", "--height", "32"])
+        store = init_weights(1)
+        store.entries[name] = store[name].copy()
+        store.entries[name].flat[0] = value
+        weights, out = tmp_path / "w.bin", tmp_path / "d.pfm"
+        save_weights(store, weights)
+        assert main(["infer", "--left", str(tmp_path / "left.ppm"),
+                     "--right", str(tmp_path / "right.ppm"),
+                     "--weights", str(weights), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: parameter {name!r} {error}"
+        assert not out.exists()
+
     def test_describe_emits_table(self, capsys):
         assert main(["describe"]) == 0
         out = capsys.readouterr().out

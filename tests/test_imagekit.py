@@ -9,7 +9,6 @@ from mscv.imagekit import (
     DisparityMap,
     FormatError,
     Image,
-    crop,
     mean_pool_2x,
     pad_reflect,
     read_image,
@@ -339,7 +338,7 @@ class TestPadReflect:
     def test_pad_then_crop_is_identity(self, rng):
         img = random_image(rng, h=5, w=7)
         padded, dims = pad_reflect(img, 4)
-        np.testing.assert_array_equal(crop(padded.data, dims), img.data)
+        np.testing.assert_array_equal(padded.data[..., : dims[0], : dims[1]], img.data)
 
     def test_bad_multiple_rejected(self, rng):
         with pytest.raises(ValueError):

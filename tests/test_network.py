@@ -204,6 +204,28 @@ class TestInitWeights:
                 continue
             assert arr.var() > 0, name
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_draw_order(self, seed):
+        # Per layer in table order: w then b from U(±1/√fan_in), then BN
+        # gamma from U(0.9, 1.1) and beta from U(-0.1, 0.1), mean 0, var 1.
+        rng = np.random.default_rng(seed)
+        want = []
+        for l in architecture():
+            bound = math.sqrt(1.0 / (l.in_c * l.kh * l.kw))
+            want += [(f"{l.name}.w", rng.uniform(-bound, bound, (l.out_c, l.in_c, l.kh, l.kw))),
+                     (f"{l.name}.b", rng.uniform(-bound, bound, l.out_c))]
+            if l.bn:
+                want += [(f"{l.name}.bn.gamma", rng.uniform(0.9, 1.1, l.out_c)),
+                         (f"{l.name}.bn.beta", rng.uniform(-0.1, 0.1, l.out_c)),
+                         (f"{l.name}.bn.mean", np.zeros(l.out_c)),
+                         (f"{l.name}.bn.var", np.ones(l.out_c))]
+        got = init_weights(seed).entries
+        assert list(got) == [name for name, _ in want]
+        for name, value in want:
+            arr = got[name]
+            assert (arr.dtype, arr.shape) == (np.float32, value.shape), name
+            assert arr.tobytes() == value.astype(np.float32).tobytes(), name
+
     def test_validate_store_flags_bad_shape(self, store):
         broken = WeightStore(dict(store.entries))
         broken.entries["head.conv.w"] = np.zeros((1, 31, 1, 1), dtype=np.float32)
@@ -280,7 +302,8 @@ class TestLayer:
 class TestLayerWeights:
     """``_layer`` checks each layer's parameters against the table, so a
     kernel of the wrong size raises instead of running as a different conv,
-    and a bias or BN vector of the wrong length instead of broadcasting."""
+    a bias or BN vector of the wrong length instead of broadcasting, and a
+    non-finite value or a negative variance instead of giving a NaN map."""
 
     RUNS = {
         "unet": lambda s, r: unet_features(Image(r.random((3, 32, 32))), s),
@@ -295,12 +318,20 @@ class TestLayerWeights:
     }
 
     @staticmethod
-    def run_broken(rng, store, run, name, shape):
+    def run_broken(rng, store, run, name, value, error):
+        # validate_store and the block both reject ``value`` for ``name``.
         broken = WeightStore(dict(store.entries))
-        broken.entries[name] = np.zeros(shape, dtype=np.float32)
-        want = f"parameter {name!r} has shape {shape}, expected {store[name].shape}"
-        with pytest.raises(WeightError, match=re.escape(want)):
+        broken.entries[name] = value
+        want = re.escape(f"parameter {name!r} {error}")
+        with pytest.raises(WeightError, match=want):
+            validate_store(broken)
+        with pytest.raises(WeightError, match=want):
             TestLayerWeights.RUNS[run](broken, rng)
+
+    @classmethod
+    def run_shape(cls, rng, store, run, name, shape):
+        cls.run_broken(rng, store, run, name, np.zeros(shape, dtype=np.float32),
+                       f"has shape {shape}, expected {store[name].shape}")
 
     @pytest.mark.parametrize("run,name,shape", [
         pytest.param("unet", "unet.enc0.w", (16, 3, 5, 5), id="unet"),
@@ -310,7 +341,7 @@ class TestLayerWeights:
         pytest.param("traditional", "trad.harvest0.w", (32, 35, 1, 1), id="traditional"),
     ])
     def test_wrong_kernel_rejected(self, rng, store, run, name, shape):
-        self.run_broken(rng, store, run, name, shape)
+        self.run_shape(rng, store, run, name, shape)
 
     # A (1,) vector would broadcast through the BN fold and the bias add.
     @pytest.mark.parametrize("run,name", [
@@ -324,7 +355,33 @@ class TestLayerWeights:
         ]
     ])
     def test_wrong_vector_rejected(self, rng, store, run, name):
-        self.run_broken(rng, store, run, name, (1,))
+        self.run_shape(rng, store, run, name, (1,))
+
+    # One bad entry is enough.
+    @pytest.mark.parametrize("run,name,value,error", [
+        pytest.param(run, name, value, error, id=f"{name}={value}")
+        for run, name, value, error in [
+            ("unet", "unet.enc0.w", np.nan, "is not finite"),
+            ("unet", "unet.enc0.bn.var", -1.0, "has a negative variance"),
+            ("unet", "unet.up2.deconv.bn.var", -1e-3, "has a negative variance"),
+            ("unet", "unet.up1.fuse.bn.gamma", np.inf, "is not finite"),
+            ("guide", "guide.s0.b", np.inf, "is not finite"),
+            ("hourglass", "hg1.down0.c1.w", np.nan, "is not finite"),
+            ("head", "head.conv.w", np.nan, "is not finite"),
+            ("traditional", "trad.red0.b", -np.inf, "is not finite"),
+            ("correlation", "corr.reduce.w", np.nan, "is not finite"),
+        ]
+    ])
+    def test_bad_value_rejected(self, rng, store, run, name, value, error):
+        arr = store[name].copy()
+        arr.flat[-1] = value
+        self.run_broken(rng, store, run, name, arr, error)
+
+    def test_zero_variance_accepted(self, rng, store):
+        broken = WeightStore(dict(store.entries))
+        broken.entries["unet.enc0.bn.var"] = np.zeros_like(store["unet.enc0.bn.var"])
+        validate_store(broken)
+        assert all(np.isfinite(f).all() for f in self.RUNS["unet"](broken, rng))
 
 
 class TestUnetFeatures:
