@@ -36,7 +36,6 @@ from mscv.disparity import (
     discontinuity_mask,
     loss_eval,
     loss_grad,
-    warp_row,
 )
 from mscv.metrics import EvalReport, evaluate
 
@@ -78,7 +77,6 @@ __all__ = [
     "rgb_to_yuv",
     "save_weights",
     "traditional_costs",
-    "warp_row",
     "write_image",
     "write_pfm",
 ]

@@ -179,9 +179,10 @@ def traditional_match(
         np.less(c, best, out=better)
         np.minimum(best, c, out=best)
         np.maximum(arg, np.multiply(better, d, out=step, dtype=step.dtype), out=arg)
-    # One write upsamples; half-scale candidates count 2 full-resolution pixels.
-    full = np.empty((len(half), 2, w, 2))
-    np.multiply(half[:, None, :, None], 2.0, out=full)
+    # One write upsamples; half-scale candidates count 2 full-resolution
+    # pixels, in a type that holds 2 * (n - 1).  DisparityMap widens it.
+    full = np.empty((len(half), 2, w, 2), dtype=np.min_scalar_type(2 * (n - 1)))
+    np.multiply(half[:, None, :, None], 2, out=full, dtype=full.dtype)
     values = full.reshape(2 * len(half), 2 * w)[: orig[0], : orig[1]]
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 
@@ -234,11 +235,12 @@ def _cmd_trad_match(cfg: RunConfig) -> None:
 
 
 def _cmd_infer(cfg: RunConfig) -> None:
-    from mscv.network import full_forward, load_weights
+    from mscv.network import full_forward, load_weights, validate_store
     _require(cfg, "left", "right", "weights", "out")
     left = read_image(cfg.left)
     right = read_image(cfg.right)
     store = load_weights(cfg.weights)
+    validate_store(store)
     dmap = full_forward(left, right, store, threads=cfg.threads)
     write_pfm(dmap, cfg.out)
     print(f"wrote {cfg.out}")

@@ -1,4 +1,4 @@
-"""Warped coordinates, discontinuity masking, and the training loss.
+"""Discontinuity masking and the training loss.
 
 The discontinuity mask flags boundary pixels of non-monotone runs in
 the warped coordinates Y(x) = x - d(x) of each row.  The whole map is
@@ -44,20 +44,11 @@ class DiscontinuityMask:
     flags: np.ndarray  # uint8, (H, W)
 
 
-def warp_row(d: np.ndarray) -> np.ndarray:
-    """Warped target coordinates Y(x) = x - d(x), x counted along the last axis.
-
-    Takes one row or a whole (H, W) map.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    return np.arange(d.shape[-1]) - d
-
-
 def discontinuity_mask(d_map: DisparityMap, epsilon: float = 3.0) -> DiscontinuityMask:
     """Flag disparity-discontinuity boundary pixels of the whole map at once."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
-    y = warp_row(d_map.values)
+    y = np.arange(d_map.width) - d_map.values  # warped coordinates Y(x) = x - d(x)
     below = y < np.maximum.accumulate(y, axis=1)
     edge = np.zeros((below.shape[0], 1), dtype=bool)
     left = np.hstack((edge, below[:, :-1]))
@@ -71,7 +62,7 @@ def discontinuity_mask(d_map: DisparityMap, epsilon: float = 3.0) -> Discontinui
     rows, ends = rows[far], ends[far]
     flags[rows, ends] = False
     flags[rows, ends + 1] = False
-    return DiscontinuityMask(flags.astype(np.uint8))
+    return DiscontinuityMask(flags.view(np.uint8))
 
 
 def _weighted_error(d_hat, d_gt, mask, p):
@@ -99,13 +90,14 @@ def loss_eval(
     """Mean and per-pixel loss over valid ground-truth pixels.
 
     Per pixel: max(tau, |d_gt - d_hat| * (1 - lambda * mask)) ** (1/8).
-    Invalid pixels carry 0 in the per-pixel map and are excluded from
-    the mean.
+    Invalid pixels carry 0 in the per-pixel map where the prediction is
+    finite (non-finite values give NaN there) and are excluded from the
+    mean.
     """
     per_pixel = _weighted_error(d_hat, d_gt, mask, p)[0]
     np.maximum(p.tau, per_pixel, out=per_pixel)
     np.power(per_pixel, LOSS_EXPONENT, out=per_pixel)
-    np.copyto(per_pixel, 0.0, where=~d_gt.valid)
+    per_pixel *= d_gt.valid  # >= 0, so finite invalid pixels become +0.0
     return float(per_pixel[d_gt.valid].mean()), per_pixel
 
 

@@ -2,7 +2,9 @@
 
 Images are stored planar (channel, row, column) with samples in [0, 1].
 Disparity maps carry full-resolution pixel units plus a per-pixel
-validity flag; valid pixels satisfy 0 < d < MAX_DISPARITY.
+validity flag.  A map built without a flag, as from a file or ground
+truth, counts its pixels with 0 < d < MAX_DISPARITY as valid; the
+matchers pass their own.
 
 Supported containers: binary PPM (P6) / PGM (P5) at maxval 255, and
 grayscale PFM ("Pf", little-endian on write, rows bottom-to-top).
@@ -70,8 +72,10 @@ class DisparityMap:
         self.valid = np.asarray(self.valid, dtype=bool)
         if self.valid.shape != values.shape:
             raise ValueError("validity mask shape mismatch")
-        self.values = np.zeros(values.shape)
-        np.copyto(self.values, values, where=self.valid)
+        # One C-ordered float64 copy, +0.0 where invalid (np.where keeps a
+        # Fortran input's order); complex or object values fail the cast.
+        self.values = np.where(self.valid, values, np.float64(0)).astype(
+            np.float64, order="C", casting="same_kind", copy=False)
 
     @property
     def height(self) -> int:
@@ -155,7 +159,7 @@ def write_pnm(pixels: np.ndarray, path) -> None:
     magic = b"P6" if channels == 3 else b"P5"
     with open(path, "wb") as f:
         f.write(b"%s\n%d %d\n255\n" % (magic, width, height))
-        f.write(pixels.tobytes())
+        f.write(np.ascontiguousarray(pixels))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +213,7 @@ def write_pfm(dmap: DisparityMap, path) -> None:
     """Write a grayscale little-endian PFM (scale -1.0), bottom-up rows."""
     with open(path, "wb") as f:
         f.write(b"Pf\n%d %d\n-1.0\n" % (dmap.width, dmap.height))
-        f.write(np.flipud(dmap.values).astype("<f4").tobytes())
+        f.write(np.flipud(dmap.values).astype("<f4"))
 
 
 # ---------------------------------------------------------------------------

@@ -498,8 +498,9 @@ def disparity_head(
     d = _layer(store, "head.conv", refined)
     full = bilinear_resize(d, 2 * d.shape[1], 2 * d.shape[2])
     h, w = original_dims
-    values = np.maximum(full, 0.0, out=full)[0, :h, :w]  # DisparityMap widens as it copies
-    return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
+    values = np.maximum(full, 0.0, out=full)[0, :h, :w]  # column-major
+    # A C-ordered mask makes DisparityMap's one widening copy C-ordered.
+    return DisparityMap(values, valid=np.ones(values.shape, dtype=bool))
 
 
 def full_forward(
@@ -515,7 +516,6 @@ def full_forward(
     """
     if left.data.shape != right.data.shape:
         raise ValueError("stereo pair dimensions differ")
-    validate_store(store)
     left_p, orig = pad_reflect(left, 16)
     right_p, _ = pad_reflect(right, 16)
     branches = [(reduce_traditional, (left_p, right_p, store)),

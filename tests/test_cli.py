@@ -431,6 +431,18 @@ class TestTraditionalMatchBands:
         if case != "period8_shift4":
             assert (got.values == 0).all()
 
+    # 150 and 256 half-scale candidates: the argmin map is uint8, but the
+    # doubled full-resolution values pass 255.
+    @pytest.mark.parametrize("max_disp,shift", [(300, 280), (512, 500)])
+    def test_129_to_256_candidates_equal_reference(self, rng, max_disp, shift):
+        left = Image(rng.random((3, 16, 600)))
+        right = Image(np.roll(left.data, -shift, axis=2))  # disparity `shift` from x = shift
+        got = traditional_match(left, right, max_disp)
+        want = traditional_match_reference(left, right, max_disp)
+        assert np.array_equal(got.values, want.values)
+        assert got.values.dtype == np.float64
+        assert got.values.max() >= shift > 255
+
     def test_more_than_256_candidates_equal_reference(self, rng):
         # 300 half-scale candidates: the argmin map needs 16-bit indices.
         left = Image(rng.random((3, 16, 600)))

@@ -1,4 +1,4 @@
-"""Warped coordinates, discontinuity mask, loss and gradient."""
+"""Discontinuity mask, loss and gradient."""
 
 import warnings
 
@@ -10,7 +10,6 @@ from mscv.disparity import (
     discontinuity_mask,
     loss_eval,
     loss_grad,
-    warp_row,
 )
 from mscv.imagekit import DisparityMap
 
@@ -30,25 +29,11 @@ def row_to_ymap(y_row):
     return np.arange(y_row.size) - y_row
 
 
-class TestWarpRow:
-    def test_constant_disparity_unit_steps(self):
-        y = warp_row(np.full(6, 3.0))
-        np.testing.assert_array_equal(np.diff(y), 1.0)
-
-    def test_zero_disparity_identity(self):
-        np.testing.assert_array_equal(warp_row(np.zeros(5)), np.arange(5))
-
-    def test_disparity_step_up_drops_y(self):
-        d = np.zeros(8)
-        d[4:] = 3.0  # foreground begins at x=4
-        y = warp_row(d)
-        assert y[4] - y[3] == 1.0 - 3.0
-
-
 class TestDiscontinuityMask:
     def test_strictly_increasing_all_zero(self):
         dmap = dmap_from_rows([np.full(10, 2.0)])
         mask = discontinuity_mask(dmap, 3.0)
+        assert mask.flags.dtype == np.uint8
         np.testing.assert_array_equal(mask.flags, 0)
 
     def test_worked_pattern_large_gap(self):

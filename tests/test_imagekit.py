@@ -243,6 +243,42 @@ class TestDisparityMap:
         np.testing.assert_array_equal(dmap.values, [[0.0, 5.0, 0.0, 0.0]])
         np.testing.assert_array_equal(dmap.valid, [[False, True, False, False]])
 
+    # Float32 with every kind of unusable value, int64, a read-only
+    # broadcast view, and the narrow integer maps a matcher passes with its
+    # own all-true mask: each gives its own float64 map, +0.0 wherever
+    # invalid and the exact input value wherever valid.
+    @pytest.mark.parametrize("raw,valid", [
+        (np.array([[np.nan, np.inf, -np.inf, -2.5, 192.0, 1e9],
+                   [0.5, 191.5, -0.0, 3.25, 7.0, 1e-30]], dtype=np.float32), None),
+        (np.array([[-7, 0, 3, 191], [192, 500, 1, 2]], dtype=np.int64), None),
+        (np.broadcast_to(np.array([0.0, 4.5, 200.0], dtype=np.float32), (3, 3)), None),
+        (np.array([[0, 255, 2], [4, 6, 128]], dtype=np.uint8), np.ones((2, 3), dtype=bool)),
+        (np.array([[0, 510, 300], [4, 6, 256]], dtype=np.uint16), np.ones((2, 3), dtype=bool)),
+        (np.array([[np.nan, 1.5], [-3.0, 250.0]]),
+         np.array([[False, True], [False, True]])),
+        (np.asfortranarray(np.arange(-3.0, 297.0, 25.0, dtype=np.float32).reshape(3, 4)), None),
+    ], ids=["float32", "int64", "read_only_broadcast", "uint8_all_valid",
+            "uint16_all_valid", "float64_given_mask", "float32_fortran"])
+    def test_contract(self, raw, valid):
+        dmap = DisparityMap(raw, valid=valid)
+        want_valid = (raw > 0) & (raw < 192) if valid is None else valid
+        np.testing.assert_array_equal(dmap.valid, want_valid)
+        assert dmap.values.dtype == np.float64 and dmap.values.shape == raw.shape
+        assert dmap.values.flags.c_contiguous  # write_pfm hands its rows to f.write
+        assert np.array_equal(dmap.values[~dmap.valid], np.zeros((~dmap.valid).sum()))
+        assert not np.signbit(dmap.values[~dmap.valid]).any()
+        np.testing.assert_array_equal(dmap.values[dmap.valid], raw[dmap.valid])
+        before = dmap.values.copy()
+        (raw if raw.flags.writeable else raw.base)[...] = 17  # base: what the view reads
+        assert (raw == 17).all()
+        assert dmap.values.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("raw", [np.array([[1.0 + 2.0j]]), np.array([[1.5]], dtype=object)],
+                             ids=["complex", "object"])
+    def test_values_without_float64_cast_rejected(self, raw):
+        with pytest.raises(TypeError, match="float64"):
+            DisparityMap(raw)
+
 
 class TestColorspace:
     def test_white_maps_to_achromatic_axis(self):

@@ -662,7 +662,9 @@ class TestDisparityHead:
 
 
 class TestFullForward:
-    def test_dims_determinism_and_threads(self, rng, store):
+    # init_weights(7) gives an all-zero map on random pairs, so the
+    # features that reach the head are compared as well.
+    def test_dims_determinism_and_threads(self, rng, store, forward_probe):
         left = Image(rng.random((3, 40, 72)))
         right = Image(rng.random((3, 40, 72)))
         a = full_forward(left, right, store)
@@ -672,8 +674,11 @@ class TestFullForward:
         assert (a.values == b.values).all()
         assert (a.values == c.values).all()
         assert np.isfinite(a.values).all()
+        refined = [r.tobytes() for r in forward_probe.refined]
+        assert len(refined) == 3 and refined[0] == refined[1] == refined[2]
+        assert forward_probe.refined[0].any()
 
-    def test_worker_count_follows_threads(self, rng, store, monkeypatch):
+    def test_worker_count_follows_threads(self, rng, store, monkeypatch, forward_probe):
         workers = []
 
         class Recording(concurrent.futures.ThreadPoolExecutor):
@@ -688,6 +693,17 @@ class TestFullForward:
         threaded = full_forward(left, right, store, threads=2)
         assert workers == [2]
         assert serial.values.tobytes() == threaded.values.tobytes()
+        serial_refined, threaded_refined = forward_probe.refined
+        assert serial_refined.tobytes() == threaded_refined.tobytes()
+        assert serial_refined.any()
+
+    def test_non_finite_weight_rejected(self, rng, store):
+        # The forward checks each layer's parameters as it loads them.
+        w = store["head.conv.w"].copy()
+        w[0, 5] = np.nan
+        left = Image(rng.random((3, 32, 48)))
+        with pytest.raises(WeightError, match=r"parameter 'head\.conv\.w' is not finite"):
+            full_forward(left, left, WeightStore({**store.entries, "head.conv.w": w}))
 
     def test_trace_channels(self, rng, store, forward_probe):
         left = Image(rng.random((3, 32, 48)))
