@@ -21,7 +21,7 @@ H, W = 128, 256
 
 def main():
     store = init_weights(seed=0)
-    print(f"initialized {len(store.entries)} weight tensors "
+    print(f"initialized {len(store)} weight tensors "
           f"({store.param_count():,} parameters)")
 
     rng = np.random.default_rng(1)

@@ -91,19 +91,21 @@ class DisparityMap:
 # ---------------------------------------------------------------------------
 
 
-# Whitespace and '#' comments between header tokens, then one token.  Each
-# is one regex match at C speed: no Python step per byte, one regex loop
-# step per comment.
-_PNM_GAP = re.compile(rb"\s*(?:#[^\n]*\s*)*")
+# Whitespace and '#' comments (ended by CR or LF) between header tokens,
+# then one token.  Each is one regex match at C speed: no Python step per
+# byte, one regex loop step per comment.
+_PNM_GAP = re.compile(rb"\s*(?:#[^\r\n]*\s*)*")
 _PNM_TOKEN = re.compile(rb"\S*")
 
 
-def _read_pnm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+def _read_pnm_number(buf: bytes, pos: int) -> tuple[int, int]:
     start = _PNM_GAP.match(buf, pos).end()
-    pos = _PNM_TOKEN.match(buf, start).end()
-    if start == pos:
+    token = _PNM_TOKEN.match(buf, start).group()
+    if not token:
         raise FormatError(f"unexpected end of header at byte {start}")
-    return buf[start:pos], pos
+    if not token.isdigit():  # ASCII decimal, as Netpbm writes it
+        raise FormatError(f"header number {token[:32]!r} at byte {start} is not decimal")
+    return int(token), start + len(token)
 
 
 def read_image(path) -> Image:
@@ -121,10 +123,9 @@ def read_image(path) -> Image:
         raise FormatError(f"bad magic {magic!r} at byte 0")
     pos = 2
     try:
-        wtok, pos = _read_pnm_token(buf, pos)
-        htok, pos = _read_pnm_token(buf, pos)
-        mtok, pos = _read_pnm_token(buf, pos)
-        width, height, maxval = int(wtok), int(htok), int(mtok)
+        width, pos = _read_pnm_number(buf, pos)
+        height, pos = _read_pnm_number(buf, pos)
+        maxval, pos = _read_pnm_number(buf, pos)
     except ValueError as exc:
         raise FormatError(f"bad header near byte {pos}: {exc}") from exc
     if maxval != 255:

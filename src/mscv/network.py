@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,20 +48,14 @@ class WeightError(ValueError):
     """Raised on a malformed weight container or a mis-shaped parameter."""
 
 
-@dataclass
-class WeightStore:
-    """Named parameter arrays, insertion-ordered."""
+class WeightStore(dict):
+    """Named float32 parameter arrays, insertion-ordered."""
 
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        try:
-            return self.entries[name]
-        except KeyError:
-            raise WeightError(f"missing parameter {name!r}") from None
+    def __missing__(self, name: str) -> np.ndarray:
+        raise WeightError(f"missing parameter {name!r}")
 
     def param_count(self) -> int:
-        return sum(arr.size for arr in self.entries.values())
+        return sum(arr.size for arr in self.values())
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +189,13 @@ def _param(store, name, shape):
 
 
 def validate_store(store: WeightStore) -> None:
-    """Check every architecture parameter exists with the right shape and values."""
-    for name, shape in architecture_manifest():
+    """Check the store holds exactly the architecture's parameters, well shaped and valued."""
+    expected = dict(architecture_manifest())
+    for name, shape in expected.items():
         _param(store, name, shape)
+    for name in store:
+        if name not in expected:
+            raise WeightError(f"parameter {name!r} is not in the architecture")
 
 
 def describe_architecture() -> str:
@@ -227,7 +225,7 @@ def init_weights(seed: int) -> WeightStore:
         ranges = [(-bound, bound)] * 2 + [(0.9, 1.1), (-0.1, 0.1), (0.0, 0.0), (1.0, 1.0)]
         for (key, shape), (lo, hi) in zip(_params(l).items(), ranges):
             value = rng.uniform(lo, hi, shape) if lo < hi else np.full(shape, lo)
-            store.entries[f"{l.name}.{key}"] = value.astype(np.float32)
+            store[f"{l.name}.{key}"] = value.astype(np.float32)
     return store
 
 
@@ -242,14 +240,14 @@ def init_weights(seed: int) -> WeightStore:
 def save_weights(store: WeightStore, path) -> None:
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<I", len(store.entries)))
-        for name, arr in store.entries.items():
+        f.write(struct.pack("<I", len(store)))
+        for name, arr in store.items():
             encoded = name.encode("utf-8")
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)
             f.write(struct.pack("<B", arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def load_weights(path) -> WeightStore:
@@ -278,13 +276,13 @@ def load_weights(path) -> WeightStore:
                 name = raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise WeightError(f"parameter name {raw!r} is not UTF-8") from None
-            if name in store.entries:
+            if name in store:
                 raise WeightError(f"repeated parameter {name!r}")
             (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
             dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
             payload = take(4 * math.prod(dims), f"payload for parameter {name!r}")
             try:
-                store.entries[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
+                store[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
             except ValueError as exc:  # more dims, or more elements, than NumPy allows
                 raise WeightError(f"bad shape {dims} for {name!r}: {exc}") from None
         if left:
@@ -498,9 +496,8 @@ def disparity_head(
     d = _layer(store, "head.conv", refined)
     full = bilinear_resize(d, 2 * d.shape[1], 2 * d.shape[2])
     h, w = original_dims
-    values = np.maximum(full, 0.0, out=full)[0, :h, :w]  # column-major
-    # A C-ordered mask makes DisparityMap's one widening copy C-ordered.
-    return DisparityMap(values, valid=np.ones(values.shape, dtype=bool))
+    values = np.maximum(full, 0.0, out=full)[0, :h, :w]
+    return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 
 
 def full_forward(

@@ -150,9 +150,10 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = np.clip(src_y - y0, 0.0, 1.0).astype(np.float32)[None, :, None]
     wx = np.clip(src_x - x0, 0.0, 1.0).astype(np.float32)[None, None, :]
-    top = x[:, y0][:, :, x0] * (1 - wx) + x[:, y0][:, :, x1] * wx
-    bot = x[:, y1][:, :, x0] * (1 - wx) + x[:, y1][:, :, x1] * wx
-    return (top * (1 - wy) + bot * wy).astype(np.float32)
+    # Separable: along W once per source row, then along H; C-ordered output.
+    rows = np.take(x, x0, axis=2) * (1 - wx) + np.take(x, x1, axis=2) * wx
+    top, bot = np.take(rows, y0, axis=1), np.take(rows, y1, axis=1)
+    return (top * (1 - wy) + bot * wy).astype(np.float32, copy=False)
 
 
 def concat_channels(xs: list[np.ndarray]) -> np.ndarray:

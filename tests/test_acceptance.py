@@ -369,8 +369,8 @@ def test_criterion_12_round_trips(tmp_path):
     wp = tmp_path / "w.bin"
     save_weights(store, wp)
     loaded = load_weights(wp)
-    for name in store.entries:
-        assert loaded.entries[name].tobytes() == store.entries[name].tobytes()
+    for name in store:
+        assert loaded[name].tobytes() == store[name].tobytes()
     wp2 = tmp_path / "w2.bin"
     save_weights(loaded, wp2)
     assert wp.read_bytes() == wp2.read_bytes()

@@ -355,14 +355,29 @@ class TestDispatch:
     def test_infer_with_bad_weight_values_exits_2(self, tmp_path, capsys, name, value, error):
         main(["synth", "--out", str(tmp_path), "--width", "64", "--height", "32"])
         store = init_weights(1)
-        store.entries[name] = store[name].copy()
-        store.entries[name].flat[0] = value
+        store[name] = store[name].copy()
+        store[name].flat[0] = value
         weights, out = tmp_path / "w.bin", tmp_path / "d.pfm"
         save_weights(store, weights)
         assert main(["infer", "--left", str(tmp_path / "left.ppm"),
                      "--right", str(tmp_path / "right.ppm"),
                      "--weights", str(weights), "--out", str(out)]) == 2
         assert capsys.readouterr().err.strip() == f"error: parameter {name!r} {error}"
+        assert not out.exists()
+
+    def test_infer_with_foreign_parameter_exits_2(self, tmp_path, capsys):
+        # A weight file from a deeper network: its extra layers must not be dropped silently.
+        main(["synth", "--out", str(tmp_path), "--width", "64", "--height", "32"])
+        store = init_weights(0)
+        store["hg1.down2.c1.w"] = np.zeros((32, 32, 3, 3), dtype=np.float32)
+        store["guide.d4.a.w"] = np.zeros((32, 32, 3, 3), dtype=np.float32)
+        weights, out = tmp_path / "w.bin", tmp_path / "d.pfm"
+        save_weights(store, weights)
+        assert main(["infer", "--left", str(tmp_path / "left.ppm"),
+                     "--right", str(tmp_path / "right.ppm"),
+                     "--weights", str(weights), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "error: parameter 'hg1.down2.c1.w' is not in the architecture"
         assert not out.exists()
 
     def test_describe_emits_table(self, capsys):

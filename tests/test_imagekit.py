@@ -104,6 +104,20 @@ class TestPnmCodec:
             read_image(path)
         assert time.process_time() - began < 0.5
 
+    def test_carriage_return_ends_comment(self, tmp_path):
+        # Netpbm ends a comment at the next CR or LF.
+        path = tmp_path / "cr.pgm"
+        path.write_bytes(b"P5\r# c\r2 1\r255\r" + bytes([0, 255]))
+        np.testing.assert_array_equal(read_image(path).data.ravel(), [0.0, 1.0])
+
+    @pytest.mark.parametrize("header", [b"P5 +2 1 255 ", b"P5 1_0 1 255 ", b"P5 2 1 2_55 "],
+                             ids=["plus", "width-underscore", "maxval-underscore"])
+    def test_header_numbers_are_plain_decimal(self, tmp_path, header):
+        path = tmp_path / "n.pgm"
+        path.write_bytes(header + b"\x00" * 10)
+        with pytest.raises(FormatError, match="is not decimal"):
+            read_image(path)
+
 
 class TestPfmCodec:
     def test_round_trip_bit_identical(self, tmp_path, rng):

@@ -57,7 +57,7 @@ def store():
 
 
 def shapes(store):
-    return [(name, arr.shape) for name, arr in store.entries.items()]
+    return [(name, arr.shape) for name, arr in store.items()]
 
 
 class TestWeightContainer:
@@ -65,15 +65,15 @@ class TestWeightContainer:
         path = tmp_path / "w.bin"
         save_weights(store, path)
         loaded = load_weights(path)
-        assert list(loaded.entries) == list(store.entries)
-        for name, arr in store.entries.items():
-            assert loaded.entries[name].tobytes() == arr.tobytes()
+        assert list(loaded) == list(store)
+        for name, arr in store.items():
+            assert loaded[name].tobytes() == arr.tobytes()
 
     def test_empty_store_header_only(self, tmp_path):
         path = tmp_path / "empty.bin"
         save_weights(WeightStore(), path)
         assert path.read_bytes() == b"MSCV1" + b"\x00" * 4
-        assert load_weights(path).entries == {}
+        assert load_weights(path) == {}
 
     def test_single_entry_hand_assembled(self, tmp_path):
         # magic | count=1 | namelen=1 "k" | rank=2 | dims 2,2 | 4 floats
@@ -91,7 +91,7 @@ class TestWeightContainer:
         path = tmp_path / "hand.bin"
         path.write_bytes(raw)
         loaded = load_weights(path)
-        np.testing.assert_array_equal(loaded.entries["k"], [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(loaded["k"], [[1, 2], [3, 4]])
         # And the writer reproduces the same bytes.
         out = tmp_path / "out.bin"
         save_weights(loaded, out)
@@ -187,9 +187,9 @@ class TestWeightContainer:
 class TestInitWeights:
     def test_deterministic_across_calls(self):
         a, b = init_weights(3), init_weights(3)
-        assert list(a.entries) == list(b.entries)
-        for name in a.entries:
-            assert (a.entries[name] == b.entries[name]).all()
+        assert list(a) == list(b)
+        for name in a:
+            assert (a[name] == b[name]).all()
 
     def test_manifest_matches_architecture(self, store):
         assert shapes(store) == architecture_manifest()
@@ -199,7 +199,7 @@ class TestInitWeights:
 
     def test_nonzero_variance_per_entry(self, store):
         # Running BN statistics (mean 0 / var 1 constants) excluded.
-        for name, arr in store.entries.items():
+        for name, arr in store.items():
             if name.endswith((".bn.mean", ".bn.var")) or arr.size < 2:
                 continue
             assert arr.var() > 0, name
@@ -219,7 +219,7 @@ class TestInitWeights:
                          (f"{l.name}.bn.beta", rng.uniform(-0.1, 0.1, l.out_c)),
                          (f"{l.name}.bn.mean", np.zeros(l.out_c)),
                          (f"{l.name}.bn.var", np.ones(l.out_c))]
-        got = init_weights(seed).entries
+        got = init_weights(seed)
         assert list(got) == [name for name, _ in want]
         for name, value in want:
             arr = got[name]
@@ -227,22 +227,34 @@ class TestInitWeights:
             assert arr.tobytes() == value.astype(np.float32).tobytes(), name
 
     def test_validate_store_flags_bad_shape(self, store):
-        broken = WeightStore(dict(store.entries))
-        broken.entries["head.conv.w"] = np.zeros((1, 31, 1, 1), dtype=np.float32)
+        broken = WeightStore(store)
+        broken["head.conv.w"] = np.zeros((1, 31, 1, 1), dtype=np.float32)
         with pytest.raises(WeightError, match="head.conv.w"):
             validate_store(broken)
 
     def test_validate_store_flags_missing(self, store):
-        broken = WeightStore(dict(store.entries))
-        del broken.entries["unet.enc0.b"]
+        broken = WeightStore(store)
+        del broken["unet.enc0.b"]
         with pytest.raises(WeightError, match="unet.enc0.b"):
             validate_store(broken)
 
     def test_validate_store_flags_bn_length(self, store):
-        broken = WeightStore(dict(store.entries))
-        broken.entries["unet.up2.deconv.bn.var"] = np.ones(63, dtype=np.float32)
+        broken = WeightStore(store)
+        broken["unet.up2.deconv.bn.var"] = np.ones(63, dtype=np.float32)
         with pytest.raises(WeightError, match="unet.up2.deconv.bn.var"):
             validate_store(broken)
+
+    def test_validate_store_flags_unexpected(self, store):
+        # Layers of a 4-level network: the first extra in file order is named.
+        bigger = WeightStore(store)
+        bigger["hg1.down2.c1.w"] = np.zeros((32, 32, 3, 3), dtype=np.float32)
+        bigger["guide.d4.a.w"] = np.zeros((32, 32, 3, 3), dtype=np.float32)
+        with pytest.raises(WeightError, match=r"^parameter 'hg1.down2.c1.w' is not in the architecture$"):
+            validate_store(bigger)
+        # The per-parameter checks keep precedence over the extra entries.
+        del bigger["unet.enc0.b"]
+        with pytest.raises(WeightError, match="missing parameter 'unet.enc0.b'"):
+            validate_store(bigger)
 
 
 class TestDescribe:
@@ -267,9 +279,9 @@ class TestLayer:
         o = store[f"{name}.b"].shape[0]
         stats = {"mean": np.zeros(o), "var": np.ones(o), "gamma": np.ones(o),
                  "beta": np.zeros(o), **bn}
-        layer = WeightStore(dict(store.entries))
+        layer = WeightStore(store)
         for k, v in stats.items():
-            layer.entries[f"{name}.bn.{k}"] = v.astype(np.float32)
+            layer[f"{name}.bn.{k}"] = v.astype(np.float32)
         x = rng.standard_normal((in_c, 4, 6)).astype(np.float32)
         y = layer_f64(x, store[f"{name}.w"], store[f"{name}.b"])
         g = {k: layer[f"{name}.bn.{k}"].astype(np.float64)[:, None, None] for k in stats}
@@ -320,8 +332,8 @@ class TestLayerWeights:
     @staticmethod
     def run_broken(rng, store, run, name, value, error):
         # validate_store and the block both reject ``value`` for ``name``.
-        broken = WeightStore(dict(store.entries))
-        broken.entries[name] = value
+        broken = WeightStore(store)
+        broken[name] = value
         want = re.escape(f"parameter {name!r} {error}")
         with pytest.raises(WeightError, match=want):
             validate_store(broken)
@@ -378,8 +390,8 @@ class TestLayerWeights:
         self.run_broken(rng, store, run, name, arr, error)
 
     def test_zero_variance_accepted(self, rng, store):
-        broken = WeightStore(dict(store.entries))
-        broken.entries["unet.enc0.bn.var"] = np.zeros_like(store["unet.enc0.bn.var"])
+        broken = WeightStore(store)
+        broken["unet.enc0.bn.var"] = np.zeros_like(store["unet.enc0.bn.var"])
         validate_store(broken)
         assert all(np.isfinite(f).all() for f in self.RUNS["unet"](broken, rng))
 
@@ -541,8 +553,8 @@ class TestReductions:
             np.testing.assert_allclose(out, expected, rtol=0, atol=1e-6)
 
     def test_correlation_wrong_depth_rejected(self, rng, store):
-        shallow = WeightStore(dict(store.entries))
-        shallow.entries["corr.reduce.w"] = rng.random((32, 48, 1, 1)).astype(np.float32)
+        shallow = WeightStore(store)
+        shallow["corr.reduce.w"] = rng.random((32, 48, 1, 1)).astype(np.float32)
         fl = rng.random((32, 6, 10)).astype(np.float32)
         with pytest.raises(WeightError, match=r"'corr.reduce.w' has shape \(32, 48, 1, 1\)"):
             reduce_correlation(fl, fl, shallow)
@@ -622,11 +634,11 @@ class TestCascade:
         # non-negative input unchanged.
         from mscv.network import _residual
 
-        zeroed = WeightStore(dict(store.entries))
+        zeroed = WeightStore(store)
         for suffix in ("c1", "c2"):
             name = f"hg1.res0.{suffix}"
-            zeroed.entries[f"{name}.w"] = np.zeros_like(store[f"{name}.w"])
-            zeroed.entries[f"{name}.b"] = np.zeros_like(store[f"{name}.b"])
+            zeroed[f"{name}.w"] = np.zeros_like(store[f"{name}.w"])
+            zeroed[f"{name}.b"] = np.zeros_like(store[f"{name}.b"])
         x = rng.random((32, 4, 4)).astype(np.float32)
         np.testing.assert_array_equal(_residual(zeroed, "hg1.res0", x), x)
 
@@ -653,9 +665,9 @@ class TestDisparityHead:
         assert np.allclose(dmap.values, dmap.values[0, 0], atol=1e-6)
 
     def test_negative_head_output_clamped_to_zero(self, rng, store):
-        forced = WeightStore(dict(store.entries))
-        forced.entries["head.conv.w"] = np.zeros((1, 32, 1, 1), dtype=np.float32)
-        forced.entries["head.conv.b"] = np.array([-3.0], dtype=np.float32)
+        forced = WeightStore(store)
+        forced["head.conv.w"] = np.zeros((1, 32, 1, 1), dtype=np.float32)
+        forced["head.conv.b"] = np.array([-3.0], dtype=np.float32)
         refined = rng.random((32, 4, 4)).astype(np.float32)
         dmap = disparity_head(refined, (8, 8), forced)
         np.testing.assert_array_equal(dmap.values, 0.0)
@@ -703,7 +715,7 @@ class TestFullForward:
         w[0, 5] = np.nan
         left = Image(rng.random((3, 32, 48)))
         with pytest.raises(WeightError, match=r"parameter 'head\.conv\.w' is not finite"):
-            full_forward(left, left, WeightStore({**store.entries, "head.conv.w": w}))
+            full_forward(left, left, WeightStore({**store, "head.conv.w": w}))
 
     def test_trace_channels(self, rng, store, forward_probe):
         left = Image(rng.random((3, 32, 48)))
@@ -784,9 +796,9 @@ KITTI_FORWARD_PEAK_MB = 133.2
 def scaled_weights(seed, gain):
     """``init_weights(seed)`` with every conv weight multiplied by ``gain``."""
     weights = init_weights(seed)
-    for name, arr in weights.entries.items():
+    for name, arr in weights.items():
         if name.endswith(".w"):
-            weights.entries[name] = arr * np.float32(gain)
+            weights[name] = arr * np.float32(gain)
     return weights
 
 
@@ -865,10 +877,10 @@ class TestForwardOracle:
                     "var": lambda n: r.uniform(0.5, 2.0, n),
                     "gamma": lambda n: r.uniform(0.5, 1.5, n),
                     "beta": lambda n: r.normal(0.0, 0.1, n)}
-            for name, arr in weights.entries.items():
+            for name, arr in weights.items():
                 if ".bn." in name:
                     draw_k = draw[name.rsplit(".", 1)[1]]
-                    weights.entries[name] = draw_k(arr.size).astype(np.float32)
+                    weights[name] = draw_k(arr.size).astype(np.float32)
         left, right = Image(r.random((3, h, w))), Image(r.random((3, h, w)))
         ref_refined, ref_disp = forward_oracle(left, right, weights)
         assert np.abs(ref_refined).max() > 0.05  # a live, non-trivial reference

@@ -246,6 +246,23 @@ class TestBilinearResize:
             bilinear_resize(rng.random((1, 2, 2)), 0, 3)
 
 
+class TestOutputLayout:
+    KERNELS = {
+        "conv2d": lambda x, rng: conv2d(x, random_params(rng, 4, 3, 3)),
+        "deconv2d_s2": lambda x, rng: deconv2d_s2(x, random_params(rng, 4, 3, 2, stride=2)),
+        "bilinear_resize": lambda x, rng: bilinear_resize(x, 12, 13),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_c_contiguous_float32(self, rng, layouts, kernel, dtype):
+        # The next layer and DisparityMap read these arrays row by row.
+        for x in layouts(rng.standard_normal((3, 6, 8)).astype(dtype)):
+            out = self.KERNELS[kernel](x, rng)
+            assert out.dtype == np.float32, x.strides
+            assert out.flags.c_contiguous, (x.strides, out.strides)
+
+
 class TestConcatChannels:
     def test_single_input_identity(self, rng):
         x = rng.random((3, 2, 2))
