@@ -8,6 +8,12 @@ matchers pass their own.
 
 Supported containers: binary PPM (P6) / PGM (P5) at maxval 255, and
 grayscale PFM ("Pf", little-endian on write, rows bottom-to-top).
+
+A PPM/PGM header is the magic "P6" or "P5"; then three times a gap and
+a number of ASCII digits (width, height, maxval); then exactly one
+whitespace byte, after which the payload starts.  A gap is a non-empty
+run of whitespace and '#' comments, each comment running to the next
+CR, LF or the end of the file.
 """
 
 from __future__ import annotations
@@ -91,50 +97,41 @@ class DisparityMap:
 # ---------------------------------------------------------------------------
 
 
-# Whitespace and '#' comments (ended by CR or LF) between header tokens,
-# then one token.  Each is one regex match at C speed: no Python step per
-# byte, one regex loop step per comment.
-_PNM_GAP = re.compile(rb"\s*(?:#[^\r\n]*\s*)*")
-_PNM_TOKEN = re.compile(rb"\S*")
-
-
-def _read_pnm_number(buf: bytes, pos: int) -> tuple[int, int]:
-    start = _PNM_GAP.match(buf, pos).end()
-    token = _PNM_TOKEN.match(buf, start).group()
-    if not token:
-        raise FormatError(f"unexpected end of header at byte {start}")
-    if not token.isdigit():  # ASCII decimal, as Netpbm writes it
-        raise FormatError(f"header number {token[:32]!r} at byte {start} is not decimal")
-    return int(token), start + len(token)
+# The module docstring's header grammar, each piece inside the optional
+# group of the piece before, so after the magic the match always succeeds
+# and never backtracks: m.end() is the first byte that breaks the grammar.
+# Groups 1-4 are width, height, maxval and the closing whitespace byte.
+# Nothing else is captured: each capture set before a gap is saved once
+# per comment in that gap.
+_PNM_HEADER = re.compile(
+    rb"P[56](?:%(gap)s(?:(\d+)(?:%(gap)s(?:(\d+)(?:%(gap)s(?:(\d+)(\s)?)?)?)?)?)?)?"
+    % {b"gap": rb"(?=[\s#])\s*(?:#[^\r\n]*\s*)*"})
 
 
 def read_image(path) -> Image:
     """Read a binary PPM (P6) or PGM (P5) file with maxval 255."""
     with open(path, "rb") as f:
         buf = f.read()
-    if len(buf) < 2:
-        raise FormatError("truncated file at byte 0")
-    magic = buf[:2]
-    if magic == b"P6":
-        channels = 3
-    elif magic == b"P5":
-        channels = 1
-    else:
-        raise FormatError(f"bad magic {magic!r} at byte 0")
-    pos = 2
+    m = _PNM_HEADER.match(buf)
+    if m is None:
+        raise FormatError(f"bad magic {buf[:2]!r} at byte 0")
+    pos = m.end()
+    if m[4] is None:
+        if pos == len(buf):
+            raise FormatError(f"unexpected end of header at byte {pos}")
+        what = "no whitespace after magic" if pos == 2 else "header number is not decimal"
+        raise FormatError(f"{what} at byte {pos}: {buf[pos:pos + 1]!r}")
+    channels = 3 if buf[1] == ord("6") else 1
     try:
-        width, pos = _read_pnm_number(buf, pos)
-        height, pos = _read_pnm_number(buf, pos)
-        maxval, pos = _read_pnm_number(buf, pos)
-    except ValueError as exc:
-        raise FormatError(f"bad header near byte {pos}: {exc}") from exc
+        width, height, maxval = map(int, m.group(1, 2, 3))
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError(f"bad header number: {exc}") from exc
     if maxval != 255:
-        raise FormatError(f"unsupported maxval {maxval} (only 255) at byte {pos}")
+        raise FormatError(f"unsupported maxval {maxval} (only 255) at byte {m.end(3)}")
     if width <= 0 or height <= 0:
         raise FormatError(f"bad dimensions {width}x{height}")
-    pos += 1  # single whitespace after maxval
     need = width * height * channels
-    got = max(0, min(need, len(buf) - pos))
+    got = min(need, len(buf) - pos)
     if got != need:
         raise FormatError(
             f"truncated payload at byte {pos + got}: expected {need} bytes, got {got}"
@@ -196,6 +193,8 @@ def read_pfm(path) -> DisparityMap:
         if width < 1 or height < 1:
             raise FormatError(f"dimensions must be positive, got {width}x{height}")
         line = _read_pfm_line(f, "scale")
+        if b"_" in line:  # float() reads it as digit grouping
+            raise FormatError(f"bad scale line {line!r}: '_' is not allowed")
         try:
             scale = float(line)
         except ValueError as exc:

@@ -150,6 +150,43 @@ def bilinear_oracle(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
+def pnm_header_oracle(buf: bytes):
+    """Byte-by-byte reader of a binary PGM/PPM header.
+
+    The magic "P5" or "P6"; three times a gap, a non-empty run of the
+    six ASCII whitespace bytes and '#' comments (each running to the
+    next CR, LF or the end of the file), and a run of ASCII digits;
+    then one whitespace byte.  Returns ``((channels, width, height,
+    maxval), payload offset)``, or ``(None, offset)`` of the first byte
+    that breaks the grammar (``len(buf)`` when the bytes end first).
+    """
+    whitespace, digits = b" \t\n\v\f\r", b"0123456789"
+    if buf[:2] not in (b"P5", b"P6"):
+        return None, 0
+    pos = 2
+    numbers = []
+    for _ in range(3):
+        start = pos
+        while pos < len(buf) and (buf[pos] in whitespace or buf[pos] == ord("#")):
+            if buf[pos] == ord("#"):
+                while pos < len(buf) and buf[pos] not in b"\r\n":
+                    pos += 1
+            else:
+                pos += 1
+        if pos == start:
+            return None, pos
+        start = pos
+        while pos < len(buf) and buf[pos] in digits:
+            pos += 1
+        if pos == start:
+            return None, pos
+        numbers.append(int(buf[start:pos]))
+    if pos == len(buf) or buf[pos] not in whitespace:
+        return None, pos
+    channels = 3 if buf[1] == ord("6") else 1
+    return (channels, *numbers), pos + 1
+
+
 def mask_oracle(d_row: np.ndarray, epsilon: float) -> np.ndarray:
     """Run-enumeration discontinuity mask for one row.
 

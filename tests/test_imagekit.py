@@ -118,6 +118,26 @@ class TestPnmCodec:
         with pytest.raises(FormatError, match="is not decimal"):
             read_image(path)
 
+    @pytest.mark.parametrize("data,error", [
+        (b"P52 1 255\n" + bytes(2), r"at byte 2\b"),
+        (b"P63 1 255\n" + bytes(9), r"at byte 2\b"),
+        (b"P5 2 1 255", r"^unexpected end of header at byte 10$"),
+        (b"P5 2#c\n1 255\n\x00\xff", None),
+        (b"P5#c\n2 1 255\n\x00\xff", None),
+        (b"P5 " + b"1" * 5000 + b" 1 255\n\x00", "bad header number"),
+    ], ids=["P5-no-gap", "P6-no-gap", "maxval-at-eof", "comment-after-number",
+            "comment-after-magic", "five-thousand-digit-width"])
+    def test_header_grammar(self, tmp_path, data, error):
+        # Whitespace must follow the magic, exactly one whitespace byte
+        # follows maxval, and a comment may stand wherever whitespace may.
+        path = tmp_path / "g.pgm"
+        path.write_bytes(data)
+        if error is None:
+            np.testing.assert_array_equal(read_image(path).data.ravel(), [0.0, 1.0])
+        else:
+            with pytest.raises(FormatError, match=error):
+                read_image(path)
+
 
 class TestPfmCodec:
     def test_round_trip_bit_identical(self, tmp_path, rng):
@@ -207,6 +227,9 @@ class TestPfmCodec:
         assert str(info.value) == "scale line longer than 128 bytes"
         path.write_bytes(b"Pf\n1 1\nx\n" + b"\x00" * 4)  # float() fails
         with pytest.raises(FormatError, match="^bad scale line: could not convert"):
+            read_pfm(path)
+        path.write_bytes(b"Pf\n1 1\n-1_0\n" + b"\x00" * 4)  # float() reads -10.0
+        with pytest.raises(FormatError, match="^bad scale line b'-1_0"):
             read_pfm(path)
 
     def test_five_thousand_digit_width_rejected(self, tmp_path):
