@@ -7,6 +7,7 @@ overrides built-in defaults.
 
 from __future__ import annotations
 
+import stat
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -203,14 +204,7 @@ def mask_to_pgm(mask: DiscontinuityMask, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _require(cfg: RunConfig, *fields: str) -> None:
-    for f in fields:
-        if getattr(cfg, f) is None:
-            raise ConfigError(f"command {cfg.command!r} requires --{f}")
-
-
 def _cmd_synth(cfg: RunConfig) -> None:
-    _require(cfg, "out")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     plan = parse_plan(cfg.plan, cfg.width)
@@ -224,7 +218,6 @@ def _cmd_synth(cfg: RunConfig) -> None:
 
 
 def _cmd_trad_match(cfg: RunConfig) -> None:
-    _require(cfg, "left", "right", "out")
     left = read_image(cfg.left)
     right = read_image(cfg.right)
     dmap = traditional_match(left, right, cfg.max_disp)
@@ -236,7 +229,6 @@ def _cmd_trad_match(cfg: RunConfig) -> None:
 
 def _cmd_infer(cfg: RunConfig) -> None:
     from mscv.network import full_forward, load_weights, validate_store
-    _require(cfg, "left", "right", "weights", "out")
     left = read_image(cfg.left)
     right = read_image(cfg.right)
     store = load_weights(cfg.weights)
@@ -247,7 +239,6 @@ def _cmd_infer(cfg: RunConfig) -> None:
 
 
 def _cmd_mask(cfg: RunConfig) -> None:
-    _require(cfg, "gt", "out")
     dmap = read_pfm(cfg.gt)
     mask = discontinuity_mask(dmap, cfg.epsilon)
     mask_to_pgm(mask, cfg.out)
@@ -255,7 +246,6 @@ def _cmd_mask(cfg: RunConfig) -> None:
 
 
 def _cmd_loss(cfg: RunConfig) -> None:
-    _require(cfg, "pred", "gt")
     pred = read_pfm(cfg.pred)
     gt = read_pfm(cfg.gt)
     mask = discontinuity_mask(gt, cfg.epsilon)
@@ -265,7 +255,6 @@ def _cmd_loss(cfg: RunConfig) -> None:
 
 
 def _cmd_eval(cfg: RunConfig) -> None:
-    _require(cfg, "pred", "gt")
     pred = read_pfm(cfg.pred)
     gt = read_pfm(cfg.gt)
     report = evaluate(pred, gt, kitti_rule=cfg.kitti_rule)
@@ -275,7 +264,6 @@ def _cmd_eval(cfg: RunConfig) -> None:
 
 def _cmd_init_weights(cfg: RunConfig) -> None:
     from mscv.network import init_weights, save_weights
-    _require(cfg, "out")
     store = init_weights(cfg.seed)
     save_weights(store, cfg.out)
     print(f"wrote {cfg.out} ({store.param_count()} parameters)")
@@ -286,23 +274,18 @@ def _cmd_describe(cfg: RunConfig) -> None:
     print(describe_architecture())
 
 
+# Each command's handler and the options it requires, checked in this
+# order before the handler runs.
 _HANDLERS = {
-    "synth": _cmd_synth,
-    "trad-match": _cmd_trad_match,
-    "infer": _cmd_infer,
-    "mask": _cmd_mask,
-    "loss": _cmd_loss,
-    "eval": _cmd_eval,
-    "init-weights": _cmd_init_weights,
-    "describe": _cmd_describe,
+    "synth": (_cmd_synth, ("out",)),
+    "trad-match": (_cmd_trad_match, ("left", "right", "out")),
+    "infer": (_cmd_infer, ("left", "right", "weights", "out")),
+    "mask": (_cmd_mask, ("gt", "out")),
+    "loss": (_cmd_loss, ("pred", "gt")),
+    "eval": (_cmd_eval, ("pred", "gt")),
+    "init-weights": (_cmd_init_weights, ("out",)),
+    "describe": (_cmd_describe, ()),
 }
-
-
-def dispatch(cfg: RunConfig) -> int:
-    """Run one command; returns the process exit status."""
-    print(f"config: {cfg}")
-    _HANDLERS[cfg.command](cfg)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +310,8 @@ def _value_type(f):
 
 def _load_config_file(path: str) -> dict:
     """Read key=value lines; a key is a field name or its option name."""
+    if not stat.S_ISREG(Path(path).stat().st_mode):  # a device or pipe may never end
+        raise ConfigError(f"{path}: not a regular file")
     keys = {k: f for f in _SETTINGS for k in (f.name, _option(f))}
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -372,9 +357,16 @@ def config_from_args(argv: list[str]) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns the process exit status."""
     try:
         cfg = config_from_args(argv if argv is not None else sys.argv[1:])
-        return dispatch(cfg)
+        print(f"config: {cfg}")
+        handler, required = _HANDLERS[cfg.command]
+        for name in required:
+            if getattr(cfg, name) is None:
+                raise ConfigError(f"command {cfg.command!r} requires --{name}")
+        handler(cfg)
+        return 0
     except SystemExit as exc:  # argparse --help / bad usage
         return int(exc.code or 0)
     except (ConfigError, ValueError, OSError, MemoryError) as exc:

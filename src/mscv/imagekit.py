@@ -1,6 +1,6 @@
 """Image and disparity-map I/O, colorspace conversion, resolution helpers.
 
-Images are stored planar (channel, row, column) with samples in [0, 1].
+Images are stored planar (channel, row, column); file samples are in [0, 1].
 Disparity maps carry full-resolution pixel units plus a per-pixel
 validity flag.  A map built without a flag, as from a file or ground
 truth, counts its pixels with 0 < d < MAX_DISPARITY as valid; the
@@ -34,7 +34,11 @@ class FormatError(ValueError):
 
 @dataclass
 class Image:
-    """Planar raster, shape (channels, height, width), samples in [0, 1]."""
+    """Planar float64 raster of shape (1 or 3, height, width), finite samples.
+
+    Only the shape and finiteness are enforced.  Images read from files
+    are in [0, 1]; :func:`rgb_to_yuv` returns U and V in [-0.5, 0.5].
+    """
 
     data: np.ndarray  # float64, (C, H, W)
 
@@ -110,8 +114,8 @@ _PNM_HEADER = re.compile(
 
 def read_image(path) -> Image:
     """Read a binary PPM (P6) or PGM (P5) file with maxval 255."""
-    with open(path, "rb") as f:
-        buf = f.read()
+    with open(path, "rb") as f:  # a device or pipe reads as empty
+        buf = f.read(os.fstat(f.fileno()).st_size)
     m = _PNM_HEADER.match(buf)
     if m is None:
         raise FormatError(f"bad magic {buf[:2]!r} at byte 0")

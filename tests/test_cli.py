@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mscv.cli import (
+    _HANDLERS,
     ConfigError,
     RunConfig,
     config_from_args,
@@ -113,13 +114,25 @@ def option(name):
     return OPTIONS.get(name, name).replace("_", "-")
 
 
-def run_module(*args, **env):
-    """``python -m mscv.cli *args`` with ``src/`` on the path."""
+def run_python(*args, **env):
+    """``python *args`` with ``src/`` on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, **env)
-    return subprocess.run([sys.executable, "-m", "mscv.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_module(*args, **env):
+    """``python -m mscv.cli *args`` with ``src/`` on the path."""
+    return run_python("-m", "mscv.cli", *args, **env)
+
+
+# ``python -m mscv.cli`` in a process that may not grow past 1 GB, so a
+# read without end fails with a MemoryError instead of filling the machine.
+CAPPED_CLI = ("import resource, runpy\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2)\n"
+              "runpy.run_module('mscv.cli', run_name='__main__')")
 
 
 class TestConfigResolution:
@@ -199,7 +212,38 @@ class TestConfigResolution:
         assert not list(tmp_path.iterdir())
 
 
+# Every (command, option it requires) pair, in the order the command checks them.
+REQUIRED = [(command, name) for command, (_, names) in _HANDLERS.items() for name in names]
+
+
 class TestDispatch:
+    @pytest.mark.parametrize("command,missing", REQUIRED, ids="{0[0]}-{0[1]}".format)
+    def test_missing_required_option_exits_2(self, tmp_path, capsys, command, missing):
+        given = [arg for name in _HANDLERS[command][1] if name != missing
+                 for arg in (f"--{option(name)}", str(tmp_path / SAMPLES[name]))]
+        assert main([command, *given]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == f"config: {config_from_args([command, *given])}\n"
+        assert captured.err == f"error: command {command!r} requires --{missing}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [c for c, (_, names) in _HANDLERS.items() if names])
+    def test_first_missing_option_named(self, capsys, command):
+        assert main([command]) == 2
+        first = _HANDLERS[command][1][0]
+        assert capsys.readouterr().err == f"error: command {command!r} requires --{first}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    @pytest.mark.parametrize("args,error", [
+        (["trad-match", "--left", "/dev/zero", "--right", "/dev/zero"], "bad magic b'' at byte 0"),
+        (["describe", "--config", "/dev/zero"], "/dev/zero: not a regular file"),
+    ], ids=["trad-match", "config"])
+    def test_endless_device_exits_2(self, tmp_path, args, error):
+        out = tmp_path / "o.pfm"
+        proc = run_python("-c", CAPPED_CLI, *args, "--out", str(out), OPENBLAS_NUM_THREADS="1")
+        assert (proc.returncode, proc.stderr) == (2, f"error: {error}\n")
+        assert not out.exists()
+
     def test_synth_trad_match_eval_chain(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert main([

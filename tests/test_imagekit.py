@@ -1,5 +1,6 @@
 """Codec round-trips, colorspace math, pooling and padding."""
 
+import os
 import time
 
 import numpy as np
@@ -137,6 +138,22 @@ class TestPnmCodec:
         else:
             with pytest.raises(FormatError, match=error):
                 read_image(path)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_device_rejected_at_once(self):
+        # At most the file's size is read: a device reads as empty.
+        began = time.perf_counter()
+        with pytest.raises(FormatError, match=r"^bad magic b'' at byte 0$"):
+            read_image("/dev/zero")
+        assert time.perf_counter() - began < 0.5
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_regular_file_through_fd_path_decodes(self, tmp_path, rng):
+        # As /dev/stdin does when redirected from a file.
+        write_image(random_image(rng), tmp_path / "a.ppm")
+        with open(tmp_path / "a.ppm", "rb") as f:
+            np.testing.assert_array_equal(
+                read_image(f"/dev/fd/{f.fileno()}").data, read_image(tmp_path / "a.ppm").data)
 
 
 class TestPfmCodec:

@@ -6,7 +6,8 @@ Names listed in ``__all__``, ``from __future__`` imports and lines marked
 definition, so a helper that only tests call cannot stay in ``src/``.
 
 The import boundary is checked in fresh interpreters: ``import mscv.cli``
-loads neither the network stack nor ``argparse``, ``import mscv.network``
+loads neither the network stack nor ``argparse``, ``mscv infer`` without a
+required option fails before it loads the network, ``import mscv.network``
 leaves the thread pool to a forward that asks for one, and the package
 still hands out ``network``, ``tensorops`` and the network's exports on
 first use.
@@ -126,6 +127,13 @@ def test_cli_import_leaves_network_stack_unloaded():
     out = fresh_python("-c", "import sys, mscv.cli; print(sorted(m for m in "
                        "('mscv.network', 'mscv.tensorops', 'argparse') if m in sys.modules))")
     assert out.strip() == "[]"
+
+
+def test_infer_missing_option_leaves_network_unloaded():
+    out = fresh_python("-c", "import sys\nfrom mscv.cli import main\n"
+                       "code = main(['infer', '--left', 'l.ppm', '--right', 'r.ppm', '--out', 'o.pfm'])\n"
+                       "print(code, 'mscv.network' in sys.modules)")
+    assert out.splitlines()[-1] == "2 False"
 
 
 def test_network_import_leaves_thread_pool_unloaded():
