@@ -7,7 +7,6 @@ overrides built-in defaults.
 
 from __future__ import annotations
 
-import stat
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -27,6 +26,7 @@ from mscv.imagekit import (
     MAX_DISPARITY,
     DisparityMap,
     Image,
+    _read_regular,
     pad_reflect,
     read_image,
     read_pfm,
@@ -310,11 +310,9 @@ def _value_type(f):
 
 def _load_config_file(path: str) -> dict:
     """Read key=value lines; a key is a field name or its option name."""
-    if not stat.S_ISREG(Path(path).stat().st_mode):  # a device or pipe may never end
-        raise ConfigError(f"{path}: not a regular file")
     keys = {k: f for f in _SETTINGS for k in (f.name, _option(f))}
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(_read_regular(path).decode("utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

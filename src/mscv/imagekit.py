@@ -7,7 +7,10 @@ truth, counts its pixels with 0 < d < MAX_DISPARITY as valid; the
 matchers pass their own.
 
 Supported containers: binary PPM (P6) / PGM (P5) at maxval 255, and
-grayscale PFM ("Pf", little-endian on write, rows bottom-to-top).
+grayscale PFM ("Pf", little-endian on write, rows bottom-to-top).  Like
+MSCV1 weights and config files, they are read once, at most their size,
+from regular files only, opened without blocking, so a FIFO, device or
+directory fails at once with ``OSError("<path>: not a regular file")``.
 
 A PPM/PGM header is the magic "P6" or "P5"; then three times a gap and
 a number of ASCII digits (width, height, maxval); then exactly one
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +100,17 @@ class DisparityMap:
         return self.values.shape[1]
 
 
+def _read_regular(path) -> bytes:
+    """The bytes of the regular file at ``path``; see the module docstring."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO with no writer opens at once
+    st = os.fstat(fd)
+    if not stat.S_ISREG(st.st_mode):
+        os.close(fd)
+        raise OSError(f"{path}: not a regular file")
+    with open(fd, "rb") as f:
+        return f.read(st.st_size)
+
+
 # ---------------------------------------------------------------------------
 # PPM / PGM codec
 # ---------------------------------------------------------------------------
@@ -114,8 +129,7 @@ _PNM_HEADER = re.compile(
 
 def read_image(path) -> Image:
     """Read a binary PPM (P6) or PGM (P5) file with maxval 255."""
-    with open(path, "rb") as f:  # a device or pipe reads as empty
-        buf = f.read(os.fstat(f.fileno()).st_size)
+    buf = _read_regular(path)
     m = _PNM_HEADER.match(buf)
     if m is None:
         raise FormatError(f"bad magic {buf[:2]!r} at byte 0")
@@ -172,11 +186,12 @@ def write_pnm(pixels: np.ndarray, path) -> None:
 _PFM_LINE_BYTES = 128  # longest PFM header line read, newline included
 
 
-def _read_pfm_line(f, what: str) -> bytes:
-    line = f.readline(_PFM_LINE_BYTES)
-    if len(line) == _PFM_LINE_BYTES and not line.endswith(b"\n"):
+def _pfm_line(buf: bytes, pos: int, what: str) -> tuple[bytes, int]:
+    end = buf.find(b"\n", pos, pos + _PFM_LINE_BYTES) + 1
+    if not end and len(buf) - pos >= _PFM_LINE_BYTES:
         raise FormatError(f"{what} line longer than {_PFM_LINE_BYTES} bytes")
-    return line
+    end = end or len(buf)
+    return buf[pos:end], end
 
 
 def read_pfm(path) -> DisparityMap:
@@ -184,33 +199,32 @@ def read_pfm(path) -> DisparityMap:
 
     Non-finite or out-of-range samples are marked invalid.
     """
-    with open(path, "rb") as f:
-        magic = _read_pfm_line(f, "magic").strip()
-        if magic == b"PF":
-            raise FormatError("color PFM not supported")
-        if magic != b"Pf":
-            raise FormatError(f"bad magic {magic!r}")
-        dims = _read_pfm_line(f, "dimensions").split()
-        if len(dims) != 2 or not all(d.isdigit() for d in dims):
-            raise FormatError(f"bad dimensions line {b' '.join(dims)!r}")
-        width, height = int(dims[0]), int(dims[1])
-        if width < 1 or height < 1:
-            raise FormatError(f"dimensions must be positive, got {width}x{height}")
-        line = _read_pfm_line(f, "scale")
-        if b"_" in line:  # float() reads it as digit grouping
-            raise FormatError(f"bad scale line {line!r}: '_' is not allowed")
-        try:
-            scale = float(line)
-        except ValueError as exc:
-            raise FormatError(f"bad scale line: {exc}") from exc
-        if scale == 0 or not math.isfinite(scale):
-            raise FormatError(f"scale must be finite and nonzero, got {scale}")
-        endian = "<f4" if scale < 0 else ">f4"
-        if 4 * width * height > os.fstat(f.fileno()).st_size - f.tell():
-            raise FormatError("truncated PFM payload")
-        payload = f.read(4 * width * height)
-    rows = np.frombuffer(payload, dtype=endian).reshape(height, width)
-    return DisparityMap(np.flipud(rows))  # stored bottom-to-top
+    buf = _read_regular(path)
+    magic, pos = _pfm_line(buf, 0, "magic")
+    if magic.strip() == b"PF":
+        raise FormatError("color PFM not supported")
+    if magic.strip() != b"Pf":
+        raise FormatError(f"bad magic {magic.strip()!r}")
+    dims, pos = _pfm_line(buf, pos, "dimensions")
+    dims = dims.split()
+    if len(dims) != 2 or not all(d.isdigit() for d in dims):
+        raise FormatError(f"bad dimensions line {b' '.join(dims)!r}")
+    width, height = int(dims[0]), int(dims[1])
+    if width < 1 or height < 1:
+        raise FormatError(f"dimensions must be positive, got {width}x{height}")
+    line, pos = _pfm_line(buf, pos, "scale")
+    if b"_" in line:  # float() reads it as digit grouping
+        raise FormatError(f"bad scale line {line!r}: '_' is not allowed")
+    try:
+        scale = float(line)
+    except ValueError as exc:
+        raise FormatError(f"bad scale line: {exc}") from exc
+    if scale == 0 or not math.isfinite(scale):
+        raise FormatError(f"scale must be finite and nonzero, got {scale}")
+    if 4 * width * height > len(buf) - pos:
+        raise FormatError("truncated PFM payload")
+    rows = np.frombuffer(buf, "<f4" if scale < 0 else ">f4", width * height, pos)
+    return DisparityMap(np.flipud(rows.reshape(height, width)))  # stored bottom-to-top
 
 
 def write_pfm(dmap: DisparityMap, path) -> None:

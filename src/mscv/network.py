@@ -20,14 +20,13 @@ inference, folded into the weights and bias.  Blocks pass float32 arrays.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from mscv.costvol import _correlate, correlate_1d, traditional_costs
-from mscv.imagekit import MAX_DISPARITY, DisparityMap, Image, pad_reflect
+from mscv.imagekit import MAX_DISPARITY, DisparityMap, Image, _read_regular, pad_reflect
 from mscv.tensorops import (
     ConvParams,
     bilinear_resize,
@@ -251,42 +250,41 @@ def save_weights(store: WeightStore, path) -> None:
 
 
 def load_weights(path) -> WeightStore:
-    """Read an MSCV1 container; a malformed file raises ``WeightError``."""
-    with open(path, "rb") as f:
-        left = os.fstat(f.fileno()).st_size
+    """Read an MSCV1 container; ``WeightError`` if malformed, ``OSError`` if not a regular file."""
+    buf = memoryview(_read_regular(path))
 
-        def take(n, what):
-            # Sizes come from the file: check them against the bytes left
-            # before reading, so no short read or huge allocation happens.
-            nonlocal left
-            if n > left:
-                raise WeightError(f"truncated {what}")
-            left -= n
-            return f.read(n)
+    def take(n, what):
+        # Sizes come from the file: check them against the bytes left
+        # before taking them, so no short slice or huge array is built.
+        nonlocal buf
+        if n > len(buf):
+            raise WeightError(f"truncated {what}")
+        out, buf = buf[:n], buf[n:]
+        return out
 
-        magic = take(len(MAGIC), "magic")
-        if magic != MAGIC:
-            raise WeightError(f"bad magic {magic!r}")
-        (count,) = struct.unpack("<I", take(4, "entry count"))
-        store = WeightStore()
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", take(2, "name length"))
-            raw = take(name_len, "parameter name")
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise WeightError(f"parameter name {raw!r} is not UTF-8") from None
-            if name in store:
-                raise WeightError(f"repeated parameter {name!r}")
-            (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
-            dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
-            payload = take(4 * math.prod(dims), f"payload for parameter {name!r}")
-            try:
-                store[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
-            except ValueError as exc:  # more dims, or more elements, than NumPy allows
-                raise WeightError(f"bad shape {dims} for {name!r}: {exc}") from None
-        if left:
-            raise WeightError(f"{left} bytes after the last entry")
+    magic = bytes(take(len(MAGIC), "magic"))
+    if magic != MAGIC:
+        raise WeightError(f"bad magic {magic!r}")
+    (count,) = struct.unpack("<I", take(4, "entry count"))
+    store = WeightStore()
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        raw = bytes(take(name_len, "parameter name"))
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise WeightError(f"parameter name {raw!r} is not UTF-8") from None
+        if name in store:
+            raise WeightError(f"repeated parameter {name!r}")
+        (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
+        payload = take(4 * math.prod(dims), f"payload for parameter {name!r}")
+        try:
+            store[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        except ValueError as exc:  # more dims, or more elements, than NumPy allows
+            raise WeightError(f"bad shape {dims} for {name!r}: {exc}") from None
+    if buf:
+        raise WeightError(f"{len(buf)} bytes after the last entry")
     return store
 
 

@@ -7,6 +7,8 @@ forward pass in float64 on top of vectorized float64 helpers, each of
 which the tests check against the loop oracles here.
 """
 
+import math
+
 import numpy as np
 
 from mscv.costvol import CENSUS_BITS, CostVolume, census_transform
@@ -185,6 +187,48 @@ def pnm_header_oracle(buf: bytes):
         return None, pos
     channels = 3 if buf[1] == ord("6") else 1
     return (channels, *numbers), pos + 1
+
+
+def pfm_header_oracle(buf: bytes):
+    """Byte-by-byte reader of a grayscale PFM header.
+
+    Three lines, each read as a binary ``readline(128)`` reads one: byte
+    by byte through the first LF, at most 128 bytes, and a 128-byte line
+    that does not end in LF is rejected.  The stripped first line is
+    "Pf"; the second splits into two runs of ASCII digits, both nonzero;
+    the third holds no '_' and ``float()`` reads it as a finite nonzero
+    scale; then 4 * width * height payload bytes follow.  Returns
+    ``((width, height, little_endian), payload offset)``, or None when
+    the file is rejected.
+    """
+    pos = 0
+    lines = []
+    for _ in range(3):
+        line = b""
+        while pos < len(buf) and len(line) < 128 and not line.endswith(b"\n"):
+            line += buf[pos:pos + 1]
+            pos += 1
+        if len(line) == 128 and not line.endswith(b"\n"):
+            return None
+        lines.append(line)
+    magic, dims, scale_line = lines
+    if magic.strip() != b"Pf":
+        return None
+    dims = dims.split()
+    if len(dims) != 2 or not all(d.isdigit() for d in dims):
+        return None
+    width, height = int(dims[0]), int(dims[1])
+    if width == 0 or height == 0 or b"_" in scale_line:
+        return None
+    try:
+        scale = float(scale_line)
+    except ValueError:
+        return None
+    if scale == 0 or not math.isfinite(scale):
+        return None
+    if len(buf) - pos < 4 * width * height:
+        return None
+    return (width, height, scale < 0), pos
 
 
 def mask_oracle(d_row: np.ndarray, epsilon: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from mscv.cli import (
     traditional_match,
 )
 from mscv.disparity import DiscontinuityMask
-from mscv.imagekit import Image, read_image, read_pfm, write_image
+from mscv.imagekit import DisparityMap, Image, read_image, read_pfm, write_image, write_pfm
 from mscv.metrics import evaluate
 from mscv.network import WeightStore, init_weights, save_weights
 
@@ -114,13 +114,13 @@ def option(name):
     return OPTIONS.get(name, name).replace("_", "-")
 
 
-def run_python(*args, **env):
+def run_python(*args, cwd=None, timeout=120, **env):
     """``python *args`` with ``src/`` on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, **env)
-    return subprocess.run([sys.executable, *args],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def run_module(*args, **env):
@@ -235,7 +235,8 @@ class TestDispatch:
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
     @pytest.mark.parametrize("args,error", [
-        (["trad-match", "--left", "/dev/zero", "--right", "/dev/zero"], "bad magic b'' at byte 0"),
+        (["trad-match", "--left", "/dev/zero", "--right", "/dev/zero"],
+         "/dev/zero: not a regular file"),
         (["describe", "--config", "/dev/zero"], "/dev/zero: not a regular file"),
     ], ids=["trad-match", "config"])
     def test_endless_device_exits_2(self, tmp_path, args, error):
@@ -243,6 +244,25 @@ class TestDispatch:
         proc = run_python("-c", CAPPED_CLI, *args, "--out", str(out), OPENBLAS_NUM_THREADS="1")
         assert (proc.returncode, proc.stderr) == (2, f"error: {error}\n")
         assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    @pytest.mark.parametrize("args", [
+        ["trad-match", "--left", "ff", "--right", "a.ppm"],
+        ["mask", "--gt", "ff"],
+        ["loss", "--pred", "ff", "--gt", "gt.pfm"],
+        ["eval", "--pred", "ff", "--gt", "gt.pfm"],
+        ["infer", "--left", "a.ppm", "--right", "a.ppm", "--weights", "ff"],
+        ["describe", "--config", "ff"],
+    ], ids=lambda args: args[0])
+    def test_fifo_input_exits_2_at_once(self, tmp_path, args):
+        # A FIFO with no writer; the other inputs are regular files.  The
+        # child is killed after 5 s, so a blocking open fails the test.
+        os.mkfifo(tmp_path / "ff")
+        write_image(Image(np.zeros((3, 4, 6))), tmp_path / "a.ppm")
+        write_pfm(DisparityMap(np.full((4, 6), 2.0)), tmp_path / "gt.pfm")
+        proc = run_module(*args, "--out", "o.pfm", cwd=tmp_path, timeout=5)
+        assert (proc.returncode, proc.stderr) == (2, "error: ff: not a regular file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm", "ff", "gt.pfm"]
 
     def test_synth_trad_match_eval_chain(self, tmp_path, capsys):
         out = tmp_path / "data"

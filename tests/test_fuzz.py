@@ -1,6 +1,6 @@
 """Damaged files: each decoder raises only its documented error, and the
-command that reads the file exits with status 2.  Hand-built PPM/PGM
-headers: the decoder and a byte-by-byte oracle agree."""
+command that reads the file exits with status 2.  Hand-built PPM/PGM and
+PFM headers: each decoder and a byte-by-byte oracle agree."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from mscv.imagekit import (
     write_pfm,
 )
 from mscv.network import WeightError, WeightStore, load_weights, save_weights
-from oracles import pnm_header_oracle
+from oracles import pfm_header_oracle, pnm_header_oracle
 
 FUZZ = settings(
     max_examples=150, deadline=None,
@@ -155,3 +155,68 @@ def test_pnm_header_matches_oracle(tmp_path, data):
         return
     raw = np.frombuffer(buf, np.uint8, count=need, offset=pos).reshape(height, width, channels)
     assert read_image(path).data.tobytes() == (raw.transpose(2, 0, 1) / 255.0).tobytes()
+
+
+def mostly(common, *rare):
+    """``common`` in about nine of ten draws, else one of ``rare``."""
+    return st.sampled_from([common] * 9 * len(rare) + list(rare))
+
+
+@st.composite
+def pfm_line(draw, tokens) -> bytes:
+    """A token between blank runs, then an LF, CR LF, CR or no ending;
+    now and then padded to 127, 128 or 129 bytes, ending included."""
+    blanks = often(b"", b" ", b"\t", b"\v\f", b"\r")
+    body = draw(blanks) + draw(tokens) + draw(blanks)
+    end = draw(mostly(b"\n", b"\r\n", b"\r", b""))
+    size = draw(often(None, 127, 128, 129))
+    if size:
+        body = body.ljust(size - len(end)) if draw(st.booleans()) else body.rjust(size - len(end))
+    return body + end
+
+
+@st.composite
+def pfm_dims(draw) -> bytes:
+    """Width and height, now and then one or three numbers, and now and
+    then one of them drawn as a PNM header number (sign, '_', ...)."""
+    values = often(2, 1, 3, 0)
+    numbers = [b"%d" % draw(values) for _ in range(draw(mostly(2, 1, 3)))]
+    if draw(often(False, True)):
+        numbers[draw(st.integers(0, len(numbers) - 1))] = draw(pnm_number(values))
+    return draw(often(b" ", b"\t", b"  ", b"\v")).join(numbers)
+
+
+# Scale lines float() reads as finite and nonzero, in other spellings than
+# "-1.0", and scale lines the reader must reject: zeros, non-finite values,
+# values that round to 0 or inf, '_' (float() reads "1_0" as 10) and words
+# float() rejects.
+PFM_SCALES = [b"1.0", b"-1", b"1e0", b"-2.5E+1", b".5", b"+1"]
+PFM_BAD_SCALES = [b"-0.0", b"0", b"nan", b"-inf", b"Infinity", b"1e400", b"-1e-400",
+                  b"-1_0", b"1_0", b"x", b""]
+
+
+@given(data=st.data())
+@settings(FUZZ, max_examples=400)
+def test_pfm_header_matches_oracle(tmp_path, data):
+    draw = data.draw
+    buf = draw(pfm_line(mostly(b"Pf", b"PF", b"P5", b"Pf2", b"")))
+    buf += draw(pfm_line(pfm_dims()))
+    scales = often(b"-1.0", *PFM_SCALES), st.sampled_from(PFM_BAD_SCALES)
+    buf += draw(pfm_line(st.one_of(*scales)))
+    # A 3x3 map's payload and more, or cut to the exact size of a smaller
+    # map, or to one byte short of 3x3.
+    payload = draw(st.binary(min_size=37, max_size=40))
+    buf += payload[:draw(st.sampled_from([40, 4, 8, 12, 16, 24, 36, 35]))]
+    buf = buf[:draw(st.integers(0, len(buf)))] if draw(mostly(False, True)) else buf
+    path = tmp_path / "h.pfm"
+    path.write_bytes(buf)
+    header = pfm_header_oracle(buf)
+    if header is None:
+        with pytest.raises(FormatError):
+            read_pfm(path)
+        return
+    (width, height, little), pos = header
+    rows = np.frombuffer(buf, "<f4" if little else ">f4", width * height, pos)
+    want, got = DisparityMap(rows.reshape(height, width)[::-1]), read_pfm(path)
+    assert got.values.tobytes() == want.values.tobytes()
+    np.testing.assert_array_equal(got.valid, want.valid)

@@ -1,7 +1,10 @@
 """Codec round-trips, colorspace math, pooling and padding."""
 
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,9 +144,9 @@ class TestPnmCodec:
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
     def test_endless_device_rejected_at_once(self):
-        # At most the file's size is read: a device reads as empty.
+        # Only regular files are read: a device is rejected before any byte.
         began = time.perf_counter()
-        with pytest.raises(FormatError, match=r"^bad magic b'' at byte 0$"):
+        with pytest.raises(OSError, match=r"^/dev/zero: not a regular file$"):
             read_image("/dev/zero")
         assert time.perf_counter() - began < 0.5
 
@@ -275,6 +278,33 @@ class TestPfmCodec:
         write_pfm(kitti_maps.gt, path)
         peak = peak_bytes(lambda: read_pfm(path))
         assert peak <= 1.7 * kitti_maps.map_bytes, f"peak {peak / kitti_maps.map_bytes:.2f} maps"
+
+
+# Calls the reader named by argv[1] on the path argv[2].
+READER_CHILD = ("import importlib, sys\n"
+                "module, name = sys.argv[1].rsplit('.', 1)\n"
+                "getattr(importlib.import_module(module), name)(sys.argv[2])")
+NO_MKFIFO = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+
+
+class TestRegularFilesOnly:
+    # Each read runs in a child process that is killed after 5 s, so a
+    # reader that blocks on the FIFO fails the test instead of stalling.
+    @pytest.mark.parametrize("kind", [pytest.param("fifo", marks=NO_MKFIFO), "directory"])
+    @pytest.mark.parametrize("reader", [
+        "mscv.imagekit.read_image", "mscv.imagekit.read_pfm", "mscv.network.load_weights"])
+    def test_rejected_at_once(self, tmp_path, reader, kind):
+        path = tmp_path / kind
+        if kind == "fifo":
+            os.mkfifo(path)
+        else:
+            path.mkdir()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", READER_CHILD, reader, str(path)],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == f"OSError: {path}: not a regular file"
 
 
 class TestDisparityMap:
