@@ -49,7 +49,6 @@ class RunConfig:
     pred: str | None = None
     weights: str | None = None
     out: str | None = None
-    max_disp: int = MAX_DISPARITY
     epsilon: float = 3.0
     tau: float = 1.0
     lam: float = 0.5
@@ -63,8 +62,6 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _HANDLERS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.max_disp <= 0:
-            raise ConfigError("max-disp must be > 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.width < 1 or self.height < 1:
@@ -99,11 +96,7 @@ def parse_plan(plan: str, width: int) -> list[tuple[int, int, int]]:
 
 
 def generate_synthetic_pair(
-    seed: int,
-    width: int,
-    height: int,
-    plan: list[tuple[int, int, int]],
-    max_disp: int = MAX_DISPARITY,
+    seed: int, width: int, height: int, plan: list[tuple[int, int, int]]
 ) -> tuple[Image, Image, DisparityMap]:
     """Random-texture stereo pair with exact piecewise-constant disparity.
 
@@ -112,8 +105,8 @@ def generate_synthetic_pair(
     ground truth, so ``DisparityMap``'s validity rule marks them invalid.
     """
     for x0, x1, d in plan:
-        if d < 0 or d >= max_disp:
-            raise ConfigError(f"region disparity {d} outside [0, {max_disp})")
+        if d < 0 or d >= MAX_DISPARITY:
+            raise ConfigError(f"region disparity {d} outside [0, {MAX_DISPARITY})")
         if d >= x1 - x0:
             raise ConfigError(f"region disparity {d} >= region extent {x1 - x0}")
     rng = np.random.default_rng(seed)
@@ -142,9 +135,7 @@ def generate_synthetic_pair(
 # ---------------------------------------------------------------------------
 
 
-def traditional_match(
-    left: Image, right: Image, max_disp: int = MAX_DISPARITY
-) -> DisparityMap:
+def traditional_match(left: Image, right: Image) -> DisparityMap:
     """Census + chroma-AD WTA baseline at half resolution.
 
     Census alone produces zero-cost collisions wherever two window
@@ -152,22 +143,21 @@ def traditional_match(
     in (census normalized to [0,1]) to disambiguate.  The winner is kept
     as a running minimum over the cost planes of each row band; the
     strict ``<`` leaves ties with the smaller disparity, as ``np.argmin``
-    does.  The argmin map holds the narrowest unsigned integer type that
-    fits every candidate; since d exceeds every earlier candidate, the
-    running maximum of ``better * d`` puts d exactly where plane d won.
-    Candidates stop at the half-scale width W: planes with d >= W hold
-    only the maximum cost (1 + 1 + 1), which never wins.  Output values
-    are in full-resolution pixel units; nearest-neighbor upsampling back
-    to the input dimensions.
+    does.  The candidates are costvol's ``DEPTH`` half-scale disparities,
+    so the argmin map is uint8; since d exceeds every earlier candidate,
+    the running maximum of ``better * d`` puts d exactly where plane d
+    won.  On a pair narrower than DEPTH half-scale columns W, planes with
+    d >= W hold only the maximum cost (1 + 1 + 1), which never wins.
+    Output values are in full-resolution pixel units (uint8, at most
+    190); nearest-neighbor upsampling back to the input dimensions.
     """
     if left.data.shape != right.data.shape:  # padding could make them agree
         raise ValueError("stereo pair dimensions differ")
     left_p, orig = pad_reflect(left, 2)
     right_p, _ = pad_reflect(right, 2)
-    w = left_p.width // 2
-    n = max(1, min(max_disp // 2, w))
-    left_half, costs = traditional_costs(left_p, right_p, n)
-    half = np.zeros((left_half.height, w), dtype=np.min_scalar_type(n - 1))
+    left_half, costs = traditional_costs(left_p, right_p)
+    w = left_half.width
+    half = np.zeros((left_half.height, w), dtype=np.uint8)
     for y0, d, (c, u, v) in costs:
         c /= CENSUS_BITS  # the stream lets its consumer overwrite a plane
         c += u
@@ -181,16 +171,16 @@ def traditional_match(
         np.minimum(best, c, out=best)
         np.maximum(arg, np.multiply(better, d, out=step, dtype=step.dtype), out=arg)
     # One write upsamples; half-scale candidates count 2 full-resolution
-    # pixels, in a type that holds 2 * (n - 1).  DisparityMap widens it.
-    full = np.empty((len(half), 2, w, 2), dtype=np.min_scalar_type(2 * (n - 1)))
+    # pixels, at most 2 * (DEPTH - 1) = 190.  DisparityMap widens them.
+    full = np.empty((len(half), 2, w, 2), dtype=np.uint8)
     np.multiply(half[:, None, :, None], 2, out=full, dtype=full.dtype)
     values = full.reshape(2 * len(half), 2 * w)[: orig[0], : orig[1]]
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 
 
-def disparity_to_pgm(dmap: DisparityMap, path, max_disp: int = MAX_DISPARITY) -> None:
-    """8-bit visualization: disparity scaled onto [0, 1], invalid = 0."""
-    vis = np.clip(dmap.values / max_disp, 0.0, 1.0)  # invalid pixels hold 0
+def disparity_to_pgm(dmap: DisparityMap, path) -> None:
+    """8-bit visualization: disparity / MAX_DISPARITY, invalid = 0."""
+    vis = np.clip(dmap.values / MAX_DISPARITY, 0.0, 1.0)  # invalid pixels hold 0
     write_image(Image(vis[None]), path)
 
 
@@ -205,12 +195,10 @@ def mask_to_pgm(mask: DiscontinuityMask, path) -> None:
 
 
 def _cmd_synth(cfg: RunConfig) -> None:
+    plan = parse_plan(cfg.plan, cfg.width)
+    left, right, gt = generate_synthetic_pair(cfg.seed, cfg.width, cfg.height, plan)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    plan = parse_plan(cfg.plan, cfg.width)
-    left, right, gt = generate_synthetic_pair(
-        cfg.seed, cfg.width, cfg.height, plan, cfg.max_disp
-    )
     write_image(left, out / "left.ppm")
     write_image(right, out / "right.ppm")
     write_pfm(gt, out / "gt.pfm")
@@ -220,10 +208,10 @@ def _cmd_synth(cfg: RunConfig) -> None:
 def _cmd_trad_match(cfg: RunConfig) -> None:
     left = read_image(cfg.left)
     right = read_image(cfg.right)
-    dmap = traditional_match(left, right, cfg.max_disp)
+    dmap = traditional_match(left, right)
     write_pfm(dmap, cfg.out)
     vis_path = str(cfg.out) + ".pgm"
-    disparity_to_pgm(dmap, vis_path, cfg.max_disp)
+    disparity_to_pgm(dmap, vis_path)
     print(f"wrote {cfg.out} and {vis_path}")
 
 
@@ -312,7 +300,11 @@ def _load_config_file(path: str) -> dict:
     """Read key=value lines; a key is a field name or its option name."""
     keys = {k: f for f in _SETTINGS for k in (f.name, _option(f))}
     values = {}
-    for lineno, line in enumerate(_read_regular(path).decode("utf-8").splitlines(), 1):
+    try:
+        text = _read_regular(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,8 +1,9 @@
 """Construction of matching-cost and correlation cost volumes.
 
 Three traditional half-resolution float64 costs (census/Hamming on Y,
-absolute difference on U and V) come from one front end,
-``traditional_costs``, shared by the classical matcher and the network.
+absolute difference on U and V) over the ``DEPTH`` = MAX_DISPARITY / 2
+half-scale candidates come from one front end, ``traditional_costs``,
+shared by the classical matcher and the network.
 Disparity shifts only along x, so the costs are per row: the front end
 streams them by bands of ``_BAND_ROWS`` rows and, within a band, one
 disparity plane at a time, so no consumer holds a volume.  The network
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
+from mscv.imagekit import MAX_DISPARITY, Image, mean_pool_2x, rgb_to_yuv
 
+DEPTH = MAX_DISPARITY // 2  # half-scale disparity candidates
 CENSUS_WINDOW = 5
 CENSUS_BITS = CENSUS_WINDOW * CENSUS_WINDOW - 1  # center-vs-center bit omitted
 _BAND_ROWS = 16  # half-scale rows per traditional cost band
@@ -101,7 +103,7 @@ def _absdiff(l, r, out):
 
 
 def traditional_costs(
-    left: Image, right: Image, max_d: int
+    left: Image, right: Image
 ) -> tuple[Image, Iterator[tuple[int, int, np.ndarray]]]:
     """Half-scale census and chroma-AD costs for an even-sized RGB pair.
 
@@ -109,8 +111,9 @@ def traditional_costs(
     census descriptors of Y are computed on the whole plane (the window
     reaches into neighbor rows).  Returns ``(left_half, costs)``, the
     pooled RGB left image and a generator yielding ``(y0, d, planes)``
-    band by band, d = 0..max_d-1 within each band of ``_BAND_ROWS`` rows
-    from row ``y0`` (the last may be shorter).  ``planes`` is the band's
+    band by band, all ``DEPTH`` candidates d = 0..DEPTH-1 within each band
+    of ``_BAND_ROWS`` rows from row ``y0`` (the last may be shorter); a
+    plane with d >= W holds only fill costs.  ``planes`` is the band's
     float64 (3, rows, W) costs at disparity d: Hamming costs on Y,
     absolute differences on U and V.  It is one buffer, rewritten for
     every plane, so a consumer uses (and may overwrite) each plane before
@@ -120,8 +123,6 @@ def traditional_costs(
         raise ValueError("stereo pair dimensions differ")
     if left.channels != 3:
         raise ValueError(f"stereo matching expects an RGB pair, got {left.channels} channel(s)")
-    if max_d < 1:
-        raise ValueError("max_d must be >= 1")
     left_half = mean_pool_2x(left)
     lyuv = rgb_to_yuv(left_half).data
     ryuv = rgb_to_yuv(mean_pool_2x(right)).data
@@ -138,7 +139,7 @@ def traditional_costs(
         for y0 in range(0, h, _BAND_ROWS):
             run = slice(y0 * w, min(h, y0 + _BAND_ROWS) * w)
             out = flat[: 3 * (run.stop - run.start)].reshape(3, -1, w)
-            for d in range(max_d):
+            for d in range(DEPTH):
                 for (l, r, fill, cost), o in zip(pairs, out):
                     _plane(l[run], r[run], d, fill, cost, o)
                 yield y0, d, out

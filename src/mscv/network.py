@@ -7,7 +7,8 @@ to 32 channels, with the normalized 3·DEPTH-channel interleave folded
 into the first 1x1 conv; a guide encoder turning the traditional volume
 into features at 1/2, 1/4, 1/8 and 1/16 scale (LEVELS stride-2 steps);
 two cascade hourglass networks fusing everything; a 1x1 head regressing
-disparity, bilinearly upsampled to full resolution.
+disparity, bilinearly upsampled to full resolution.  All volumes span the
+one disparity range that ``costvol.DEPTH`` (MAX_DISPARITY / 2) states.
 
 All parameters live in a WeightStore serialized as the "MSCV1" binary
 container.  Every layer runs through ``_layer``, which checks its weights
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mscv.costvol import _correlate, correlate_1d, traditional_costs
-from mscv.imagekit import MAX_DISPARITY, DisparityMap, Image, _read_regular, pad_reflect
+from mscv.costvol import DEPTH, _correlate, correlate_1d, traditional_costs
+from mscv.imagekit import DisparityMap, Image, _read_regular, pad_reflect
 from mscv.tensorops import (
     ConvParams,
     bilinear_resize,
@@ -37,7 +38,6 @@ from mscv.tensorops import (
 
 MAGIC = b"MSCV1"
 BN_EPS = 1e-5
-DEPTH = MAX_DISPARITY // 2  # half-scale disparity candidates
 LEVELS = 3  # stride-2 steps from 1/2 to 1/16 scale
 # Hourglass levels per stage: stage 1 runs 1/4 -> 1/16, stage 2 1/2 -> 1/16.
 _STAGE_LEVELS = {1: LEVELS - 1, 2: LEVELS}
@@ -403,7 +403,7 @@ def reduce_traditional(left: Image, right: Image, store: WeightStore) -> np.ndar
     1x1 convs 144-72-36-32, then three 3x3 harvesting convs, the first
     also reading the half-resolution left image.
     """
-    left_half, costs = traditional_costs(left, right, DEPTH)
+    left_half, costs = traditional_costs(left, right)
     x = _layer(store, "trad.red0", costs, left_half)
     for i in range(1, 4):
         x = _layer(store, f"trad.red{i}", x)

@@ -22,7 +22,9 @@ from mscv.cli import (
     traditional_match,
 )
 from mscv.disparity import DiscontinuityMask
-from mscv.imagekit import DisparityMap, Image, read_image, read_pfm, write_image, write_pfm
+from mscv.imagekit import (
+    MAX_DISPARITY, DisparityMap, Image, read_image, read_pfm, write_image, write_pfm,
+)
 from mscv.metrics import evaluate
 from mscv.network import WeightStore, init_weights, save_weights
 
@@ -83,13 +85,11 @@ class TestGenerateSyntheticPair:
             np.testing.assert_array_equal(x.data, y.data)
         np.testing.assert_array_equal(a[2].values, b[2].values)
 
-    def test_disparity_beyond_max_disparity_invalid(self):
-        # d = 250 is a legal plan under max_disp 400 but no valid disparity.
-        _, _, gt = generate_synthetic_pair(4, 600, 4, [(0, 300, 250), (300, 600, 20)], 400)
-        assert not gt.valid[:, :300].any()
-        np.testing.assert_array_equal(gt.values[:, :300], 0.0)
-        assert gt.valid[:, 300:].all()
-        np.testing.assert_array_equal(gt.values[:, 300:], 20.0)
+    def test_disparity_beyond_max_disparity_invalid(self, tmp_path, capsys):
+        # d = 250 fits the 512-px region but no valid disparity holds it.
+        assert main(["synth", "--out", str(tmp_path / "pair"), "--plan", "250"]) == 2
+        assert capsys.readouterr().err == "error: region disparity 250 outside [0, 192)\n"
+        assert not list(tmp_path.iterdir())
 
     def test_infeasible_plan_rejected(self):
         with pytest.raises(ConfigError):
@@ -103,7 +103,7 @@ OPTIONS = {"lam": "lambda"}
 # A non-default value per setting, as written on the command line.
 SAMPLES = {
     "left": "l.ppm", "right": "r.ppm", "gt": "gt.pfm", "pred": "p.pfm",
-    "weights": "w.mscv1", "out": "o.pfm", "max_disp": "64", "epsilon": "2.5",
+    "weights": "w.mscv1", "out": "o.pfm", "epsilon": "2.5",
     "tau": "0.5", "lam": "0.25", "seed": "7", "threads": "2", "width": "33",
     "height": "17", "plan": "0:8:2,8:33:4", "kitti_rule": "yes",
 }
@@ -156,7 +156,7 @@ class TestConfigResolution:
 
     def test_defaults(self):
         cfg = config_from_args(["describe"])
-        assert cfg.max_disp == 192 and cfg.tau == 1.0 and cfg.lam == 0.5
+        assert cfg.tau == 1.0 and cfg.lam == 0.5
         assert cfg.epsilon == 3.0 and cfg.threads == 1
 
     def test_flag_overrides_config_file(self, tmp_path):
@@ -184,7 +184,7 @@ class TestConfigResolution:
         assert "unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
-        "kitti_rule = on", "seed = x", "max-disp = x", "lambda = x", "kitti-rule = 2",
+        "kitti_rule = on", "seed = x", "lambda = x", "kitti-rule = 2",
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, line):
         cfile = tmp_path / "bad.cfg"
@@ -194,6 +194,23 @@ class TestConfigResolution:
             config_from_args(["describe", "--config", str(cfile)])
         assert main(["describe", "--config", str(cfile)]) == 2
         assert f"bad {key} value" in capsys.readouterr().err
+
+    def test_disparity_range_not_an_option(self, tmp_path, capsys):
+        # The range is MAX_DISPARITY; neither a flag nor a key can set it.
+        assert main(["describe", "--max-disp", "64"]) == 2
+        assert "unrecognized arguments: --max-disp 64" in capsys.readouterr().err
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text("max-disp = 64\n")
+        assert main(["describe", "--config", str(cfile)]) == 2
+        assert capsys.readouterr().err == f"error: {cfile}:1: unknown key 'max-disp'\n"
+
+    def test_non_utf8_config_named(self, tmp_path, capsys):
+        cfile = tmp_path / "bad.cfg"
+        cfile.write_bytes(b"epsilon = 2\n\xff = 1\n")
+        assert main(["describe", "--config", str(cfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfile}: not UTF-8 text at byte 12\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value,want", [
         ("1", True), ("TRUE", True), ("Yes", True),
@@ -467,7 +484,7 @@ class TestDispatch:
         np.testing.assert_array_equal(a.values, b.values)
 
 
-# tracemalloc peak of traditional_match on a 376x1240 pair at max_disp 192:
+# tracemalloc peak of traditional_match on a 376x1240 pair:
 # 11.54 MB measured with a uint8 argmin map (11.96 MB with a float64 one,
 # 63.8 MB while each band was built as float64 96-deep volumes); one
 # float64 96-deep band volume (7.6 MB) more fails.
@@ -476,15 +493,16 @@ TRADITIONAL_MATCH_PEAK_MB = 11.8
 
 class TestTraditionalMatchBands:
     # Half-scale heights around the band size and with a short last band;
-    # max_disp 192 asks for 96 half-scale candidates on 12 columns.
-    @pytest.mark.parametrize("max_disp", [16, 192])
+    # the range, MAX_DISPARITY = 192, asks for 96 half-scale candidates on
+    # 12 columns, so planes with d >= W must never win.
+    @pytest.mark.parametrize("max_disp", [MAX_DISPARITY])
     @pytest.mark.parametrize("half_h", [1, 15, 16, 17, 40])
     def test_equals_whole_volume_reference(self, rng, half_h, max_disp):
         from mscv.imagekit import Image
 
         left = Image(rng.random((3, 2 * half_h, 23)))
         right = Image(rng.random((3, 2 * half_h, 23)))
-        got = traditional_match(left, right, max_disp)
+        got = traditional_match(left, right)
         want = traditional_match_reference(left, right, max_disp)
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.valid, want.valid)
@@ -493,7 +511,7 @@ class TestTraditionalMatchBands:
     # cost 0; a texture of period 8 px ties d = 0, 4, 8, ... at half scale
     # when the shift (16 px) is a multiple of the period, and d = 2, 6, ...
     # when it is 4 px.  The running minimum must keep the smallest d.
-    @pytest.mark.parametrize("max_disp", [16, 192])
+    @pytest.mark.parametrize("max_disp", [MAX_DISPARITY])
     @pytest.mark.parametrize("case", ["constant", "period8_shift16", "period8_shift4"])
     def test_exact_ties_equal_argmin_reference(self, rng, case, max_disp):
         from mscv.imagekit import Image
@@ -504,40 +522,32 @@ class TestTraditionalMatchBands:
             shift = int(case.rsplit("shift", 1)[1])
             right = Image(np.tile(rng.random((3, 34, 8)), (1, 1, 5)))
             left = Image(np.roll(right.data, shift, axis=2))
-        got = traditional_match(left, right, max_disp)
+        got = traditional_match(left, right)
         want = traditional_match_reference(left, right, max_disp)
         assert np.array_equal(got.values, want.values)
         if case != "period8_shift4":
             assert (got.values == 0).all()
 
-    # 150 and 256 half-scale candidates: the argmin map is uint8, but the
-    # doubled full-resolution values pass 255.
-    @pytest.mark.parametrize("max_disp,shift", [(300, 280), (512, 500)])
-    def test_129_to_256_candidates_equal_reference(self, rng, max_disp, shift):
-        left = Image(rng.random((3, 16, 600)))
-        right = Image(np.roll(left.data, -shift, axis=2))  # disparity `shift` from x = shift
-        got = traditional_match(left, right, max_disp)
-        want = traditional_match_reference(left, right, max_disp)
+    # 200 half-scale columns, more than the 96 candidates: disparity 180
+    # (the largest even one below 192) is found from x = 180 on.
+    def test_fewer_candidates_than_columns_equal_reference(self, rng):
+        left = Image(rng.random((3, 16, 400)))
+        right = Image(np.roll(left.data, -180, axis=2))
+        got = traditional_match(left, right)
+        want = traditional_match_reference(left, right, MAX_DISPARITY)
         assert np.array_equal(got.values, want.values)
-        assert got.values.dtype == np.float64
-        assert got.values.max() >= shift > 255
+        assert got.values.max() == 180 and (got.values[:, 200:390] == 180).all()
 
-    def test_more_than_256_candidates_equal_reference(self, rng):
-        # 300 half-scale candidates: the argmin map needs 16-bit indices.
-        left = Image(rng.random((3, 16, 600)))
-        right = Image(np.roll(left.data, -540, axis=2))  # disparity 540 from x = 540
-        got = traditional_match(left, right, 600)
-        want = traditional_match_reference(left, right, 600)
-        assert np.array_equal(got.values, want.values)
-        assert got.values.max() > 2 * 255
-
-    # Odd widths are padded to even first; W is the padded half width.
+    # Odd widths are padded to even first; W is the padded half width, and
+    # the candidates past it change nothing.
     @pytest.mark.parametrize("width", [60, 59])
     def test_candidates_stop_at_half_scale_width(self, rng, width):
         left = Image(rng.random((3, 40, width)))
         right = Image(rng.random((3, 40, width)))
-        at_2w = traditional_match(left, right, 60)
-        np.testing.assert_array_equal(traditional_match(left, right, 10**9).values, at_2w.values)
+        np.testing.assert_array_equal(
+            traditional_match(left, right).values,
+            traditional_match_reference(left, right, 60).values,
+        )
 
     def test_map_independent_of_memory_layout(self, layouts):
         # Four gray levels make exact cost ties common, so the rounding of
@@ -555,5 +565,5 @@ class TestTraditionalMatchBands:
 
         left = Image(rng.random((3, 376, 1240)))
         right = Image(rng.random((3, 376, 1240)))
-        peak = peak_bytes(lambda: traditional_match(left, right, 192))
+        peak = peak_bytes(lambda: traditional_match(left, right))
         assert peak <= TRADITIONAL_MATCH_PEAK_MB * 1e6, f"peak {peak / 1e6:.1f} MB"

@@ -1,7 +1,5 @@
 """Cost-volume construction against brute-force oracles."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from mscv.costvol import (
     _BAND_ROWS,
     _CORR_COLS,
     CENSUS_BITS,
+    DEPTH,
     CostVolume,
     _absdiff,
     _hamming,
@@ -149,7 +148,7 @@ class TestAdVolume:
 class TestTraditionalCosts:
     def test_matches_oracles_on_pooled_yuv(self, rng, layouts):
         # 20 half-scale rows: a full band of _BAND_ROWS and a short one;
-        # 14 half-scale columns, so at max_d 20 planes 14..19 are all fill.
+        # 14 half-scale columns, so planes 14..DEPTH-1 are all fill.
         # Every memory layout of the same pixels gives the same costs.  A
         # consumer may overwrite each plane: the next one is still right.
         left = Image(rng.random((3, 40, 28)))
@@ -157,30 +156,30 @@ class TestTraditionalCosts:
         lyuv = rgb_to_yuv(mean_pool_2x(left)).data
         ryuv = rgb_to_yuv(mean_pool_2x(right)).data
         inputs = zip(layouts(left.data), layouts(right.data))
-        for (l, r), max_d in itertools.product(inputs, (8, 20)):
-            left_half, costs = traditional_costs(Image(l), Image(r), max_d)
+        for l, r in inputs:
+            left_half, costs = traditional_costs(Image(l), Image(r))
             order, planes = [], []
             for y0, d, p in costs:
                 order.append((y0, d))
                 planes.append(p.copy())
                 p.fill(np.nan)
-            assert order == [(y0, d) for y0 in (0, _BAND_ROWS) for d in range(max_d)]
+            assert order == [(y0, d) for y0 in (0, _BAND_ROWS) for d in range(DEPTH)]
             assert [p.shape for p in planes] == (
-                [(3, _BAND_ROWS, 14)] * max_d + [(3, 20 - _BAND_ROWS, 14)] * max_d
+                [(3, _BAND_ROWS, 14)] * DEPTH + [(3, 20 - _BAND_ROWS, 14)] * DEPTH
             )
-            # (3, max_d, rows, W) per band, joined along the rows.
+            # (3, DEPTH, rows, W) per band, joined along the rows.
             vols = np.concatenate(
-                [np.stack(planes[:max_d], axis=1), np.stack(planes[max_d:], axis=1)],
+                [np.stack(planes[:DEPTH], axis=1), np.stack(planes[DEPTH:], axis=1)],
                 axis=2,
             )
             np.testing.assert_array_equal(
                 vols[0],
                 hamming_volume_oracle(
-                    census_oracle(lyuv[0]), census_oracle(ryuv[0]), max_d
+                    census_oracle(lyuv[0]), census_oracle(ryuv[0]), DEPTH
                 ),
             )
-            np.testing.assert_array_equal(vols[1], ad_volume_oracle(lyuv[1], ryuv[1], max_d))
-            np.testing.assert_array_equal(vols[2], ad_volume_oracle(lyuv[2], ryuv[2], max_d))
+            np.testing.assert_array_equal(vols[1], ad_volume_oracle(lyuv[1], ryuv[1], DEPTH))
+            np.testing.assert_array_equal(vols[2], ad_volume_oracle(lyuv[2], ryuv[2], DEPTH))
             np.testing.assert_array_equal(left_half.data, mean_pool_2x(left).data)
 
     def test_band_stream_repeats_byte_identical(self, rng):
@@ -189,13 +188,13 @@ class TestTraditionalCosts:
         left = Image(rng.random((3, 40, 28)))
         right = Image(rng.random((3, 40, 28)))
         first = []
-        for y0, d, p in traditional_costs(left, right, 20)[1]:
+        for y0, d, p in traditional_costs(left, right)[1]:
             first.append((y0, d, p.shape, p.tobytes()))
             p.fill(np.nan)
         again = [(y0, d, p.shape, p.tobytes())
-                 for y0, d, p in traditional_costs(left, right, 20)[1]]
+                 for y0, d, p in traditional_costs(left, right)[1]]
         assert again == first
-        assert len(first) == 2 * 20
+        assert len(first) == 2 * DEPTH
 
     # Equal pixel counts (8x16 and 16x8) would pair unrelated pixels along
     # the flat runs; unequal ones would fail inside NumPy.
@@ -205,17 +204,12 @@ class TestTraditionalCosts:
         left = Image(rng.random((3, 8, 16)))
         right = Image(rng.random((3, *right_hw)))
         with pytest.raises(ValueError, match="stereo pair dimensions differ"):
-            traditional_costs(left, right, 4)
-
-    def test_no_candidate_rejected(self, rng):
-        img = Image(rng.random((3, 8, 16)))
-        with pytest.raises(ValueError, match="max_d"):
-            traditional_costs(img, img, 0)
+            traditional_costs(left, right)
 
     def test_grey_pair_rejected(self, rng):
         img = Image(rng.random((1, 8, 16)))  # Image holds 1 or 3 channels
         with pytest.raises(ValueError, match=r"expects an RGB pair, got 1 channel\(s\)"):
-            traditional_costs(img, img, 4)
+            traditional_costs(img, img)
 
 
 class TestAssembleTraditional:

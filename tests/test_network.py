@@ -433,12 +433,11 @@ class TestReductions:
         # centers it in place.
         stacked = np.stack([v.costs for v in vols])
 
-        def costs(left, right, max_d):
-            assert max_d == 96
+        def costs(left, right):
             return left_half, (
                 (y0, d, stacked[:, d, y0 : y0 + _BAND_ROWS].copy())
                 for y0 in range(0, stacked.shape[2], _BAND_ROWS)
-                for d in range(max_d)
+                for d in range(DEPTH)
             )
 
         monkeypatch.setattr(mscv.network, "traditional_costs", costs)
