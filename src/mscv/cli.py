@@ -1,8 +1,8 @@
 """Command-line entry point and synthetic stereo-pair generation.
 
 Commands: synth | trad-match | infer | mask | loss | eval | init-weights |
-describe.  Flag values override an optional key=value config file, which
-overrides built-in defaults.
+describe.  Each setting is one ``--option``; an option not given takes
+its ``RunConfig`` default.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from mscv.imagekit import (
     MAX_DISPARITY,
     DisparityMap,
     Image,
-    _read_regular,
     pad_reflect,
     read_image,
     read_pfm,
@@ -64,6 +63,8 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.width < 1 or self.height < 1:
             raise ConfigError("width and height must be >= 1")
 
@@ -281,7 +282,6 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 _OPTION_NAMES = {"lam": "lambda"}  # fields whose option is not the field name
-_KITTI_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _SETTINGS = [f for f in fields(RunConfig) if f.name != "command"]
 
 
@@ -289,61 +289,24 @@ def _option(f) -> str:
     return _OPTION_NAMES.get(f.name, f.name).replace("_", "-")
 
 
-def _value_type(f):
-    """The type of the field's default (``str`` for None); a bool reads a word."""
-    if isinstance(f.default, bool):
-        return lambda text: _KITTI_WORDS[text.lower()]
-    return str if f.default is None else type(f.default)
-
-
-def _load_config_file(path: str) -> dict:
-    """Read key=value lines; a key is a field name or its option name."""
-    keys = {k: f for f in _SETTINGS for k in (f.name, _option(f))}
-    values = {}
-    try:
-        text = _read_regular(path).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in keys:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[keys[key].name] = _value_type(keys[key])(value)
-        except (KeyError, ValueError):  # KeyError: not a kitti_rule word
-            raise ConfigError(f"{path}:{lineno}: bad {key} value {value!r}") from None
-    return values
-
-
 def build_parser():
-    """The argparse parser: one ``--option`` per ``RunConfig`` field, in order."""
+    """The argparse parser: one ``--option`` per ``RunConfig`` field, in order,
+    typed and defaulted as the field (``str`` for a None default)."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="mscv", description="Multi-scale cost-volume stereo matching."
     )
     parser.add_argument("command", choices=_HANDLERS)
-    parser.add_argument("--config", help="optional key=value config file")
     for f in _SETTINGS:
-        kind = ({"action": "store_true", "default": None} if isinstance(f.default, bool)
-                else {"type": _value_type(f)})
-        parser.add_argument(f"--{_option(f)}", dest=f.name, **kind)
+        kind = ({"action": "store_true"} if isinstance(f.default, bool)
+                else {"type": str if f.default is None else type(f.default)})
+        parser.add_argument(f"--{_option(f)}", dest=f.name, default=f.default, **kind)
     return parser
 
 
 def config_from_args(argv: list[str]) -> RunConfig:
-    """Resolve flags > config file > defaults into a RunConfig."""
-    args = build_parser().parse_args(argv)
-    resolved = _load_config_file(args.config) if args.config else {}
-    for field_name in RunConfig.__dataclass_fields__:
-        flag_value = getattr(args, field_name)
-        if flag_value is not None:
-            resolved[field_name] = flag_value
-    return RunConfig(**resolved)
+    """The RunConfig that the command line ``argv`` states."""
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,9 +8,9 @@ matchers pass their own.
 
 Supported containers: binary PPM (P6) / PGM (P5) at maxval 255, and
 grayscale PFM ("Pf", little-endian on write, rows bottom-to-top).  Like
-MSCV1 weights and config files, they are read once, at most their size,
-from regular files only, opened without blocking, so a FIFO, device or
-directory fails at once with ``OSError("<path>: not a regular file")``.
+MSCV1 weights, they are read once, at most their size, from regular
+files only, opened without blocking, so a FIFO, device or directory
+fails at once with ``OSError("<path>: not a regular file")``.
 
 A PPM/PGM header is the magic "P6" or "P5"; then three times a gap and
 a number of ASCII digits (width, height, maxval); then exactly one

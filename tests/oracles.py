@@ -231,6 +231,62 @@ def pfm_header_oracle(buf: bytes):
     return (width, height, scale < 0), pos
 
 
+def mscv1_oracle(buf: bytes):
+    """Byte-by-byte reader of an MSCV1 weight container.
+
+    The magic "MSCV1"; an entry count; per entry a name length, that many
+    bytes of UTF-8 name, a rank, rank dims and 4 payload bytes per
+    element, each element a float32; no byte after the last entry.  The
+    count and dims take 4 bytes, the name length 2 and the rank 1, all
+    integers and floats little-endian.  A name may not repeat, and a shape
+    must be one NumPy holds: at most 64 dims, and 4 bytes times the
+    product of the nonzero dims below 2**63.  Returns the ``(name, shape,
+    bits)`` entries, ``bits`` the list of each element's float32 bit
+    pattern, or None when the container is rejected.
+    """
+    if buf[:5] != b"MSCV1":
+        return None
+    pos = 5
+
+    def uint(size):
+        """The next ``size`` bytes as a little-endian integer; None past the end."""
+        nonlocal pos
+        if len(buf) - pos < size:
+            return None
+        value = 0
+        for i in range(size):
+            value |= buf[pos + i] << (8 * i)
+        pos += size
+        return value
+
+    count = uint(4)
+    if count is None:
+        return None
+    entries = []
+    for _ in range(count):
+        length = uint(2)
+        if length is None or len(buf) - pos < length:
+            return None
+        try:
+            name = buf[pos:pos + length].decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        pos += length
+        rank = uint(1)
+        if rank is None or name in [entry[0] for entry in entries]:
+            return None
+        shape = tuple(uint(4) for _ in range(rank))
+        if None in shape or len(buf) - pos < 4 * math.prod(shape):
+            return None
+        bits = [uint(4) for _ in range(math.prod(shape))]
+        if rank > 64 or 4 * math.prod(d for d in shape if d) >= 2**63:
+            return None
+        entries.append((name, shape, bits))
+    if pos != len(buf):
+        return None
+    return entries
+
+
 def mask_oracle(d_row: np.ndarray, epsilon: float) -> np.ndarray:
     """Run-enumeration discontinuity mask for one row.
 

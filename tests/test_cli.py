@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,12 +100,12 @@ class TestGenerateSyntheticPair:
 
 # Option names that are not the field name with "_" turned into "-".
 OPTIONS = {"lam": "lambda"}
-# A non-default value per setting, as written on the command line.
+# A non-default value per setting, of the field's type.
 SAMPLES = {
     "left": "l.ppm", "right": "r.ppm", "gt": "gt.pfm", "pred": "p.pfm",
-    "weights": "w.mscv1", "out": "o.pfm", "epsilon": "2.5",
-    "tau": "0.5", "lam": "0.25", "seed": "7", "threads": "2", "width": "33",
-    "height": "17", "plan": "0:8:2,8:33:4", "kitti_rule": "yes",
+    "weights": "w.mscv1", "out": "o.pfm", "epsilon": 2.5,
+    "tau": 0.5, "lam": 0.25, "seed": 7, "threads": 2, "width": 33,
+    "height": 17, "plan": "0:8:2,8:33:4", "kitti_rule": True,
 }
 SETTINGS = [f.name for f in fields(RunConfig) if f.name != "command"]
 
@@ -137,89 +137,43 @@ CAPPED_CLI = ("import resource, runpy\n"
 
 class TestConfigResolution:
     @pytest.mark.parametrize("name", SETTINGS)
-    def test_config_keys_match_flag(self, tmp_path, name):
-        # The option name and the field name both work as config keys.
+    def test_config_keys_match_flag(self, name):
+        # Each RunConfig key is set by its own flag, to a value of the
+        # field's type; --kitti-rule is a switch.
         value = SAMPLES[name]
-        flag = [f"--{option(name)}"] + ([] if name == "kitti_rule" else [value])
-        want = config_from_args(["describe", *flag])
-        assert want != config_from_args(["describe"])
-        for key in (option(name), name):
-            cfile = tmp_path / "run.cfg"
-            cfile.write_text(f"{key} = {value}\n")
-            assert config_from_args(["describe", "--config", str(cfile)]) == want
+        flag = [f"--{option(name)}"] + ([] if value is True else [str(value)])
+        cfg, default = config_from_args(["describe", *flag]), config_from_args(["describe"])
+        assert type(getattr(cfg, name)) is type(value) and getattr(default, name) != value
+        assert cfg == replace(default, **{name: value})
 
     def test_help_lists_one_option_per_field(self):
         proc = run_module("--help")
         assert proc.returncode == 0, proc.stderr
         listed = re.findall(r"^  (--[\w-]+)", proc.stdout, re.MULTILINE)
-        assert listed == ["--config"] + [f"--{option(n)}" for n in SETTINGS]
+        assert listed == [f"--{option(n)}" for n in SETTINGS] and len(listed) == 15
 
     def test_defaults(self):
         cfg = config_from_args(["describe"])
         assert cfg.tau == 1.0 and cfg.lam == 0.5
         assert cfg.epsilon == 3.0 and cfg.threads == 1
 
-    def test_flag_overrides_config_file(self, tmp_path):
-        cfile = tmp_path / "run.cfg"
-        cfile.write_text("epsilon = 7\nseed = 4\n# comment\n")
-        cfg = config_from_args(
-            ["describe", "--config", str(cfile), "--epsilon", "2.5"]
-        )
-        assert cfg.epsilon == 2.5  # flag wins
-        assert cfg.seed == 4  # config file beats default
-
-    def test_bad_config_line_rejected(self, tmp_path):
-        cfile = tmp_path / "bad.cfg"
-        cfile.write_text("epsilon 7\n")
-        with pytest.raises(ConfigError):
-            config_from_args(["describe", "--config", str(cfile)])
-
-    @pytest.mark.parametrize("key", ["epsilonn", "command", "config"])
-    def test_unknown_config_key_rejected(self, tmp_path, capsys, key):
-        cfile = tmp_path / "bad.cfg"
-        cfile.write_text(f"# run\nseed = 4\n{key} = 9\n")
-        with pytest.raises(ConfigError, match=f"bad.cfg:3: unknown key '{key}'"):
-            config_from_args(["describe", "--config", str(cfile)])
-        assert main(["describe", "--config", str(cfile)]) == 2
-        assert "unknown key" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("line", [
-        "kitti_rule = on", "seed = x", "lambda = x", "kitti-rule = 2",
-    ])
-    def test_bad_config_value_rejected(self, tmp_path, capsys, line):
-        cfile = tmp_path / "bad.cfg"
-        cfile.write_text(f"# run\nepsilon = 2\n{line}\n")
-        key = line.split()[0]
-        with pytest.raises(ConfigError, match=f"bad.cfg:3: bad {key} value"):
-            config_from_args(["describe", "--config", str(cfile)])
-        assert main(["describe", "--config", str(cfile)]) == 2
-        assert f"bad {key} value" in capsys.readouterr().err
-
-    def test_disparity_range_not_an_option(self, tmp_path, capsys):
-        # The range is MAX_DISPARITY; neither a flag nor a key can set it.
-        assert main(["describe", "--max-disp", "64"]) == 2
-        assert "unrecognized arguments: --max-disp 64" in capsys.readouterr().err
-        cfile = tmp_path / "run.cfg"
-        cfile.write_text("max-disp = 64\n")
-        assert main(["describe", "--config", str(cfile)]) == 2
-        assert capsys.readouterr().err == f"error: {cfile}:1: unknown key 'max-disp'\n"
-
-    def test_non_utf8_config_named(self, tmp_path, capsys):
-        cfile = tmp_path / "bad.cfg"
-        cfile.write_bytes(b"epsilon = 2\n\xff = 1\n")
-        assert main(["describe", "--config", str(cfile)]) == 2
+    # The range is MAX_DISPARITY, and flags are the one way to set a run.
+    @pytest.mark.parametrize("removed", [["--max-disp", "64"], ["--config", "run.cfg"]],
+                             ids=lambda removed: removed[0])
+    def test_removed_option_unrecognized(self, tmp_path, capsys, removed):
+        (tmp_path / "run.cfg").write_text("seed = 4\n")
+        assert main(["synth", "--out", str(tmp_path / "pair"), *removed]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {cfile}: not UTF-8 text at byte 12\n"
+        assert f"unrecognized arguments: {' '.join(removed)}\n" in captured.err
         assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
-    @pytest.mark.parametrize("value,want", [
-        ("1", True), ("TRUE", True), ("Yes", True),
-        ("0", False), ("False", False), ("NO", False),
-    ])
-    def test_kitti_rule_words(self, tmp_path, value, want):
-        cfile = tmp_path / "run.cfg"
-        cfile.write_text(f"kitti_rule = {value}\n")
-        assert config_from_args(["describe", "--config", str(cfile)]).kitti_rule is want
+    @pytest.mark.parametrize("command", ["synth", "init-weights"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--width", "--height"])
     def test_nonpositive_size_rejected(self, tmp_path, capsys, flag):
@@ -250,17 +204,19 @@ class TestDispatch:
         first = _HANDLERS[command][1][0]
         assert capsys.readouterr().err == f"error: command {command!r} requires --{first}\n"
 
+    # /dev/zero as the input of each decoder: PPM/PGM, PFM and MSCV1.
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
-    @pytest.mark.parametrize("args,error", [
-        (["trad-match", "--left", "/dev/zero", "--right", "/dev/zero"],
-         "/dev/zero: not a regular file"),
-        (["describe", "--config", "/dev/zero"], "/dev/zero: not a regular file"),
-    ], ids=["trad-match", "config"])
-    def test_endless_device_exits_2(self, tmp_path, args, error):
-        out = tmp_path / "o.pfm"
-        proc = run_python("-c", CAPPED_CLI, *args, "--out", str(out), OPENBLAS_NUM_THREADS="1")
-        assert (proc.returncode, proc.stderr) == (2, f"error: {error}\n")
-        assert not out.exists()
+    @pytest.mark.parametrize("args", [
+        ["trad-match", "--left", "/dev/zero", "--right", "/dev/zero"],
+        ["mask", "--gt", "/dev/zero"],
+        ["infer", "--left", "a.ppm", "--right", "a.ppm", "--weights", "/dev/zero"],
+    ], ids=lambda args: args[0])
+    def test_endless_device_exits_2(self, tmp_path, args):
+        write_image(Image(np.zeros((3, 4, 6))), tmp_path / "a.ppm")
+        proc = run_python("-c", CAPPED_CLI, *args, "--out", "o.pfm", cwd=tmp_path,
+                          OPENBLAS_NUM_THREADS="1")
+        assert (proc.returncode, proc.stderr) == (2, "error: /dev/zero: not a regular file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.ppm"]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
     @pytest.mark.parametrize("args", [
@@ -269,7 +225,6 @@ class TestDispatch:
         ["loss", "--pred", "ff", "--gt", "gt.pfm"],
         ["eval", "--pred", "ff", "--gt", "gt.pfm"],
         ["infer", "--left", "a.ppm", "--right", "a.ppm", "--weights", "ff"],
-        ["describe", "--config", "ff"],
     ], ids=lambda args: args[0])
     def test_fifo_input_exits_2_at_once(self, tmp_path, args):
         # A FIFO with no writer; the other inputs are regular files.  The

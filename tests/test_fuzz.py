@@ -1,6 +1,9 @@
 """Damaged files: each decoder raises only its documented error, and the
 command that reads the file exits with status 2.  Hand-built PPM/PGM and
-PFM headers: each decoder and a byte-by-byte oracle agree."""
+PFM headers and MSCV1 containers: each decoder and a byte-by-byte oracle
+agree."""
+
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from mscv.imagekit import (
     write_pfm,
 )
 from mscv.network import WeightError, WeightStore, load_weights, save_weights
-from oracles import pfm_header_oracle, pnm_header_oracle
+from oracles import mscv1_oracle, pfm_header_oracle, pnm_header_oracle
 
 FUZZ = settings(
     max_examples=150, deadline=None,
@@ -220,3 +223,51 @@ def test_pfm_header_matches_oracle(tmp_path, data):
     want, got = DisparityMap(rows.reshape(height, width)[::-1]), read_pfm(path)
     assert got.values.tobytes() == want.values.tobytes()
     np.testing.assert_array_equal(got.valid, want.valid)
+
+
+# Names, each valid one drawn twice as often as each invalid one, so that
+# they repeat across a container's entries: plain, empty, a UTF-8 "é",
+# then two byte strings that are not UTF-8 (a lone 0xff, and a cut
+# two-byte sequence).
+MSCV1_NAMES = [b"w", b"b.w", b"", "\u00e9".encode()] * 2 + [b"\xff", b"a\xc3"]
+# Dims besides 1: 2 most often, 3 and 0; 2**30 and 2**31, whose products
+# with a 0 dim straddle NumPy's 2**63-byte bound; and the largest uint32.
+MSCV1_DIMS = often(2, 3, 0, 2**30, 2**31, 2**32 - 1)
+
+
+@st.composite
+def mscv1_entry(draw) -> bytes:
+    """An entry of rank 0-4, 64 or 65, with up to four dims other than 1
+    and, now and then, a payload a byte or an element short or long."""
+    name = draw(st.sampled_from(MSCV1_NAMES))
+    rank = draw(st.sampled_from([0, 1, 2, 3, 4, 64, 65]))
+    dims = [1] * rank
+    for _ in range(draw(st.integers(0, min(rank, 4)))):
+        dims[draw(st.integers(0, rank - 1))] = draw(MSCV1_DIMS)
+    size = 4 * math.prod(dims)
+    size = size if size <= 400 else draw(st.integers(0, 64))
+    size = max(0, size + draw(mostly(0, -4, -1, 1, 4)))
+    return (len(name).to_bytes(2, "little") + name + rank.to_bytes(1, "little")
+            + b"".join(d.to_bytes(4, "little") for d in dims)
+            + draw(st.binary(min_size=size, max_size=size)))
+
+
+@given(data=st.data())
+@settings(FUZZ, max_examples=300)
+def test_mscv1_matches_oracle(tmp_path, data):
+    draw = data.draw
+    entries = [draw(mscv1_entry()) for _ in range(draw(st.integers(0, 3)))]
+    count = (len(entries) + draw(mostly(0, -1, 1))) % 2**32  # -1 is 2**32 - 1
+    buf = draw(mostly(b"MSCV1", b"MSCV", b"MSCV2")) + count.to_bytes(4, "little")
+    buf += b"".join(entries) + draw(mostly(b"", b"\0", b"tail"))
+    buf = buf[:draw(st.integers(0, len(buf)))] if draw(mostly(False, True)) else buf
+    path = tmp_path / "w.mscv1"
+    path.write_bytes(buf)
+    want = mscv1_oracle(buf)
+    if want is None:
+        with pytest.raises(WeightError):
+            load_weights(path)
+        return
+    got = [(name, arr.shape, arr.astype("<f4").view("<u4").ravel().tolist())
+           for name, arr in load_weights(path).items()]
+    assert got == want

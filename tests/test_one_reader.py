@@ -2,10 +2,11 @@
 
 ``imagekit._read_regular`` decides which paths count as input (regular
 files only, opened without blocking) and how much of them is read (at
-most their size).  Every decoder and the config loader go through it, so
-this test scans ``src/mscv/*.py`` and fails when any other function calls
-``os.open``, ``open(...)`` with a mode that does not write, or
-``read_text``/``read_bytes``.  The writers' ``open(path, "wb")`` stay
+most their size).  Every decoder goes through it, so this test scans
+``src/mscv/*.py`` and fails when any other function calls ``os.open``,
+``open(...)`` with a mode that does not write, or
+``read_text``/``read_bytes``, and when a function other than the three
+decoders calls ``_read_regular``.  The writers' ``open(path, "wb")`` stay
 allowed.
 """
 
@@ -28,9 +29,15 @@ def _reads(call: ast.Call) -> bool:
     return not (isinstance(mode, ast.Constant) and "w" in str(mode.value))
 
 
-def reading_functions(source: str) -> list[str]:
+def _calls_read_regular(call: ast.Call) -> bool:
+    f = call.func
+    return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "_read_regular"
+
+
+def reading_functions(source: str, match=_reads) -> list[str]:
     """Names of the functions (``<module>`` outside any) whose own body
-    opens a path for reading, one entry per call, in source order."""
+    makes a call that ``match`` accepts (by default, one that opens a path
+    for reading), one entry per call, in source order."""
     found = []
 
     def visit(node, owner):
@@ -38,7 +45,7 @@ def reading_functions(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and _reads(child):
+            if isinstance(child, ast.Call) and match(child):
                 found.append(owner)
             visit(child, owner)
 
@@ -70,3 +77,10 @@ def w(p):
 def test_read_regular_is_the_only_reader():
     readers = {(path.stem, name) for path in SRC for name in reading_functions(path.read_text())}
     assert readers == {("imagekit", "_read_regular")}
+
+
+def test_only_the_decoders_call_read_regular():
+    callers = {(path.stem, name) for path in SRC
+               for name in reading_functions(path.read_text(), _calls_read_regular)}
+    assert callers == {("imagekit", "read_image"), ("imagekit", "read_pfm"),
+                       ("network", "load_weights")}
