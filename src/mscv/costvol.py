@@ -12,12 +12,14 @@ volume) into the lowering of its first 1x1 conv, ``trad.red0``.
 Correlations of CNN feature maps at 1/2 and 1/4 resolution run as blocked
 GEMMs in the features' dtype (``_correlate``, also ``corr.reduce``'s lowering).
 
-The stream writes each disparity plane with one routine, ``_plane``,
-along contiguous flat runs: it reads the (H, W) rows once as a run of
-H·W pixels, so shifting by d pairs pixel i with pixel i - d,
-which is (y, x - d) for x >= d.  The d leading columns of each row,
-where that partner would lie in the row above, are then overwritten
-with the fill cost.  A strided 2-D shift costs several times more per
+The stream reads each band's (rows, W) pixels once as a flat run of
+n = rows·W, so shifting by d pairs pixel i with pixel i - d, which is
+(y, x - d) for x >= d.  For d < W it writes a plane with four ufunc
+calls along those runs: XOR and popcount of the census descriptors, and
+the difference and its absolute value of U and V at once.  One write
+then overwrites the d leading columns of every row, whose partner would
+lie in the row above, with the fill costs ``_FILL``; for d >= W the
+whole plane is fill.  A strided 2-D shift costs several times more per
 pixel than the same ufunc on contiguous data.
 
 Volume layout is (depth, height, width): depth indexes disparity
@@ -39,6 +41,9 @@ CENSUS_WINDOW = 5
 CENSUS_BITS = CENSUS_WINDOW * CENSUS_WINDOW - 1  # center-vs-center bit omitted
 _BAND_ROWS = 16  # half-scale rows per traditional cost band
 _CORR_COLS = 32  # correlation block width: 37-48 ms at 192x624x96, 45-65 at 16-64
+# Costs of columns x < d, which have no partner: census maximum, AD 1.
+# A module constant: one built per call moved the heap and peak RSS.
+_FILL = np.array([CENSUS_BITS, 1.0, 1.0]).reshape(3, 1, 1)
 
 
 @dataclass
@@ -68,38 +73,14 @@ def census_transform(plane: Image) -> np.ndarray:
     r = CENSUS_WINDOW // 2
     padded = np.pad(data, r, mode="edge")
     desc = np.zeros((h, w), dtype=np.uint32)
-    bit = CENSUS_BITS - 1  # MSB first in row-major window order
-    for di in range(-r, r + 1):
+    cmp = np.empty((h, w), dtype=bool)
+    for di in range(-r, r + 1):  # row-major window order: MSB first
         for dj in range(-r, r + 1):
             if di == 0 and dj == 0:
                 continue
-            neigh = padded[r + di : r + di + h, r + dj : r + dj + w]
-            desc |= (data > neigh).astype(np.uint32) << np.uint32(bit)
-            bit -= 1
+            desc <<= 1
+            desc |= np.greater(data, padded[r + di : r + di + h, r + dj : r + dj + w], out=cmp)
     return desc
-
-
-def _plane(left, right, d, fill, cost, out):
-    """Write the costs of disparity d into the C-contiguous (H, W) ``out``.
-
-    ``left``/``right`` are flat 1-D runs of n = H·W pixels and
-    ``cost(left[d:], right[:n - d], run)`` writes ``run``, the flattened
-    ``out`` from index d on.  Columns with x - d < 0 have no partner in
-    their row and get ``fill`` afterwards.  An ``out`` that is not
-    contiguous raises instead of being written through a copy.
-    """
-    n = len(left)
-    if d < out.shape[1]:
-        cost(left[d:], right[: n - d], np.reshape(out, -1, copy=False)[d:])
-    out[:, :d] = fill
-
-
-def _hamming(l, r, out):
-    np.bitwise_count(np.bitwise_xor(l, r), out=out)
-
-
-def _absdiff(l, r, out):
-    np.abs(np.subtract(l, r, out=out), out=out)
 
 
 def traditional_costs(
@@ -126,22 +107,26 @@ def traditional_costs(
     left_half = mean_pool_2x(left)
     lyuv = rgb_to_yuv(left_half).data
     ryuv = rgb_to_yuv(mean_pool_2x(right)).data
-    pairs = (  # flat runs: a band's rows are one contiguous slice
-        (census_transform(Image(lyuv[:1])).reshape(-1),
-         census_transform(Image(ryuv[:1])).reshape(-1), CENSUS_BITS, _hamming),
-        (lyuv[1].reshape(-1), ryuv[1].reshape(-1), 1.0, _absdiff),
-        (lyuv[2].reshape(-1), ryuv[2].reshape(-1), 1.0, _absdiff),
-    )
+    # Flat runs: a band's rows are one contiguous slice of each.
+    lc = census_transform(Image(lyuv[:1])).reshape(-1)
+    rc = census_transform(Image(ryuv[:1])).reshape(-1)
+    luv, ruv = lyuv[1:].reshape(2, -1), ryuv[1:].reshape(2, -1)
     h, w = left_half.height, left_half.width
 
     def costs():
         flat = np.empty(3 * min(h, _BAND_ROWS) * w)  # flat: a band's prefix is contiguous
         for y0 in range(0, h, _BAND_ROWS):
             run = slice(y0 * w, min(h, y0 + _BAND_ROWS) * w)
-            out = flat[: 3 * (run.stop - run.start)].reshape(3, -1, w)
+            n = run.stop - run.start
+            runs = flat[: 3 * n].reshape(3, n)
+            out = runs.reshape(3, -1, w)
+            l, r, lu, ru = lc[run], rc[run], luv[:, run], ruv[:, run]
             for d in range(DEPTH):
-                for (l, r, fill, cost), o in zip(pairs, out):
-                    _plane(l[run], r[run], d, fill, cost, o)
+                if d < w:
+                    np.bitwise_count(np.bitwise_xor(l[d:], r[: n - d]), out=runs[0, d:])
+                    uv = runs[1:, d:]
+                    np.abs(np.subtract(lu[:, d:], ru[:, : n - d], out=uv), out=uv)
+                out[:, :, :d] = _FILL
                 yield y0, d, out
 
     return left_half, costs()

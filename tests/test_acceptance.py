@@ -11,13 +11,11 @@ import pytest
 
 from mscv.cli import generate_synthetic_pair, parse_plan
 from mscv.costvol import (
-    CENSUS_BITS,
+    DEPTH,
     CostVolume,
-    _absdiff,
-    _hamming,
-    _plane,
     census_transform,
     correlate_1d,
+    traditional_costs,
 )
 from mscv.disparity import (
     DiscontinuityMask,
@@ -74,11 +72,13 @@ def plane(data):
     return Image(np.asarray(data, dtype=np.float64)[None])
 
 
-def plane_volume(left, right, max_d, fill, cost):
-    # The per-disparity planes that traditional_costs streams, as one volume.
-    vol = np.empty((max_d, *left.shape))
-    for d in range(max_d):
-        _plane(left.reshape(-1), right.reshape(-1), d, fill, cost, vol[d])
+def stream_volumes(left, right):
+    # The planes traditional_costs streams for an RGB pair, as (3, DEPTH,
+    # H/2, W/2) volumes: Hamming on Y, AD on U and V.
+    left_half, costs = traditional_costs(left, right)
+    vol = np.empty((3, DEPTH, left_half.height, left_half.width))
+    for y0, d, p in costs:
+        vol[:, d, y0 : y0 + p.shape[1]] = p
     return vol
 
 
@@ -98,14 +98,14 @@ def test_criterion_01_census_oracle():
 def test_criterion_02_hamming_ad_oracles():
     rng = np.random.default_rng(102)
     for _ in range(10):
-        dl = census_transform(plane(rng.random((16, 16))))
-        dr = census_transform(plane(rng.random((16, 16))))
-        got = plane_volume(dl, dr, 8, CENSUS_BITS, _hamming)
-        np.testing.assert_array_equal(got, hamming_volume_oracle(dl, dr, 8))
-        l = rng.random((16, 16)) - 0.5
-        r = rng.random((16, 16)) - 0.5
-        got = plane_volume(l, r, 8, 1.0, _absdiff)
-        np.testing.assert_array_equal(got, ad_volume_oracle(l, r, 8))
+        left, right = Image(rng.random((3, 32, 32))), Image(rng.random((3, 32, 32)))
+        l, r = rgb_to_yuv(mean_pool_2x(left)).data, rgb_to_yuv(mean_pool_2x(right)).data
+        got = stream_volumes(left, right)
+        np.testing.assert_array_equal(
+            got[0], hamming_volume_oracle(census_oracle(l[0]), census_oracle(r[0]), DEPTH)
+        )
+        np.testing.assert_array_equal(got[1], ad_volume_oracle(l[1], r[1], DEPTH))
+        np.testing.assert_array_equal(got[2], ad_volume_oracle(l[2], r[2], DEPTH))
     ok(2, "Hamming and AD volumes exactly match brute-force oracles")
 
 
@@ -113,13 +113,7 @@ def test_criterion_03_synthetic_traditional_path():
     plan = parse_plan("0:128:0,128:256:4,256:384:8,384:512:16", 512)
     left, right, _gt = generate_synthetic_pair(103, 512, 256, plan)
     t0 = time.perf_counter()
-    lh = rgb_to_yuv(mean_pool_2x(left))
-    rh = rgb_to_yuv(mean_pool_2x(right))
-    vol = plane_volume(
-        census_transform(Image(lh.data[0:1])),
-        census_transform(Image(rh.data[0:1])),
-        96, CENSUS_BITS, _hamming,
-    )
+    vol = stream_volumes(left, right)[0]  # census costs
     half = 2.0 * np.argmin(vol, axis=0)  # half-scale candidates count 2 px
     elapsed = time.perf_counter() - t0
     full = np.repeat(np.repeat(half, 2, axis=0), 2, axis=1)

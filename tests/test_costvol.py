@@ -9,9 +9,6 @@ from mscv.costvol import (
     CENSUS_BITS,
     DEPTH,
     CostVolume,
-    _absdiff,
-    _hamming,
-    _plane,
     census_transform,
     correlate_1d,
     traditional_costs,
@@ -31,21 +28,36 @@ def plane(data):
     return Image(np.asarray(data, dtype=np.float64)[None])
 
 
-# The per-disparity planes that traditional_costs streams, gathered into
-# (max_d, H, W) volumes.  Flattening copies a transposed view.
-def plane_volume(left, right, max_d, fill, cost):
-    vol = np.empty((max_d, *left.shape))
-    for d in range(max_d):
-        _plane(left.reshape(-1), right.reshape(-1), d, fill, cost, vol[d])
+def half_yuv(x):
+    return rgb_to_yuv(mean_pool_2x(Image(x))).data
+
+
+def stream_volumes(left, right):
+    """The planes ``traditional_costs`` streams for an RGB pair, gathered
+    into (3, DEPTH, H, W) half-scale volumes: Hamming on Y, AD on U and V.
+    Every plane is overwritten as a consumer may before the next is read."""
+    left_half, costs = traditional_costs(Image(left), Image(right))
+    vol = np.empty((3, DEPTH, left_half.height, left_half.width))
+    for y0, d, p in costs:
+        vol[:, d, y0 : y0 + p.shape[1]] = p
+        p.fill(np.nan)
     return vol
 
 
-def hamming_volume(left, right, max_d):
-    return plane_volume(left, right, max_d, CENSUS_BITS, _hamming)
+# Full-resolution (H, W) of RGB pairs checked against the oracles: every
+# half-scale width is below DEPTH, so the planes from d = W on are all
+# fill; 34 rows make a full band and a short one; 1-row and 1-column
+# half-scale planes: costs shifted along flat runs must not pair x < d
+# with the row above.
+ORACLE_SHAPES = [(32, 32), (34, 10), (2, 24), (18, 2)]
 
 
-def ad_volume(left, right, max_d):
-    return plane_volume(left, right, max_d, 1.0, _absdiff)
+def oracle_pairs(rng, layouts):
+    """Per shape of ``ORACLE_SHAPES``: a random RGB pair's half-scale YUV
+    planes and the pair in every memory layout of ``layouts``."""
+    for hw in ORACLE_SHAPES:
+        left, right = rng.random((2, 3, *hw))
+        yield half_yuv(left), half_yuv(right), zip(layouts(left), layouts(right))
 
 
 class TestCensusTransform:
@@ -78,71 +90,51 @@ class TestCensusTransform:
 
 class TestHammingVolume:
     def test_identical_planes_zero_at_d0(self, rng):
-        c = census_transform(plane(rng.random((8, 8))))
-        vol = hamming_volume(c, c, max_d=4)
-        np.testing.assert_array_equal(vol[0], 0.0)
+        img = rng.random((3, 16, 16))
+        np.testing.assert_array_equal(stream_volumes(img, img)[0, 0], 0.0)
 
     def test_synthetic_shift_argmin(self, rng):
-        data = rng.random((12, 24))
+        # A 2k px full-resolution shift is a k px half-scale one.
+        right = rng.random((3, 24, 48))
         k = 5
-        right = data
-        left = np.empty_like(data)
-        left[:, k:] = data[:, :-k]
-        left[:, :k] = data[:, :k]
-        vol = hamming_volume(
-            census_transform(plane(left)), census_transform(plane(right)), max_d=8
-        )
-        best = np.argmin(vol, axis=0)
+        left = np.empty_like(right)
+        left[:, :, 2 * k :] = right[:, :, : -2 * k]
+        left[:, :, : 2 * k] = right[:, :, : 2 * k]
+        best = np.argmin(stream_volumes(left, right)[0], axis=0)
         interior = best[3:-3, k + 3 : -3]
         assert (interior == k).mean() > 0.9
 
-    def test_matches_brute_force(self, rng):
-        # max_d > width: every column is out of range beyond d = width - 1.
-        # A transposed view, a 1-row and a 1-column plane: costs shifted
-        # along flat runs must not pair x < d with the row above.
-        census = lambda h, w: census_transform(plane(rng.random((h, w))))
-        pairs = [(census(16, w), census(16, w), max_d) for w, max_d in ((16, 8), (5, 9))]
-        pairs.append((census(12, 16).T, census(12, 16).T, 8))
-        pairs += [(census(1, 12), census(1, 12), 5), (census(9, 1), census(9, 1), 3)]
-        for l, r, max_d in pairs:
-            vol = hamming_volume(l, r, max_d=max_d)
-            np.testing.assert_array_equal(vol, hamming_volume_oracle(l, r, max_d))
+    def test_matches_brute_force(self, rng, layouts):
+        for lyuv, ryuv, inputs in oracle_pairs(rng, layouts):
+            expected = hamming_volume_oracle(census_oracle(lyuv[0]), census_oracle(ryuv[0]), DEPTH)
+            for l, r in inputs:
+                np.testing.assert_array_equal(stream_volumes(l, r)[0], expected)
 
     def test_costs_bounded_and_integer(self, rng):
-        l = census_transform(plane(rng.random((10, 10))))
-        r = census_transform(plane(rng.random((10, 10))))
-        vol = hamming_volume(l, r, max_d=6)
-        assert vol.min() >= 0 and vol.max() <= 24
+        vol = stream_volumes(rng.random((3, 20, 20)), rng.random((3, 20, 20)))[0]
+        assert vol.min() >= 0 and vol.max() <= CENSUS_BITS
         np.testing.assert_array_equal(vol, np.rint(vol))
 
 
 class TestAdVolume:
     def test_identical_planes_zero_at_d0(self, rng):
-        img = rng.random((6, 6)) - 0.5
-        vol = ad_volume(img, img, max_d=3)
-        np.testing.assert_array_equal(vol[0], 0.0)
+        img = rng.random((3, 12, 12))
+        np.testing.assert_array_equal(stream_volumes(img, img)[1:, 0], 0.0)
 
     def test_range_extremes(self):
-        vol = ad_volume(np.full((4, 6), 0.5), np.full((4, 6), -0.5), max_d=3)
-        np.testing.assert_array_equal(vol, 1.0)
+        # U is 0.5 on blue and -0.5 on yellow, V 0.5 on red and -0.5 on cyan.
+        solid = lambda rgb: np.broadcast_to(np.array(rgb, float)[:, None, None], (3, 8, 12))
+        for channel, left, right in ((1, (0, 0, 1), (1, 1, 0)), (2, (1, 0, 0), (0, 1, 1))):
+            vol = stream_volumes(solid(left), solid(right))
+            np.testing.assert_array_equal(vol[channel], 1.0)
 
-    def test_matches_brute_force(self, rng):
-        # As for Hamming: max_d > width, a transposed view, 1 row, 1 column.
-        chroma = lambda h, w: rng.random((h, w)) - 0.5
-        pairs = [(chroma(16, w), chroma(16, w), max_d) for w, max_d in ((16, 8), (5, 9))]
-        pairs.append((chroma(12, 16).T, chroma(12, 16).T, 8))
-        pairs += [(chroma(1, 12), chroma(1, 12), 5), (chroma(9, 1), chroma(9, 1), 3)]
-        for l, r, max_d in pairs:
-            vol = ad_volume(l, r, max_d=max_d)
-            np.testing.assert_array_equal(vol, ad_volume_oracle(l, r, max_d))
-
-    def test_non_contiguous_plane_rejected(self, rng):
-        # Writing a flat run into a strided plane would fill a copy.
-        l = rng.random(24)
-        out = np.empty((6, 4)).T
-        for d in (0, 1):
-            with pytest.raises(ValueError):
-                _plane(l, l, d, 1.0, _absdiff, out)
+    def test_matches_brute_force(self, rng, layouts):
+        for lyuv, ryuv, inputs in oracle_pairs(rng, layouts):
+            expected = [ad_volume_oracle(lyuv[c], ryuv[c], DEPTH) for c in (1, 2)]
+            for l, r in inputs:
+                vol = stream_volumes(l, r)
+                np.testing.assert_array_equal(vol[1], expected[0])
+                np.testing.assert_array_equal(vol[2], expected[1])
 
 
 class TestTraditionalCosts:

@@ -1,7 +1,8 @@
 """Damaged files: each decoder raises only its documented error, and the
 command that reads the file exits with status 2.  Hand-built PPM/PGM and
 PFM headers and MSCV1 containers: each decoder and a byte-by-byte oracle
-agree."""
+agree.  Generated RGB pairs: the census/AD cost stream and the
+brute-force census, Hamming and AD oracles agree plane for plane."""
 
 import math
 
@@ -11,17 +12,27 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mscv.cli import main
+from mscv.costvol import _BAND_ROWS, DEPTH, traditional_costs
 from mscv.imagekit import (
     DisparityMap,
     FormatError,
     Image,
+    mean_pool_2x,
     read_image,
     read_pfm,
+    rgb_to_yuv,
     write_image,
     write_pfm,
 )
 from mscv.network import WeightError, WeightStore, load_weights, save_weights
-from oracles import mscv1_oracle, pfm_header_oracle, pnm_header_oracle
+from oracles import (
+    ad_volume_oracle,
+    census_oracle,
+    hamming_volume_oracle,
+    mscv1_oracle,
+    pfm_header_oracle,
+    pnm_header_oracle,
+)
 
 FUZZ = settings(
     max_examples=150, deadline=None,
@@ -271,3 +282,31 @@ def test_mscv1_matches_oracle(tmp_path, data):
     got = [(name, arr.shape, arr.astype("<f4").view("<u4").ravel().tolist())
            for name, arr in load_weights(path).items()]
     assert got == want
+
+
+@given(data=st.data())
+@settings(FUZZ, max_examples=200)
+def test_traditional_costs_match_oracles(layouts, data):
+    # The stream branches at d < W: half-scale widths around DEPTH, and 1
+    # row or 1 column, where a flat-run shift must not reach the row above.
+    # Wide pairs keep few rows for the oracles' sake; narrow ones span two
+    # bands.  Few grey levels give the census equal neighbours.
+    draw = data.draw
+    w = draw(st.sampled_from([1, 2, 3, 8, DEPTH - 1, DEPTH, DEPTH + 1]))
+    h = draw(st.integers(1, 3 if w >= DEPTH - 1 else _BAND_ROWS + 3))
+    levels = draw(st.sampled_from([2, 3, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left, right = rng.integers(0, levels, (2, 3, 2 * h, 2 * w)) / (levels - 1)
+    ly, ry = (rgb_to_yuv(mean_pool_2x(Image(x))).data for x in (left, right))
+    expected = np.stack([
+        hamming_volume_oracle(census_oracle(ly[0]), census_oracle(ry[0]), DEPTH),
+        ad_volume_oracle(ly[1], ry[1], DEPTH),
+        ad_volume_oracle(ly[2], ry[2], DEPTH),
+    ])
+    l, r = (draw(st.sampled_from(layouts(x))) for x in (left, right))
+    order = []
+    for y0, d, planes in traditional_costs(Image(l), Image(r))[1]:
+        order.append((y0, d))
+        np.testing.assert_array_equal(planes, expected[:, d, y0 : y0 + _BAND_ROWS])
+        planes.fill(np.nan)  # a consumer may overwrite each plane
+    assert order == [(y0, d) for y0 in range(0, h, _BAND_ROWS) for d in range(DEPTH)]

@@ -8,7 +8,6 @@ import re
 import numpy as np
 import pytest
 
-import mscv.costvol
 import mscv.network
 from mscv.costvol import _BAND_ROWS, _CORR_COLS, CostVolume
 from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
@@ -525,14 +524,15 @@ class TestReductions:
             )
 
     def test_traditional_streams_each_plane_once(self, rng, store, monkeypatch):
-        # 48 full-resolution rows are 24 half-scale rows: a full band and a
-        # short one, each DEPTH planes of three costs.
+        # 48x32 full-resolution pixels are 24x16 half-scale ones: a full band
+        # and a short one, each with one popcount per plane d < W = 16 (the
+        # planes d >= W are all fill).
         calls = []
-        plane = mscv.costvol._plane
-        monkeypatch.setattr(mscv.costvol, "_plane", lambda *a: calls.append(a) or plane(*a))
+        count = np.bitwise_count
+        monkeypatch.setattr(np, "bitwise_count", lambda *a, **k: calls.append(a) or count(*a, **k))
         left, right = (Image(rng.random((3, 48, 32))) for _ in range(2))
         reduce_traditional(left, right, store)
-        assert len(calls) == 3 * DEPTH * math.ceil(24 / _BAND_ROWS)
+        assert len(calls) == 16 * math.ceil(24 / _BAND_ROWS)
 
     def test_correlation_reduce_shape_and_linearity(self, rng, store):
         # The fused corr.reduce against float64: correlation_f64, then the
