@@ -1,8 +1,8 @@
 """Command-line entry point and synthetic stereo-pair generation.
 
 Commands: synth | trad-match | infer | mask | loss | eval | init-weights |
-describe.  Each setting is one ``--option``; an option not given takes
-its ``RunConfig`` default.
+describe.  Each command takes only the ``--option``s its handler reads;
+a path option is required, and any other keeps its ``RunConfig`` default.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from mscv.imagekit import (
     write_pnm,
 )
 from mscv.metrics import evaluate
+
 
 class ConfigError(ValueError):
     """Raised on an invalid run configuration."""
@@ -263,16 +264,16 @@ def _cmd_describe(cfg: RunConfig) -> None:
     print(describe_architecture())
 
 
-# Each command's handler and the options it requires, checked in this
-# order before the handler runs.
+# Each command's handler and the options it takes, which are exactly the
+# ``RunConfig`` fields the handler reads, in the order ``--help`` lists them.
 _HANDLERS = {
-    "synth": (_cmd_synth, ("out",)),
+    "synth": (_cmd_synth, ("out", "seed", "width", "height", "plan")),
     "trad-match": (_cmd_trad_match, ("left", "right", "out")),
-    "infer": (_cmd_infer, ("left", "right", "weights", "out")),
-    "mask": (_cmd_mask, ("gt", "out")),
-    "loss": (_cmd_loss, ("pred", "gt")),
-    "eval": (_cmd_eval, ("pred", "gt")),
-    "init-weights": (_cmd_init_weights, ("out",)),
+    "infer": (_cmd_infer, ("left", "right", "weights", "out", "threads")),
+    "mask": (_cmd_mask, ("gt", "out", "epsilon")),
+    "loss": (_cmd_loss, ("pred", "gt", "epsilon", "tau", "lam")),
+    "eval": (_cmd_eval, ("pred", "gt", "kitti_rule")),
+    "init-weights": (_cmd_init_weights, ("out", "seed")),
     "describe": (_cmd_describe, ()),
 }
 
@@ -282,25 +283,28 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 _OPTION_NAMES = {"lam": "lambda"}  # fields whose option is not the field name
-_SETTINGS = [f for f in fields(RunConfig) if f.name != "command"]
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
-def _option(f) -> str:
-    return _OPTION_NAMES.get(f.name, f.name).replace("_", "-")
+def _option(name: str) -> str:
+    return _OPTION_NAMES.get(name, name).replace("_", "-")
 
 
 def build_parser():
-    """The argparse parser: one ``--option`` per ``RunConfig`` field, in order,
-    typed and defaulted as the field (``str`` for a None default)."""
+    """The argparse parser: a subparser per command taking its ``_HANDLERS``
+    options, typed and defaulted as the field; a path (None default) is required."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="mscv", description="Multi-scale cost-volume stereo matching."
     )
-    parser.add_argument("command", choices=_HANDLERS)
-    for f in _SETTINGS:
-        kind = ({"action": "store_true"} if isinstance(f.default, bool)
-                else {"type": str if f.default is None else type(f.default)})
-        parser.add_argument(f"--{_option(f)}", dest=f.name, default=f.default, **kind)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, names) in _HANDLERS.items():
+        sub = commands.add_parser(command)
+        for name in names:
+            default = _DEFAULTS[name]
+            kind = ({"action": "store_true"} if isinstance(default, bool) else
+                    {"type": str, "required": True} if default is None else {"type": type(default)})
+            sub.add_argument(f"--{_option(name)}", dest=name, default=default, **kind)
     return parser
 
 
@@ -310,15 +314,11 @@ def config_from_args(argv: list[str]) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; returns the process exit status."""
+    """Run one command; returns the exit status (argparse's 2 on bad usage)."""
     try:
         cfg = config_from_args(argv if argv is not None else sys.argv[1:])
         print(f"config: {cfg}")
-        handler, required = _HANDLERS[cfg.command]
-        for name in required:
-            if getattr(cfg, name) is None:
-                raise ConfigError(f"command {cfg.command!r} requires --{name}")
-        handler(cfg)
+        _HANDLERS[cfg.command][0](cfg)
         return 0
     except SystemExit as exc:  # argparse --help / bad usage
         return int(exc.code or 0)

@@ -108,10 +108,27 @@ SAMPLES = {
     "height": 17, "plan": "0:8:2,8:33:4", "kitti_rule": True,
 }
 SETTINGS = [f.name for f in fields(RunConfig) if f.name != "command"]
+# The path options: a None default, so each command that takes one requires it.
+PATHS = [f.name for f in fields(RunConfig) if f.default is None]
+# The options each command takes.
+TAKES = {command: names for command, (_, names) in _HANDLERS.items()}
 
 
 def option(name):
     return OPTIONS.get(name, name).replace("_", "-")
+
+
+def flag(name, value):
+    """The arguments that set ``name`` to ``value``; --kitti-rule is a switch."""
+    return [f"--{option(name)}"] + ([] if value is True else [str(value)])
+
+
+def paths_given(command, root, but=None):
+    """``{name: path}`` under ``root`` for each path option ``command``
+    requires other than ``but``, and the arguments that give them."""
+    given = {name: str(root / SAMPLES[name]) for name in TAKES[command]
+             if name in PATHS and name != but}
+    return given, [arg for name, path in given.items() for arg in flag(name, path)]
 
 
 def run_python(*args, cwd=None, timeout=120, **env):
@@ -137,25 +154,34 @@ CAPPED_CLI = ("import resource, runpy\n"
 
 class TestConfigResolution:
     @pytest.mark.parametrize("name", SETTINGS)
-    def test_config_keys_match_flag(self, name):
-        # Each RunConfig key is set by its own flag, to a value of the
-        # field's type; --kitti-rule is a switch.
+    def test_config_keys_match_flag(self, tmp_path, name):
+        # Each RunConfig key is set by its own flag, on the first command
+        # that takes it, to a value of the field's type.
+        command = next(c for c, names in TAKES.items() if name in names)
         value = SAMPLES[name]
-        flag = [f"--{option(name)}"] + ([] if value is True else [str(value)])
-        cfg, default = config_from_args(["describe", *flag]), config_from_args(["describe"])
+        given, args = paths_given(command, tmp_path, but=name)
+        cfg = config_from_args([command, *args, *flag(name, value)])
+        default = RunConfig(command, **given)
         assert type(getattr(cfg, name)) is type(value) and getattr(default, name) != value
         assert cfg == replace(default, **{name: value})
 
-    def test_help_lists_one_option_per_field(self):
-        proc = run_module("--help")
-        assert proc.returncode == 0, proc.stderr
-        listed = re.findall(r"^  (--[\w-]+)", proc.stdout, re.MULTILINE)
-        assert listed == [f"--{option(n)}" for n in SETTINGS] and len(listed) == 15
+    def test_help_lists_the_commands(self, capsys):
+        assert main(["--help"]) == 0
+        listed = re.findall(r"^  \{(.*)\}$", capsys.readouterr().out, re.MULTILINE)
+        assert listed == [",".join(_HANDLERS)] and len(_HANDLERS) == 8
+
+    @pytest.mark.parametrize("command", TAKES)
+    def test_command_help_lists_its_options(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert listed == [f"--{option(n)}" for n in TAKES[command]]
 
     def test_defaults(self):
-        cfg = config_from_args(["describe"])
-        assert cfg.tau == 1.0 and cfg.lam == 0.5
-        assert cfg.epsilon == 3.0 and cfg.threads == 1
+        loss = config_from_args(["loss", "--pred", "p.pfm", "--gt", "gt.pfm"])
+        assert loss.tau == 1.0 and loss.lam == 0.5 and loss.epsilon == 3.0
+        infer = config_from_args(["infer", "--left", "l.ppm", "--right", "r.ppm",
+                                  "--weights", "w.mscv1", "--out", "o.pfm"])
+        assert infer.threads == 1
 
     # The range is MAX_DISPARITY, and flags are the one way to set a run.
     @pytest.mark.parametrize("removed", [["--max-disp", "64"], ["--config", "run.cfg"]],
@@ -183,26 +209,45 @@ class TestConfigResolution:
         assert not list(tmp_path.iterdir())
 
 
-# Every (command, option it requires) pair, in the order the command checks them.
-REQUIRED = [(command, name) for command, (_, names) in _HANDLERS.items() for name in names]
+# Every (command, path option it requires) pair, in the order it takes them.
+REQUIRED = [(command, name) for command, names in TAKES.items()
+            for name in names if name in PATHS]
+# Every (command, option it does not take) pair: 94 of the 120.
+NOT_TAKEN = [(command, name) for command, names in TAKES.items()
+             for name in SETTINGS if name not in names]
 
 
 class TestDispatch:
     @pytest.mark.parametrize("command,missing", REQUIRED, ids="{0[0]}-{0[1]}".format)
     def test_missing_required_option_exits_2(self, tmp_path, capsys, command, missing):
-        given = [arg for name in _HANDLERS[command][1] if name != missing
-                 for arg in (f"--{option(name)}", str(tmp_path / SAMPLES[name]))]
-        assert main([command, *given]) == 2
+        _, args = paths_given(command, tmp_path, but=missing)
+        assert main([command, *args]) == 2
         captured = capsys.readouterr()
-        assert captured.out == f"config: {config_from_args([command, *given])}\n"
-        assert captured.err == f"error: command {command!r} requires --{missing}\n"
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: the following arguments are required: --{option(missing)}\n")
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", [c for c, (_, names) in _HANDLERS.items() if names])
-    def test_first_missing_option_named(self, capsys, command):
+    @pytest.mark.parametrize("command", [c for c, names in TAKES.items() if names])
+    def test_first_missing_option_named(self, tmp_path, monkeypatch, capsys, command):
+        # argparse names every missing path option, the first one first.
+        monkeypatch.chdir(tmp_path)
         assert main([command]) == 2
-        first = _HANDLERS[command][1][0]
-        assert capsys.readouterr().err == f"error: command {command!r} requires --{first}\n"
+        captured = capsys.readouterr()
+        missing = ", ".join(f"--{option(n)}" for n in TAKES[command] if n in PATHS)
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: the following arguments are required: {missing}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,name", NOT_TAKEN)
+    def test_option_not_taken_exits_2(self, tmp_path, capsys, command, name):
+        _, args = paths_given(command, tmp_path)
+        extra = flag(name, SAMPLES[name])
+        assert main([command, *args, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(extra)}\n")
+        assert not list(tmp_path.iterdir())
 
     # /dev/zero as the input of each decoder: PPM/PGM, PFM and MSCV1.
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
@@ -220,11 +265,11 @@ class TestDispatch:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
     @pytest.mark.parametrize("args", [
-        ["trad-match", "--left", "ff", "--right", "a.ppm"],
-        ["mask", "--gt", "ff"],
+        ["trad-match", "--left", "ff", "--right", "a.ppm", "--out", "o.pfm"],
+        ["mask", "--gt", "ff", "--out", "o.pfm"],
         ["loss", "--pred", "ff", "--gt", "gt.pfm"],
         ["eval", "--pred", "ff", "--gt", "gt.pfm"],
-        ["infer", "--left", "a.ppm", "--right", "a.ppm", "--weights", "ff"],
+        ["infer", "--left", "a.ppm", "--right", "a.ppm", "--weights", "ff", "--out", "o.pfm"],
     ], ids=lambda args: args[0])
     def test_fifo_input_exits_2_at_once(self, tmp_path, args):
         # A FIFO with no writer; the other inputs are regular files.  The
@@ -232,7 +277,7 @@ class TestDispatch:
         os.mkfifo(tmp_path / "ff")
         write_image(Image(np.zeros((3, 4, 6))), tmp_path / "a.ppm")
         write_pfm(DisparityMap(np.full((4, 6), 2.0)), tmp_path / "gt.pfm")
-        proc = run_module(*args, "--out", "o.pfm", cwd=tmp_path, timeout=5)
+        proc = run_module(*args, cwd=tmp_path, timeout=5)
         assert (proc.returncode, proc.stderr) == (2, "error: ff: not a regular file\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm", "ff", "gt.pfm"]
 
@@ -327,16 +372,17 @@ class TestDispatch:
         assert "stereo pair dimensions differ" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["trad-match"], ["infer"], ["infer", "--threads", "2"]],
+    @pytest.mark.parametrize("command", [["trad-match"], ["infer", "--weights", "w.bin"],
+                                         ["infer", "--weights", "w.bin", "--threads", "2"]],
                              ids=["trad-match", "infer", "infer-threads-2"])
-    def test_grey_pair_exits_2(self, tmp_path, capsys, rng, command):
+    def test_grey_pair_exits_2(self, tmp_path, monkeypatch, capsys, rng, command):
         left, right, out = tmp_path / "l.pgm", tmp_path / "r.pgm", tmp_path / "o.pfm"
         write_image(Image(rng.random((1, 16, 32))), left)
         write_image(Image(rng.random((1, 16, 32))), right)
-        weights = tmp_path / "w.bin"
-        save_weights(init_weights(1), weights)
+        save_weights(init_weights(1), tmp_path / "w.bin")
+        monkeypatch.chdir(tmp_path)
         assert main([*command, "--left", str(left), "--right", str(right),
-                     "--weights", str(weights), "--out", str(out)]) == 2
+                     "--out", str(out)]) == 2
         assert capsys.readouterr().err.strip() == (
             "error: stereo matching expects an RGB pair, got 1 channel(s)")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["l.pgm", "r.pgm", "w.bin"]
