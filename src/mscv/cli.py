@@ -1,14 +1,15 @@
 """Command-line entry point and synthetic stereo-pair generation.
 
 Commands: synth | trad-match | infer | mask | loss | eval | init-weights |
-describe.  Each command takes only the ``--option``s its handler reads;
-a path option is required, and any other keeps its ``RunConfig`` default.
+describe.  Each command's options are its handler's parameters: one
+without a default is a required path option, and any other keeps the
+parameter's default.
 """
 
 from __future__ import annotations
 
+import inspect
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,36 +39,6 @@ from mscv.metrics import evaluate
 
 class ConfigError(ValueError):
     """Raised on an invalid run configuration."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    left: str | None = None
-    right: str | None = None
-    gt: str | None = None
-    pred: str | None = None
-    weights: str | None = None
-    out: str | None = None
-    epsilon: float = 3.0
-    tau: float = 1.0
-    lam: float = 0.5
-    seed: int = 0
-    threads: int = 1
-    width: int = 512
-    height: int = 256
-    plan: str = "8"
-    kitti_rule: bool = False
-
-    def __post_init__(self):
-        if self.command not in _HANDLERS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.width < 1 or self.height < 1:
-            raise ConfigError("width and height must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +77,8 @@ def generate_synthetic_pair(
     at x - d(x).  Out-of-range and occluded left pixels hold 0 in the
     ground truth, so ``DisparityMap``'s validity rule marks them invalid.
     """
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     for x0, x1, d in plan:
         if d < 0 or d >= MAX_DISPARITY:
             raise ConfigError(f"region disparity {d} outside [0, {MAX_DISPARITY})")
@@ -196,10 +169,12 @@ def mask_to_pgm(mask: DiscontinuityMask, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(cfg: RunConfig) -> None:
-    plan = parse_plan(cfg.plan, cfg.width)
-    left, right, gt = generate_synthetic_pair(cfg.seed, cfg.width, cfg.height, plan)
-    out = Path(cfg.out)
+def _cmd_synth(out: str, seed: int = 0, width: int = 512, height: int = 256,
+               plan: str = "8") -> None:
+    if width < 1 or height < 1:
+        raise ConfigError("width and height must be >= 1")
+    left, right, gt = generate_synthetic_pair(seed, width, height, parse_plan(plan, width))
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     write_image(left, out / "left.ppm")
     write_image(right, out / "right.ppm")
@@ -207,74 +182,69 @@ def _cmd_synth(cfg: RunConfig) -> None:
     print(f"wrote {out}/left.ppm {out}/right.ppm {out}/gt.pfm")
 
 
-def _cmd_trad_match(cfg: RunConfig) -> None:
-    left = read_image(cfg.left)
-    right = read_image(cfg.right)
-    dmap = traditional_match(left, right)
-    write_pfm(dmap, cfg.out)
-    vis_path = str(cfg.out) + ".pgm"
+def _cmd_trad_match(left: str, right: str, out: str) -> None:
+    dmap = traditional_match(read_image(left), read_image(right))
+    write_pfm(dmap, out)
+    vis_path = out + ".pgm"
     disparity_to_pgm(dmap, vis_path)
-    print(f"wrote {cfg.out} and {vis_path}")
+    print(f"wrote {out} and {vis_path}")
 
 
-def _cmd_infer(cfg: RunConfig) -> None:
+def _cmd_infer(left: str, right: str, weights: str, out: str, threads: int = 1) -> None:
     from mscv.network import full_forward, load_weights, validate_store
-    left = read_image(cfg.left)
-    right = read_image(cfg.right)
-    store = load_weights(cfg.weights)
+    left_img = read_image(left)
+    right_img = read_image(right)
+    store = load_weights(weights)
     validate_store(store)
-    dmap = full_forward(left, right, store, threads=cfg.threads)
-    write_pfm(dmap, cfg.out)
-    print(f"wrote {cfg.out}")
+    dmap = full_forward(left_img, right_img, store, threads=threads)
+    write_pfm(dmap, out)
+    print(f"wrote {out}")
 
 
-def _cmd_mask(cfg: RunConfig) -> None:
-    dmap = read_pfm(cfg.gt)
-    mask = discontinuity_mask(dmap, cfg.epsilon)
-    mask_to_pgm(mask, cfg.out)
-    print(f"wrote {cfg.out} ({int(mask.flags.sum())} flagged pixels)")
+def _cmd_mask(gt: str, out: str, epsilon: float = 3.0) -> None:
+    mask = discontinuity_mask(read_pfm(gt), epsilon)
+    mask_to_pgm(mask, out)
+    print(f"wrote {out} ({int(mask.flags.sum())} flagged pixels)")
 
 
-def _cmd_loss(cfg: RunConfig) -> None:
-    pred = read_pfm(cfg.pred)
-    gt = read_pfm(cfg.gt)
-    mask = discontinuity_mask(gt, cfg.epsilon)
-    params = LossParams(tau=cfg.tau, lam=cfg.lam)
-    mean, _ = loss_eval(pred, gt, mask, params)
+def _cmd_loss(pred: str, gt: str, epsilon: float = 3.0, tau: float = 1.0,
+              lam: float = 0.5) -> None:
+    pred_map = read_pfm(pred)
+    gt_map = read_pfm(gt)
+    mask = discontinuity_mask(gt_map, epsilon)
+    mean, _ = loss_eval(pred_map, gt_map, mask, LossParams(tau=tau, lam=lam))
     print(f"loss={mean:.6f}")
 
 
-def _cmd_eval(cfg: RunConfig) -> None:
-    pred = read_pfm(cfg.pred)
-    gt = read_pfm(cfg.gt)
-    report = evaluate(pred, gt, kitti_rule=cfg.kitti_rule)
+def _cmd_eval(pred: str, gt: str, kitti_rule: bool = False) -> None:
+    report = evaluate(read_pfm(pred), read_pfm(gt), kitti_rule=kitti_rule)
     print(report.as_text())
     print(report.as_keyvalues())
 
 
-def _cmd_init_weights(cfg: RunConfig) -> None:
+def _cmd_init_weights(out: str, seed: int = 0) -> None:
     from mscv.network import init_weights, save_weights
-    store = init_weights(cfg.seed)
-    save_weights(store, cfg.out)
-    print(f"wrote {cfg.out} ({store.param_count()} parameters)")
+    store = init_weights(seed)
+    save_weights(store, out)
+    print(f"wrote {out} ({store.param_count()} parameters)")
 
 
-def _cmd_describe(cfg: RunConfig) -> None:
+def _cmd_describe() -> None:
     from mscv.network import describe_architecture
     print(describe_architecture())
 
 
-# Each command's handler and the options it takes, which are exactly the
-# ``RunConfig`` fields the handler reads, in the order ``--help`` lists them.
+# Each command's handler.  Its parameters are the command's options, in the
+# order ``--help`` lists them.
 _HANDLERS = {
-    "synth": (_cmd_synth, ("out", "seed", "width", "height", "plan")),
-    "trad-match": (_cmd_trad_match, ("left", "right", "out")),
-    "infer": (_cmd_infer, ("left", "right", "weights", "out", "threads")),
-    "mask": (_cmd_mask, ("gt", "out", "epsilon")),
-    "loss": (_cmd_loss, ("pred", "gt", "epsilon", "tau", "lam")),
-    "eval": (_cmd_eval, ("pred", "gt", "kitti_rule")),
-    "init-weights": (_cmd_init_weights, ("out", "seed")),
-    "describe": (_cmd_describe, ()),
+    "synth": _cmd_synth,
+    "trad-match": _cmd_trad_match,
+    "infer": _cmd_infer,
+    "mask": _cmd_mask,
+    "loss": _cmd_loss,
+    "eval": _cmd_eval,
+    "init-weights": _cmd_init_weights,
+    "describe": _cmd_describe,
 }
 
 
@@ -282,47 +252,42 @@ _HANDLERS = {
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-_OPTION_NAMES = {"lam": "lambda"}  # fields whose option is not the field name
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
-
-
-def _option(name: str) -> str:
-    return _OPTION_NAMES.get(name, name).replace("_", "-")
-
 
 def build_parser():
-    """The argparse parser: a subparser per command taking its ``_HANDLERS``
-    options, typed and defaulted as the field; a path (None default) is required."""
+    """The argparse parser: a subparser per command with one ``--option`` per
+    parameter of its handler (``--lambda`` sets ``lam``).  A parameter without
+    a default is a required path, a ``bool`` default is a switch, and any
+    other is typed and defaulted as its default."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="mscv", description="Multi-scale cost-volume stereo matching."
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for command, (_, names) in _HANDLERS.items():
+    for command, handler in _HANDLERS.items():
         sub = commands.add_parser(command)
-        for name in names:
-            default = _DEFAULTS[name]
-            kind = ({"action": "store_true"} if isinstance(default, bool) else
-                    {"type": str, "required": True} if default is None else {"type": type(default)})
-            sub.add_argument(f"--{_option(name)}", dest=name, default=default, **kind)
+        for name, param in inspect.signature(handler).parameters.items():
+            default = param.default
+            kind = ({"type": str, "required": True} if default is param.empty else
+                    {"action": "store_true"} if isinstance(default, bool) else
+                    {"type": type(default), "default": default})
+            option = "lambda" if name == "lam" else name.replace("_", "-")
+            sub.add_argument(f"--{option}", dest=name, **kind)
     return parser
 
 
-def config_from_args(argv: list[str]) -> RunConfig:
-    """The RunConfig that the command line ``argv`` states."""
-    return RunConfig(**vars(build_parser().parse_args(argv)))
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; returns the exit status (argparse's 2 on bad usage)."""
+    """Run one command (``argv`` defaults to ``sys.argv[1:]``) after printing
+    its options as ``config: <command> name=value ...``; returns the exit
+    status (argparse's 2 on bad usage)."""
     try:
-        cfg = config_from_args(argv if argv is not None else sys.argv[1:])
-        print(f"config: {cfg}")
-        _HANDLERS[cfg.command][0](cfg)
+        args = vars(build_parser().parse_args(argv))
+        command = args.pop("command")
+        print(" ".join(["config:", command, *(f"{k}={v!r}" for k, v in args.items())]))
+        _HANDLERS[command](**args)
         return 0
     except SystemExit as exc:  # argparse --help / bad usage
         return int(exc.code or 0)
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -215,6 +215,8 @@ def init_weights(seed: int) -> WeightStore:
     BN running statistics start at mean 0 / variance 1; gamma and beta
     get a small random perturbation around 1 and 0.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     store = WeightStore()
     for l in architecture():
@@ -509,6 +511,8 @@ def full_forward(
     Deterministic: output is bit-identical across runs and across
     ``threads`` settings (parallelism only splits independent branches).
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if left.data.shape != right.data.shape:
         raise ValueError("stereo pair dimensions differ")
     left_p, orig = pad_reflect(left, 16)

@@ -1,10 +1,10 @@
 """Synthetic data generation and the command-line surface."""
 
+import inspect
 import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +13,7 @@ import pytest
 from mscv.cli import (
     _HANDLERS,
     ConfigError,
-    RunConfig,
-    config_from_args,
+    build_parser,
     generate_synthetic_pair,
     main,
     mask_to_pgm,
@@ -85,6 +84,10 @@ class TestGenerateSyntheticPair:
             np.testing.assert_array_equal(x.data, y.data)
         np.testing.assert_array_equal(a[2].values, b[2].values)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0$"):
+            generate_synthetic_pair(-1, 32, 8, [(0, 32, 4)])
+
     def test_disparity_beyond_max_disparity_invalid(self, tmp_path, capsys):
         # d = 250 fits the 512-px region but no valid disparity holds it.
         assert main(["synth", "--out", str(tmp_path / "pair"), "--plan", "250"]) == 2
@@ -107,11 +110,15 @@ SAMPLES = {
     "tau": 0.5, "lam": 0.25, "seed": 7, "threads": 2, "width": 33,
     "height": 17, "plan": "0:8:2,8:33:4", "kitti_rule": True,
 }
-SETTINGS = [f.name for f in fields(RunConfig) if f.name != "command"]
-# The path options: a None default, so each command that takes one requires it.
-PATHS = [f.name for f in fields(RunConfig) if f.default is None]
-# The options each command takes.
-TAKES = {command: names for command, (_, names) in _HANDLERS.items()}
+# Each command's options: its handler's parameters, in order.
+PARAMS = {command: inspect.signature(handler).parameters
+          for command, handler in _HANDLERS.items()}
+TAKES = {command: list(params) for command, params in PARAMS.items()}
+# Every option some command takes, in the order of first appearance.
+SETTINGS = list(dict.fromkeys(name for names in TAKES.values() for name in names))
+# The path options: no default, so each command that takes one requires it.
+PATHS = {name for params in PARAMS.values() for name, p in params.items()
+         if p.default is p.empty}
 
 
 def option(name):
@@ -155,15 +162,17 @@ CAPPED_CLI = ("import resource, runpy\n"
 class TestConfigResolution:
     @pytest.mark.parametrize("name", SETTINGS)
     def test_config_keys_match_flag(self, tmp_path, name):
-        # Each RunConfig key is set by its own flag, on the first command
-        # that takes it, to a value of the field's type.
+        # Each handler parameter is set by its own flag, on the first command
+        # that takes it, to a value of the default's type; the others keep
+        # their defaults, in the handler's order.
         command = next(c for c, names in TAKES.items() if name in names)
         value = SAMPLES[name]
         given, args = paths_given(command, tmp_path, but=name)
-        cfg = config_from_args([command, *args, *flag(name, value)])
-        default = RunConfig(command, **given)
-        assert type(getattr(cfg, name)) is type(value) and getattr(default, name) != value
-        assert cfg == replace(default, **{name: value})
+        parsed = vars(build_parser().parse_args([command, *args, *flag(name, value)]))
+        defaults = {n: p.default for n, p in PARAMS[command].items()}
+        assert type(parsed[name]) is type(value) and defaults[name] != value
+        want = {"command": command, **defaults, **given, name: value}
+        assert list(parsed.items()) == list(want.items())
 
     def test_help_lists_the_commands(self, capsys):
         assert main(["--help"]) == 0
@@ -177,11 +186,20 @@ class TestConfigResolution:
         assert listed == [f"--{option(n)}" for n in TAKES[command]]
 
     def test_defaults(self):
-        loss = config_from_args(["loss", "--pred", "p.pfm", "--gt", "gt.pfm"])
+        parse = build_parser().parse_args
+        loss = parse(["loss", "--pred", "p.pfm", "--gt", "gt.pfm"])
         assert loss.tau == 1.0 and loss.lam == 0.5 and loss.epsilon == 3.0
-        infer = config_from_args(["infer", "--left", "l.ppm", "--right", "r.ppm",
-                                  "--weights", "w.mscv1", "--out", "o.pfm"])
+        infer = parse(["infer", "--left", "l.ppm", "--right", "r.ppm",
+                       "--weights", "w.mscv1", "--out", "o.pfm"])
         assert infer.threads == 1
+
+    def test_config_line_names_only_the_commands_options(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--pred", "P", "--gt", "G", "--kitti-rule"]) == 2
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "config: eval pred='P' gt='G' kitti_rule=True")
+        assert main(["describe"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "config: describe"
 
     # The range is MAX_DISPARITY, and flags are the one way to set a run.
     @pytest.mark.parametrize("removed", [["--max-disp", "64"], ["--config", "run.cfg"]],
@@ -218,7 +236,8 @@ NOT_TAKEN = [(command, name) for command, names in TAKES.items()
 
 
 class TestDispatch:
-    @pytest.mark.parametrize("command,missing", REQUIRED, ids="{0[0]}-{0[1]}".format)
+    @pytest.mark.parametrize("command,missing", REQUIRED,
+                             ids=[f"{command}-{name}" for command, name in REQUIRED])
     def test_missing_required_option_exits_2(self, tmp_path, capsys, command, missing):
         _, args = paths_given(command, tmp_path, but=missing)
         assert main([command, *args]) == 2
@@ -319,6 +338,18 @@ class TestDispatch:
         ]) == 0
         dmap = read_pfm(dpath)
         assert (dmap.height, dmap.width) == (24, 64)
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        main(["synth", "--out", str(tmp_path), "--width", "32", "--height", "16"])
+        save_weights(init_weights(1), tmp_path / "w.bin")
+        out = tmp_path / "d.pfm"
+        capsys.readouterr()
+        assert main(["infer", "--left", str(tmp_path / "left.ppm"),
+                     "--right", str(tmp_path / "right.ppm"), "--weights", str(tmp_path / "w.bin"),
+                     "--out", str(out), "--threads", threads]) == 2
+        assert capsys.readouterr().err == "error: threads must be >= 1\n"
+        assert not out.exists()
 
     def test_mask_and_loss_commands(self, tmp_path, capsys):
         out = tmp_path / "data"

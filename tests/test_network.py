@@ -193,6 +193,10 @@ class TestInitWeights:
     def test_manifest_matches_architecture(self, store):
         assert shapes(store) == architecture_manifest()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            init_weights(-1)
+
     def test_param_count_invariant_across_seeds(self):
         assert init_weights(0).param_count() == init_weights(99).param_count()
 
@@ -777,6 +781,14 @@ class TestFullForward:
             full_forward(
                 Image(rng.random((3, 32, 32))), Image(rng.random((3, 32, 48))), store
             )
+
+    # No thread count below one runs: the check comes before any branch.
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, rng, store, forward_probe, threads):
+        pair = Image(rng.random((3, 32, 48)))
+        with pytest.raises(ValueError, match=r"^threads must be >= 1$"):
+            full_forward(pair, pair, store, threads=threads)
+        assert forward_probe.layers == []
 
 
 # Largest |full_forward - forward_oracle| allowed on `refined` and on the
