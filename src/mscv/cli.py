@@ -37,10 +37,6 @@ from mscv.imagekit import (
 from mscv.metrics import evaluate
 
 
-class ConfigError(ValueError):
-    """Raised on an invalid run configuration."""
-
-
 # ---------------------------------------------------------------------------
 # Synthetic data
 # ---------------------------------------------------------------------------
@@ -56,15 +52,15 @@ def parse_plan(plan: str, width: int) -> list[tuple[int, int, int]]:
             x0, x1, d = map(int, part.split(":") if listed else (0, width, part))
         except ValueError:  # not an integer, or not three of them
             want = "x0:x1:d" if listed else "d"
-            raise ConfigError(f"bad plan region {part!r} (want {want})") from None
+            raise ValueError(f"bad plan region {part!r} (want {want})") from None
         regions.append((x0, x1, d))
     cursor = 0
     for x0, x1, _ in regions:
         if x0 != cursor or x1 <= x0:
-            raise ConfigError("plan regions must tile [0, width) in order")
+            raise ValueError("plan regions must tile [0, width) in order")
         cursor = x1
     if cursor != width:
-        raise ConfigError(f"plan covers [0, {cursor}), image width is {width}")
+        raise ValueError(f"plan covers [0, {cursor}), image width is {width}")
     return regions
 
 
@@ -78,12 +74,12 @@ def generate_synthetic_pair(
     ground truth, so ``DisparityMap``'s validity rule marks them invalid.
     """
     if seed < 0:
-        raise ConfigError("seed must be >= 0")
+        raise ValueError("seed must be >= 0")
     for x0, x1, d in plan:
         if d < 0 or d >= MAX_DISPARITY:
-            raise ConfigError(f"region disparity {d} outside [0, {MAX_DISPARITY})")
+            raise ValueError(f"region disparity {d} outside [0, {MAX_DISPARITY})")
         if d >= x1 - x0:
-            raise ConfigError(f"region disparity {d} >= region extent {x1 - x0}")
+            raise ValueError(f"region disparity {d} >= region extent {x1 - x0}")
     rng = np.random.default_rng(seed)
     right = rng.random((3, height, width))
     d_of_x = np.zeros(width, dtype=np.int64)
@@ -155,8 +151,8 @@ def traditional_match(left: Image, right: Image) -> DisparityMap:
 
 def disparity_to_pgm(dmap: DisparityMap, path) -> None:
     """8-bit visualization: disparity / MAX_DISPARITY, invalid = 0."""
-    vis = np.clip(dmap.values / MAX_DISPARITY, 0.0, 1.0)  # invalid pixels hold 0
-    write_image(Image(vis[None]), path)
+    vis = np.rint(np.clip(dmap.values / MAX_DISPARITY, 0, 1) * 255)  # invalid pixels hold 0
+    write_pnm(vis.astype(np.uint8)[:, :, None], path)
 
 
 def mask_to_pgm(mask: DiscontinuityMask, path) -> None:
@@ -172,7 +168,7 @@ def mask_to_pgm(mask: DiscontinuityMask, path) -> None:
 def _cmd_synth(out: str, seed: int = 0, width: int = 512, height: int = 256,
                plan: str = "8") -> None:
     if width < 1 or height < 1:
-        raise ConfigError("width and height must be >= 1")
+        raise ValueError("width and height must be >= 1")
     left, right, gt = generate_synthetic_pair(seed, width, height, parse_plan(plan, width))
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,8 +8,8 @@ matchers pass their own.
 
 Supported containers: binary PPM (P6) / PGM (P5) at maxval 255, and
 grayscale PFM ("Pf", little-endian on write, rows bottom-to-top).  Like
-MSCV1 weights, they are read once, at most their size, from regular
-files only, opened without blocking, so a FIFO, device or directory
+MSCV1 weights, they are read (at most their size) and written only as
+regular files, opened without blocking, so a FIFO, device or directory
 fails at once with ``OSError("<path>: not a regular file")``.
 
 A PPM/PGM header is the magic "P6" or "P5"; then three times a gap and
@@ -21,6 +21,7 @@ CR, LF or the end of the file.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import re
@@ -111,6 +112,22 @@ def _read_regular(path) -> bytes:
         return f.read(st.st_size)
 
 
+def _write_regular(path, *chunks) -> None:
+    """Write ``chunks`` as the regular file at ``path``, left short if a write fails."""
+    try:  # a FIFO with no reader fails at once (ENXIO), a directory with EISDIR
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK, 0o666)
+    except OSError as exc:
+        if exc.errno not in (errno.ENXIO, errno.EISDIR):
+            raise
+    else:
+        with open(fd, "wb") as f:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                f.truncate(0)
+                f.writelines(chunks)
+                return
+    raise OSError(f"{path}: not a regular file")
+
+
 # ---------------------------------------------------------------------------
 # PPM / PGM codec
 # ---------------------------------------------------------------------------
@@ -172,10 +189,8 @@ def write_image(image: Image, path) -> None:
 def write_pnm(pixels: np.ndarray, path) -> None:
     """Write a uint8 (H, W, C) array as PPM (C = 3) or PGM (C = 1)."""
     height, width, channels = pixels.shape
-    magic = b"P6" if channels == 3 else b"P5"
-    with open(path, "wb") as f:
-        f.write(b"%s\n%d %d\n255\n" % (magic, width, height))
-        f.write(np.ascontiguousarray(pixels))
+    header = b"P%d\n%d %d\n255\n" % (6 if channels == 3 else 5, width, height)
+    _write_regular(path, header, np.ascontiguousarray(pixels))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +244,8 @@ def read_pfm(path) -> DisparityMap:
 
 def write_pfm(dmap: DisparityMap, path) -> None:
     """Write a grayscale little-endian PFM (scale -1.0), bottom-up rows."""
-    with open(path, "wb") as f:
-        f.write(b"Pf\n%d %d\n-1.0\n" % (dmap.width, dmap.height))
-        f.write(np.flipud(dmap.values).astype("<f4"))
+    _write_regular(path, b"Pf\n%d %d\n-1.0\n" % (dmap.width, dmap.height),
+                   np.flipud(dmap.values).astype("<f4"))
 
 
 # ---------------------------------------------------------------------------

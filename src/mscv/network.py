@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mscv.costvol import DEPTH, _correlate, correlate_1d, traditional_costs
-from mscv.imagekit import DisparityMap, Image, _read_regular, pad_reflect
+from mscv.imagekit import DisparityMap, Image, _read_regular, _write_regular, pad_reflect
 from mscv.tensorops import (
     ConvParams,
     bilinear_resize,
@@ -239,16 +239,12 @@ def init_weights(seed: int) -> WeightStore:
 
 
 def save_weights(store: WeightStore, path) -> None:
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(store)))
-        for name, arr in store.items():
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f4"))
+    chunks = [MAGIC, struct.pack("<I", len(store))]
+    for name, arr in store.items():
+        encoded = name.encode("utf-8")
+        chunks += [struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
+                               arr.ndim, *arr.shape), np.ascontiguousarray(arr, dtype="<f4")]
+    _write_regular(path, *chunks)
 
 
 def load_weights(path) -> WeightStore:

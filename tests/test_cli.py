@@ -12,8 +12,8 @@ import pytest
 
 from mscv.cli import (
     _HANDLERS,
-    ConfigError,
     build_parser,
+    disparity_to_pgm,
     generate_synthetic_pair,
     main,
     mask_to_pgm,
@@ -38,11 +38,11 @@ class TestPlanParsing:
         assert parse_plan("0:40:4,40:100:16", 100) == [(0, 40, 4), (40, 100, 16)]
 
     def test_gap_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"^plan regions must tile \[0, width\) in order$"):
             parse_plan("0:40:4,50:100:16", 100)
 
     def test_short_coverage_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"^plan covers \[0, 40\), image width is 100$"):
             parse_plan("0:40:4", 100)
 
     @pytest.mark.parametrize("plan,message", [
@@ -85,7 +85,7 @@ class TestGenerateSyntheticPair:
         np.testing.assert_array_equal(a[2].values, b[2].values)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigError, match=r"^seed must be >= 0$"):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
             generate_synthetic_pair(-1, 32, 8, [(0, 32, 4)])
 
     def test_disparity_beyond_max_disparity_invalid(self, tmp_path, capsys):
@@ -95,9 +95,9 @@ class TestGenerateSyntheticPair:
         assert not list(tmp_path.iterdir())
 
     def test_infeasible_plan_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"^region disparity 200 outside \[0, 192\)$"):
             generate_synthetic_pair(0, 64, 8, [(0, 64, 200)])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"^region disparity 40 >= region extent 32$"):
             generate_synthetic_pair(0, 64, 8, [(0, 32, 40), (32, 64, 0)])
 
 
@@ -235,6 +235,26 @@ NOT_TAKEN = [(command, name) for command, names in TAKES.items()
              for name in SETTINGS if name not in names]
 
 
+# Each writing command, and the path of its first output: ``--out``, or
+# synth's left image in its ``--out`` directory.  Inputs from write_inputs.
+WRITERS = [
+    (["synth", "--width", "6", "--height", "4", "--plan", "1", "--out", "d"], "d/left.ppm"),
+    (["trad-match", "--left", "a.ppm", "--right", "a.ppm", "--out", "ff"], "ff"),
+    (["infer", "--left", "a.ppm", "--right", "a.ppm", "--weights", "w.bin", "--out", "ff"], "ff"),
+    (["mask", "--gt", "gt.pfm", "--out", "ff"], "ff"),
+    (["init-weights", "--out", "ff"], "ff"),
+]
+WRITER_IDS = [args[0] for args, _ in WRITERS]
+
+
+def write_inputs(root):
+    """The inputs ``WRITERS`` read, and synth's ``--out`` directory."""
+    (root / "d").mkdir()
+    write_image(Image(np.zeros((3, 4, 6))), root / "a.ppm")
+    write_pfm(DisparityMap(np.full((4, 6), 2.0)), root / "gt.pfm")
+    save_weights(init_weights(0), root / "w.bin")
+
+
 class TestDispatch:
     @pytest.mark.parametrize("command,missing", REQUIRED,
                              ids=[f"{command}-{name}" for command, name in REQUIRED])
@@ -299,6 +319,47 @@ class TestDispatch:
         proc = run_module(*args, cwd=tmp_path, timeout=5)
         assert (proc.returncode, proc.stderr) == (2, "error: ff: not a regular file\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm", "ff", "gt.pfm"]
+
+    # A FIFO, held open by a reader or not, as each writing command's first
+    # output.  The child is killed after 5 s, so a blocking open fails the
+    # test; nothing is written to the FIFO or anywhere else.
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    @pytest.mark.parametrize("reader", [False, True], ids=["no-reader", "reader"])
+    @pytest.mark.parametrize("args,out", WRITERS, ids=WRITER_IDS)
+    def test_fifo_output_exits_2_at_once(self, tmp_path, args, out, reader):
+        write_inputs(tmp_path)
+        os.mkfifo(tmp_path / out)
+        before = sorted(tmp_path.rglob("*"))
+        fd = os.open(tmp_path / out, os.O_RDONLY | os.O_NONBLOCK) if reader else None
+        try:
+            proc = run_module(*args, cwd=tmp_path, timeout=5, OPENBLAS_NUM_THREADS="1")
+            assert fd is None or os.read(fd, 1) == b""
+        finally:
+            if fd is not None:
+                os.close(fd)
+        assert (proc.returncode, proc.stderr) == (2, f"error: {out}: not a regular file\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("args,out", WRITERS, ids=WRITER_IDS)
+    def test_directory_output_exits_2(self, tmp_path, monkeypatch, capsys, args, out):
+        write_inputs(tmp_path)
+        (tmp_path / out).mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {out}: not a regular file\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    # Not trad-match: where outputs need not be regular files, its
+    # ``--out /dev/null`` makes a regular file /dev/null.pgm.
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    @pytest.mark.parametrize("command", ["mask", "init-weights"])
+    def test_device_output_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        args = next(args for args, _ in WRITERS if args[0] == command)
+        assert main([*args[:-1], "/dev/null"]) == 2
+        assert capsys.readouterr().err == "error: /dev/null: not a regular file\n"
 
     def test_synth_trad_match_eval_chain(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -381,6 +442,15 @@ class TestDispatch:
         new, old = tmp_path / "new.pgm", tmp_path / "old.pgm"
         mask_to_pgm(DiscontinuityMask(flags), new)
         write_image(Image(flags.astype(np.float64)[None]), old)
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_disparity_pgm_bytes_match_write_image(self, tmp_path, rng):
+        # Values on both sides of [0, MAX_DISPARITY] and invalid pixels.
+        values = rng.random((37, 53)) * (MAX_DISPARITY + 60) - 30
+        dmap = DisparityMap(values, valid=rng.random(values.shape) > 0.2)
+        new, old = tmp_path / "new.pgm", tmp_path / "old.pgm"
+        disparity_to_pgm(dmap, new)
+        write_image(Image(np.clip(dmap.values / MAX_DISPARITY, 0.0, 1.0)[None]), old)
         assert new.read_bytes() == old.read_bytes()
 
     def test_unknown_command_nonzero_exit(self, capsys):

@@ -20,7 +20,9 @@ from mscv.imagekit import (
     rgb_to_yuv,
     write_image,
     write_pfm,
+    write_pnm,
 )
+from mscv.network import save_weights
 
 
 def random_image(rng, channels=3, h=7, w=9):
@@ -57,6 +59,14 @@ class TestPnmCodec:
         img = read_image(path)
         assert img.data.shape == (3, 1, 2)
         np.testing.assert_array_equal(img.data.ravel(), [0, 1, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("channels,magic", [(3, b"P6"), (1, b"P5")], ids=["P6", "P5"])
+    def test_write_pnm_hand_assembled(self, tmp_path, channels, magic):
+        # A 3-wide, 2-high raster: header, then the samples row by row,
+        # the channels of each pixel together.
+        samples = bytes(range(7, 7 + 2 * 3 * channels))
+        write_pnm(np.frombuffer(samples, np.uint8).reshape(2, 3, channels), tmp_path / "a")
+        assert (tmp_path / "a").read_bytes() == magic + b"\n3 2\n255\n" + samples
 
     @pytest.mark.parametrize("channels", [3, 1], ids=["P6", "P5"])
     def test_decodes_planar_bit_identical(self, tmp_path, rng, channels):
@@ -184,6 +194,12 @@ class TestPfmCodec:
         dmap = read_pfm(path)
         np.testing.assert_array_equal(dmap.values, [[1, 2], [3, 4]])
 
+    def test_write_pfm_hand_assembled(self, tmp_path):
+        # Header, then little-endian float32 rows, the bottom row first.
+        write_pfm(DisparityMap(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5]])), tmp_path / "a")
+        rows = np.array([4.0, 5.0, 6.5, 1.0, 2.0, 3.0], dtype="<f4").tobytes()
+        assert (tmp_path / "a").read_bytes() == b"Pf\n3 2\n-1.0\n" + rows
+
     def test_color_pfm_rejected(self, tmp_path):
         path = tmp_path / "c.pfm"
         path.write_bytes(b"PF\n1 1\n-1.0\n" + b"\x00" * 12)
@@ -280,6 +296,20 @@ class TestPfmCodec:
         assert peak <= 1.7 * kitti_maps.map_bytes, f"peak {peak / kitti_maps.map_bytes:.2f} maps"
 
 
+# Calls the writer named by argv[1] with a small value on the path argv[2].
+WRITER_CHILD = ("import sys\n"
+                "import numpy as np\n"
+                "from mscv.imagekit import DisparityMap, write_pfm, write_pnm\n"
+                "from mscv.network import save_weights\n"
+                "value = {'write_pnm': np.zeros((2, 3, 1), np.uint8),\n"
+                "         'write_pfm': DisparityMap(np.ones((2, 3))), 'save_weights': {}}\n"
+                "globals()[sys.argv[1]](value[sys.argv[1]], sys.argv[2])")
+# For each encoder, a value that encodes to a long file and one to a short.
+LONG_SHORT = {
+    write_pnm: (np.full((9, 8, 3), 200, np.uint8), np.ones((1, 2, 1), np.uint8)),
+    write_pfm: (DisparityMap(np.full((9, 8), 5.0)), DisparityMap(np.full((1, 2), 7.0))),
+    save_weights: ({"a": np.ones((9, 8), np.float32)}, {}),
+}
 # Calls the reader named by argv[1] on the path argv[2].
 READER_CHILD = ("import importlib, sys\n"
                 "module, name = sys.argv[1].rsplit('.', 1)\n"
@@ -305,6 +335,41 @@ class TestRegularFilesOnly:
                               capture_output=True, text=True, timeout=5)
         assert proc.returncode == 1
         assert proc.stderr.splitlines()[-1] == f"OSError: {path}: not a regular file"
+
+    # Each write runs in a child process that is killed after 5 s, so a
+    # writer that blocks on the FIFO fails the test instead of stalling.
+    @pytest.mark.parametrize("kind", [
+        pytest.param("fifo", marks=NO_MKFIFO), pytest.param("read fifo", marks=NO_MKFIFO),
+        "directory", pytest.param("device", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/null"), reason="no /dev/null"))])
+    @pytest.mark.parametrize("writer", ["write_pnm", "write_pfm", "save_weights"])
+    def test_writer_rejects_at_once(self, tmp_path, writer, kind):
+        path = "/dev/null" if kind == "device" else tmp_path / kind
+        if kind == "directory":
+            path.mkdir()
+        elif kind != "device":
+            os.mkfifo(path)
+        # "read fifo" is held open by a reader, so opening it to write succeeds.
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK) if kind == "read fifo" else None
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        try:
+            proc = subprocess.run([sys.executable, "-c", WRITER_CHILD, writer, str(path)],
+                                  env=dict(os.environ, PYTHONPATH=src),
+                                  capture_output=True, text=True, timeout=5)
+            assert fd is None or os.read(fd, 1) == b""
+        finally:
+            if fd is not None:
+                os.close(fd)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == f"OSError: {path}: not a regular file"
+
+    @pytest.mark.parametrize("encoder", LONG_SHORT, ids=lambda encoder: encoder.__name__)
+    def test_short_file_over_long_leaves_new_bytes(self, tmp_path, encoder):
+        long, short = LONG_SHORT[encoder]
+        encoder(short, tmp_path / "fresh")
+        encoder(long, tmp_path / "over")
+        encoder(short, tmp_path / "over")
+        assert (tmp_path / "over").read_bytes() == (tmp_path / "fresh").read_bytes()
 
 
 class TestDisparityMap:
