@@ -22,7 +22,7 @@ H, W = 128, 256
 def main():
     store = init_weights(seed=0)
     print(f"initialized {len(store)} weight tensors "
-          f"({store.param_count():,} parameters)")
+          f"({sum(a.size for a in store.values()):,} parameters)")
 
     rng = np.random.default_rng(1)
     left = Image(rng.random((3, H, W)))
@@ -39,7 +39,7 @@ def main():
     print("traditional-volume reduction chain:",
           [reds[0].in_c] + [l.out_c for l in reds])
     # The head's input: half the 16-aligned canvas the pair is padded to.
-    canvas = pad_reflect(left, 16)[0]
+    canvas = pad_reflect(left, 16)
     head = next(l for l in architecture() if l.name == "head.conv")
     print("refined feature map:",
           (head.in_c, canvas.height // 2, canvas.width // 2))

@@ -21,7 +21,8 @@ def run(*args):
     cmd = [sys.executable, "-m", "mscv.cli", *map(str, args)]
     print("$ mscv", " ".join(map(str, args)))
     out = subprocess.run(cmd, capture_output=True, text=True, check=True)
-    print(out.stdout.rstrip(), "\n")
+    # Status lines (config:, wrote ...) go to stderr, results to stdout.
+    print((out.stderr + out.stdout).rstrip(), "\n")
 
 
 def main():

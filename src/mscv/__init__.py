@@ -39,8 +39,8 @@ from mscv.disparity import (
 )
 from mscv.metrics import EvalReport, evaluate
 
-_NETWORK_NAMES = ("WeightStore", "describe_architecture", "full_forward",
-                  "init_weights", "load_weights", "save_weights")
+_NETWORK_NAMES = ("describe_architecture", "full_forward", "init_weights", "load_weights",
+                  "save_weights")
 
 
 def __getattr__(name):
@@ -59,7 +59,6 @@ __all__ = [
     "Image",
     "LossParams",
     "MAX_DISPARITY",
-    "WeightStore",
     "census_transform",
     "correlate_1d",
     "describe_architecture",

@@ -3,7 +3,8 @@
 Commands: synth | trad-match | infer | mask | loss | eval | init-weights |
 describe.  Each command's options are its handler's parameters: one
 without a default is a required path option, and any other keeps the
-parameter's default.
+parameter's default.  Status lines (``config:``, ``wrote ...``, ``error:``)
+go to stderr and results to stdout, so an output may be ``/dev/stdout``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from mscv.imagekit import (
     MAX_DISPARITY,
     DisparityMap,
     Image,
-    pad_reflect,
     read_image,
     read_pfm,
     write_image,
@@ -122,11 +122,7 @@ def traditional_match(left: Image, right: Image) -> DisparityMap:
     Output values are in full-resolution pixel units (uint8, at most
     190); nearest-neighbor upsampling back to the input dimensions.
     """
-    if left.data.shape != right.data.shape:  # padding could make them agree
-        raise ValueError("stereo pair dimensions differ")
-    left_p, orig = pad_reflect(left, 2)
-    right_p, _ = pad_reflect(right, 2)
-    left_half, costs = traditional_costs(left_p, right_p)
+    left_half, costs = traditional_costs(left, right)
     w = left_half.width
     half = np.zeros((left_half.height, w), dtype=np.uint8)
     for y0, d, (c, u, v) in costs:
@@ -145,7 +141,7 @@ def traditional_match(left: Image, right: Image) -> DisparityMap:
     # pixels, at most 2 * (DEPTH - 1) = 190.  DisparityMap widens them.
     full = np.empty((len(half), 2, w, 2), dtype=np.uint8)
     np.multiply(half[:, None, :, None], 2, out=full, dtype=full.dtype)
-    values = full.reshape(2 * len(half), 2 * w)[: orig[0], : orig[1]]
+    values = full.reshape(2 * len(half), 2 * w)[: left.height, : left.width]
     return DisparityMap(values, valid=np.ones_like(values, dtype=bool))
 
 
@@ -175,7 +171,7 @@ def _cmd_synth(out: str, seed: int = 0, width: int = 512, height: int = 256,
     write_image(left, out / "left.ppm")
     write_image(right, out / "right.ppm")
     write_pfm(gt, out / "gt.pfm")
-    print(f"wrote {out}/left.ppm {out}/right.ppm {out}/gt.pfm")
+    print(f"wrote {out}/left.ppm {out}/right.ppm {out}/gt.pfm", file=sys.stderr)
 
 
 def _cmd_trad_match(left: str, right: str, out: str) -> None:
@@ -183,7 +179,7 @@ def _cmd_trad_match(left: str, right: str, out: str) -> None:
     write_pfm(dmap, out)
     vis_path = out + ".pgm"
     disparity_to_pgm(dmap, vis_path)
-    print(f"wrote {out} and {vis_path}")
+    print(f"wrote {out} and {vis_path}", file=sys.stderr)
 
 
 def _cmd_infer(left: str, right: str, weights: str, out: str, threads: int = 1) -> None:
@@ -194,13 +190,13 @@ def _cmd_infer(left: str, right: str, weights: str, out: str, threads: int = 1) 
     validate_store(store)
     dmap = full_forward(left_img, right_img, store, threads=threads)
     write_pfm(dmap, out)
-    print(f"wrote {out}")
+    print(f"wrote {out}", file=sys.stderr)
 
 
 def _cmd_mask(gt: str, out: str, epsilon: float = 3.0) -> None:
     mask = discontinuity_mask(read_pfm(gt), epsilon)
     mask_to_pgm(mask, out)
-    print(f"wrote {out} ({int(mask.flags.sum())} flagged pixels)")
+    print(f"wrote {out} ({int(mask.flags.sum())} flagged pixels)", file=sys.stderr)
 
 
 def _cmd_loss(pred: str, gt: str, epsilon: float = 3.0, tau: float = 1.0,
@@ -222,7 +218,7 @@ def _cmd_init_weights(out: str, seed: int = 0) -> None:
     from mscv.network import init_weights, save_weights
     store = init_weights(seed)
     save_weights(store, out)
-    print(f"wrote {out} ({store.param_count()} parameters)")
+    print(f"wrote {out} ({sum(a.size for a in store.values())} parameters)", file=sys.stderr)
 
 
 def _cmd_describe() -> None:
@@ -273,12 +269,12 @@ def build_parser():
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command (``argv`` defaults to ``sys.argv[1:]``) after printing
-    its options as ``config: <command> name=value ...``; returns the exit
-    status (argparse's 2 on bad usage)."""
+    its options to stderr as ``config: <command> name=value ...``; returns
+    the exit status (argparse's 2 on bad usage)."""
     try:
         args = vars(build_parser().parse_args(argv))
         command = args.pop("command")
-        print(" ".join(["config:", command, *(f"{k}={v!r}" for k, v in args.items())]))
+        print("config:", command, *(f"{k}={v!r}" for k, v in args.items()), file=sys.stderr)
         _HANDLERS[command](**args)
         return 0
     except SystemExit as exc:  # argparse --help / bad usage

@@ -3,7 +3,8 @@
 Three traditional half-resolution float64 costs (census/Hamming on Y,
 absolute difference on U and V) over the ``DEPTH`` = MAX_DISPARITY / 2
 half-scale candidates come from one front end, ``traditional_costs``,
-shared by the classical matcher and the network.
+shared by the classical matcher and the network: it takes any same-size
+RGB pair and is the one place where a pair goes to half scale.
 Disparity shifts only along x, so the costs are per row: the front end
 streams them by bands of ``_BAND_ROWS`` rows and, within a band, one
 disparity plane at a time, so no consumer holds a volume.  The network
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mscv.imagekit import MAX_DISPARITY, Image, mean_pool_2x, rgb_to_yuv
+from mscv.imagekit import MAX_DISPARITY, Image, mean_pool_2x, pad_reflect, rgb_to_yuv
 
 DEPTH = MAX_DISPARITY // 2  # half-scale disparity candidates
 CENSUS_WINDOW = 5
@@ -86,9 +87,10 @@ def census_transform(plane: Image) -> np.ndarray:
 def traditional_costs(
     left: Image, right: Image
 ) -> tuple[Image, Iterator[tuple[int, int, np.ndarray]]]:
-    """Half-scale census and chroma-AD costs for an even-sized RGB pair.
+    """Half-scale census and chroma-AD costs for a same-size RGB pair.
 
-    Both images are mean-pooled 2x and converted to YUV once, and the
+    Both images are reflect-padded to even dims (``pad_reflect(·, 2)``, a
+    no-op on an even pair), mean-pooled 2x and converted to YUV once, and the
     census descriptors of Y are computed on the whole plane (the window
     reaches into neighbor rows).  Returns ``(left_half, costs)``, the
     pooled RGB left image and a generator yielding ``(y0, d, planes)``
@@ -104,9 +106,9 @@ def traditional_costs(
         raise ValueError("stereo pair dimensions differ")
     if left.channels != 3:
         raise ValueError(f"stereo matching expects an RGB pair, got {left.channels} channel(s)")
-    left_half = mean_pool_2x(left)
+    left_half = mean_pool_2x(pad_reflect(left, 2))
     lyuv = rgb_to_yuv(left_half).data
-    ryuv = rgb_to_yuv(mean_pool_2x(right)).data
+    ryuv = rgb_to_yuv(mean_pool_2x(pad_reflect(right, 2))).data
     # Flat runs: a band's rows are one contiguous slice of each.
     lc = census_transform(Image(lyuv[:1])).reshape(-1)
     rc = census_transform(Image(ryuv[:1])).reshape(-1)

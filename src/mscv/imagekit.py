@@ -301,18 +301,13 @@ def mean_pool_2x(image: Image) -> Image:
     return Image(out)
 
 
-def pad_reflect(image: Image, multiple: int) -> tuple[Image, tuple[int, int]]:
-    """Reflect-pad right/bottom so dims divide ``multiple``.
-
-    Returns the padded image and the original (height, width) for
-    cropping network outputs back.
-    """
+def pad_reflect(image: Image, multiple: int) -> Image:
+    """Reflect-pad right/bottom so dims divide ``multiple``; ``image`` itself
+    if they already do."""
     if multiple < 1:
         raise ValueError("multiple must be >= 1")
-    h, w = image.height, image.width
-    ph = (-h) % multiple
-    pw = (-w) % multiple
+    ph = (-image.height) % multiple
+    pw = (-image.width) % multiple
     if ph == 0 and pw == 0:
-        return image, (h, w)
-    padded = np.pad(image.data, ((0, 0), (0, ph), (0, pw)), mode="reflect")
-    return Image(padded), (h, w)
+        return image
+    return Image(np.pad(image.data, ((0, 0), (0, ph), (0, pw)), mode="reflect"))

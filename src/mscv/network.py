@@ -10,11 +10,12 @@ two cascade hourglass networks fusing everything; a 1x1 head regressing
 disparity, bilinearly upsampled to full resolution.  All volumes span the
 one disparity range that ``costvol.DEPTH`` (MAX_DISPARITY / 2) states.
 
-All parameters live in a WeightStore serialized as the "MSCV1" binary
-container.  Every layer runs through ``_layer``, which checks its weights
-against the architecture table and reads its stride, batch norm,
-lowering (conv, deconv, or the fused trad.red0 and corr.reduce) and ReLU
-there.  Batch norm (Unet layers only) is a per-channel affine map at
+All parameters live in a store, a plain ``dict`` of named float32 arrays,
+serialized as the "MSCV1" binary container.  Every layer runs through
+``_layer``, which raises ``WeightError`` on a missing parameter, checks
+its weights against the architecture table and reads its stride, batch
+norm, lowering (conv, deconv, or the fused trad.red0 and corr.reduce)
+and ReLU there.  Batch norm (Unet layers only) is a per-channel affine map at
 inference, folded into the weights and bias.  Blocks pass float32 arrays.
 """
 
@@ -45,16 +46,6 @@ _STAGE_LEVELS = {1: LEVELS - 1, 2: LEVELS}
 
 class WeightError(ValueError):
     """Raised on a malformed weight container or a mis-shaped parameter."""
-
-
-class WeightStore(dict):
-    """Named float32 parameter arrays, insertion-ordered."""
-
-    def __missing__(self, name: str) -> np.ndarray:
-        raise WeightError(f"missing parameter {name!r}")
-
-    def param_count(self) -> int:
-        return sum(arr.size for arr in self.values())
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +168,8 @@ def architecture_manifest() -> list[tuple[str, tuple[int, ...]]]:
 
 
 def _param(store, name, shape):
+    if name not in store:
+        raise WeightError(f"missing parameter {name!r}")
     arr = store[name]
     if arr.shape != shape:
         raise WeightError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
@@ -187,7 +180,7 @@ def _param(store, name, shape):
     return arr
 
 
-def validate_store(store: WeightStore) -> None:
+def validate_store(store: dict) -> None:
     """Check the store holds exactly the architecture's parameters, well shaped and valued."""
     expected = dict(architecture_manifest())
     for name, shape in expected.items():
@@ -209,7 +202,7 @@ def describe_architecture() -> str:
     return "\n".join(lines)
 
 
-def init_weights(seed: int) -> WeightStore:
+def init_weights(seed: int) -> dict[str, np.ndarray]:
     """Deterministic fan-in-scaled uniform initialization.
 
     BN running statistics start at mean 0 / variance 1; gamma and beta
@@ -218,7 +211,7 @@ def init_weights(seed: int) -> WeightStore:
     if seed < 0:
         raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
-    store = WeightStore()
+    store = {}
     for l in architecture():
         bound = float(np.sqrt(1.0 / (l.in_c * l.kh * l.kw)))
         # (low, high) in _params order: w, b, then BN gamma, beta, mean and
@@ -238,7 +231,7 @@ def init_weights(seed: int) -> WeightStore:
 #   little-endian float32 payload
 
 
-def save_weights(store: WeightStore, path) -> None:
+def save_weights(store: dict, path) -> None:
     chunks = [MAGIC, struct.pack("<I", len(store))]
     for name, arr in store.items():
         encoded = name.encode("utf-8")
@@ -247,7 +240,7 @@ def save_weights(store: WeightStore, path) -> None:
     _write_regular(path, *chunks)
 
 
-def load_weights(path) -> WeightStore:
+def load_weights(path) -> dict[str, np.ndarray]:
     """Read an MSCV1 container; ``WeightError`` if malformed, ``OSError`` if not a regular file."""
     buf = memoryview(_read_regular(path))
 
@@ -264,7 +257,7 @@ def load_weights(path) -> WeightStore:
     if magic != MAGIC:
         raise WeightError(f"bad magic {magic!r}")
     (count,) = struct.unpack("<I", take(4, "entry count"))
-    store = WeightStore()
+    store = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
         raw = bytes(take(name_len, "parameter name"))
@@ -373,7 +366,7 @@ def _reduce_stream(costs, left_half, p):
 # ---------------------------------------------------------------------------
 
 
-def unet_features(image: Image, store: WeightStore) -> tuple[np.ndarray, np.ndarray]:
+def unet_features(image: Image, store: dict) -> tuple[np.ndarray, np.ndarray]:
     """Encoder-decoder features at 1/2 and 1/4 scale, 32 channels each.
 
     Input dims must be divisible by 16 (pad first).
@@ -394,7 +387,7 @@ def unet_features(image: Image, store: WeightStore) -> tuple[np.ndarray, np.ndar
     return layer("up1.harvest", x), f_quarter
 
 
-def reduce_traditional(left: Image, right: Image, store: WeightStore) -> np.ndarray:
+def reduce_traditional(left: Image, right: Image, store: dict) -> np.ndarray:
     """Reduce the census, U and V DEPTH-deep costs to 32 float32 channels.
 
     Takes the 16-padded RGB pair: ``trad.red0`` on the streamed costs,
@@ -409,14 +402,12 @@ def reduce_traditional(left: Image, right: Image, store: WeightStore) -> np.ndar
     return _layer(store, "trad.harvest2", _layer(store, "trad.harvest1", x))
 
 
-def reduce_correlation(
-    f_left: np.ndarray, f_right: np.ndarray, store: WeightStore
-) -> np.ndarray:
+def reduce_correlation(f_left: np.ndarray, f_right: np.ndarray, store: dict) -> np.ndarray:
     """``corr.reduce`` on the half-scale features' DEPTH-deep correlation, never built."""
     return _layer(store, "corr.reduce", f_left, f_right)
 
 
-def guide_encoder(trad32: np.ndarray, store: WeightStore) -> list[np.ndarray]:
+def guide_encoder(trad32: np.ndarray, store: dict) -> list[np.ndarray]:
     """Guides at 1/2, 1/4, 1/8 and 1/16 scale, in that order.
 
     One stride-1 block on the 32-channel half-scale traditional volume,
@@ -438,7 +429,7 @@ def _residual(store, prefix, x):
 
 
 def hourglass_forward(
-    x: np.ndarray, guides: list[np.ndarray], store: WeightStore, stage: int
+    x: np.ndarray, guides: list[np.ndarray], store: dict, stage: int
 ) -> np.ndarray:
     """One hourglass: residual encoder to 1/16, guided decoder back up.
 
@@ -472,7 +463,7 @@ def cascade_forward(
     corr32_half: np.ndarray,
     corr_quarter: np.ndarray,
     guides: list[np.ndarray],
-    store: WeightStore,
+    store: dict,
 ) -> np.ndarray:
     """Two chained hourglasses with intermediate fusion.
 
@@ -486,7 +477,7 @@ def cascade_forward(
 
 
 def disparity_head(
-    refined: np.ndarray, original_dims: tuple[int, int], store: WeightStore
+    refined: np.ndarray, original_dims: tuple[int, int], store: dict
 ) -> DisparityMap:
     """1x1 regression head, bilinear upsample to full res, float32 clamp, crop."""
     d = _layer(store, "head.conv", refined)
@@ -499,7 +490,7 @@ def disparity_head(
 def full_forward(
     left: Image,
     right: Image,
-    store: WeightStore,
+    store: dict,
     threads: int = 1,
 ) -> DisparityMap:
     """Whole pipeline: stereo RGB pair to full-resolution disparity map.
@@ -511,8 +502,7 @@ def full_forward(
         raise ValueError("threads must be >= 1")
     if left.data.shape != right.data.shape:
         raise ValueError("stereo pair dimensions differ")
-    left_p, orig = pad_reflect(left, 16)
-    right_p, _ = pad_reflect(right, 16)
+    left_p, right_p = pad_reflect(left, 16), pad_reflect(right, 16)
     branches = [(reduce_traditional, (left_p, right_p, store)),
                 (unet_features, (left_p, store)), (unet_features, (right_p, store))]
     if threads > 1:
@@ -528,4 +518,4 @@ def full_forward(
     del fl_half, fl_quarter, fr_half, fr_quarter
     guides = guide_encoder(trad32, store)
     refined = cascade_forward(trad32, corr32, corr_quarter, guides, store)
-    return disparity_head(refined, orig, store)
+    return disparity_head(refined, (left.height, left.width), store)

@@ -410,12 +410,11 @@ def traditional_match_reference(left, right, max_disp):
     """``cli.traditional_match`` on whole volumes: normalized census plus
     U and V costs, one ``np.argmin`` (ties to the smaller disparity),
     nearest-neighbor upsampling."""
-    left_p, orig = pad_reflect(left, 2)
-    right_p, _ = pad_reflect(right, 2)
+    left_p, right_p = pad_reflect(left, 2), pad_reflect(right, 2)
     census, ad_u, ad_v, _ = traditional_volumes(left_p, right_p, max(1, max_disp // 2))
     combined = census.costs / CENSUS_BITS + ad_u.costs + ad_v.costs
     half = 2.0 * np.argmin(combined, axis=0)  # half-scale candidates count 2 px
-    full = np.repeat(np.repeat(half, 2, axis=0), 2, axis=1)[: orig[0], : orig[1]]
+    full = np.repeat(np.repeat(half, 2, axis=0), 2, axis=1)[: left.height, : left.width]
     return DisparityMap(full, valid=np.ones_like(full, dtype=bool))
 
 
@@ -517,8 +516,7 @@ def forward_oracle(left, right, store):
             y = conv(f"hg{stage}.up{i}.conv", y)
         return y
 
-    left_p, orig = pad_reflect(left, 16)
-    right_p, _ = pad_reflect(right, 16)
+    left_p, right_p = pad_reflect(left, 16), pad_reflect(right, 16)
     census, ad_u, ad_v, left_half = traditional_volumes(left_p, right_p, 96)
     x = assemble_traditional(census, ad_u, ad_v)
     for i in range(4):
@@ -539,4 +537,4 @@ def forward_oracle(left, right, store):
     refined = hourglass(conv("casc.fuse", fused), 2, guides)
     d = conv("head.conv", refined, act=False)
     full = bilinear_oracle(d, 2 * d.shape[1], 2 * d.shape[2])
-    return refined, np.maximum(full[0, : orig[0], : orig[1]], 0.0)
+    return refined, np.maximum(full[0, : left.height, : left.width], 0.0)

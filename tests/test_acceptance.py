@@ -36,7 +36,6 @@ from mscv.imagekit import (
 )
 from mscv.metrics import evaluate
 from mscv.network import (
-    WeightStore,
     _layer,
     full_forward,
     init_weights,
@@ -283,7 +282,7 @@ def test_criterion_09_convolution_engine():
         }
         params = {k: v.astype(np.float32) for k, v in params.items()}
         xb = rng.standard_normal((i, 4, 4)).astype(np.float32)
-        store = WeightStore({f"{name}.{k}": v for k, v in params.items()})
+        store = {f"{name}.{k}": v for k, v in params.items()}
         bn = {k: params[f"bn.{k}"].astype(np.float64)[:, None, None]
               for k in ("mean", "var", "gamma", "beta")}
         y = layer_f64(xb, params["w"], params["b"])
@@ -354,12 +353,10 @@ def test_criterion_11_metrics():
 
 def test_criterion_12_round_trips(tmp_path):
     rng = np.random.default_rng(112)
-    store = WeightStore(
-        {
-            "a.w": rng.standard_normal((2, 3, 1, 1)).astype(np.float32),
-            "a.b": rng.standard_normal(2).astype(np.float32),
-        }
-    )
+    store = {
+        "a.w": rng.standard_normal((2, 3, 1, 1)).astype(np.float32),
+        "a.b": rng.standard_normal(2).astype(np.float32),
+    }
     wp = tmp_path / "w.bin"
     save_weights(store, wp)
     loaded = load_weights(wp)

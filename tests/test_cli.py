@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mscv.cli import (
     _HANDLERS,
@@ -20,12 +22,13 @@ from mscv.cli import (
     parse_plan,
     traditional_match,
 )
+from mscv.costvol import _BAND_ROWS, DEPTH
 from mscv.disparity import DiscontinuityMask
 from mscv.imagekit import (
     MAX_DISPARITY, DisparityMap, Image, read_image, read_pfm, write_image, write_pfm,
 )
 from mscv.metrics import evaluate
-from mscv.network import WeightStore, init_weights, save_weights
+from mscv.network import init_weights, save_weights
 
 from oracles import traditional_match_reference
 
@@ -52,7 +55,7 @@ class TestPlanParsing:
     ])
     def test_bad_region_named(self, tmp_path, capsys, plan, message):
         assert main(["synth", "--out", str(tmp_path), "--width", "64", "--plan", plan]) == 2
-        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert error_lines(capsys.readouterr().err).strip() == f"error: {message}"
         assert not list(tmp_path.iterdir())
 
 
@@ -91,7 +94,8 @@ class TestGenerateSyntheticPair:
     def test_disparity_beyond_max_disparity_invalid(self, tmp_path, capsys):
         # d = 250 fits the 512-px region but no valid disparity holds it.
         assert main(["synth", "--out", str(tmp_path / "pair"), "--plan", "250"]) == 2
-        assert capsys.readouterr().err == "error: region disparity 250 outside [0, 192)\n"
+        assert error_lines(capsys.readouterr().err) == (
+            "error: region disparity 250 outside [0, 192)\n")
         assert not list(tmp_path.iterdir())
 
     def test_infeasible_plan_rejected(self):
@@ -138,13 +142,24 @@ def paths_given(command, root, but=None):
     return given, [arg for name, path in given.items() for arg in flag(name, path)]
 
 
-def run_python(*args, cwd=None, timeout=120, **env):
-    """``python *args`` with ``src/`` on the path."""
+def error_lines(err: str) -> str:
+    """``err`` without the status lines (``config: ...``, ``wrote ...``) that
+    the CLI prints to stderr beside its errors."""
+    return "".join(line for line in err.splitlines(keepends=True)
+                   if not line.startswith(("config: ", "wrote ")))
+
+
+def run_env(**env):
+    """This process's environment with ``src/`` on the path, plus ``env``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, **env)
+    return dict(os.environ, PYTHONPATH=path, **env)
+
+
+def run_python(*args, cwd=None, timeout=120, **env):
+    """``python *args`` with ``src/`` on the path."""
     return subprocess.run([sys.executable, *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=timeout)
+                          env=run_env(**env), capture_output=True, text=True, timeout=timeout)
 
 
 def run_module(*args, **env):
@@ -196,10 +211,10 @@ class TestConfigResolution:
     def test_config_line_names_only_the_commands_options(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["eval", "--pred", "P", "--gt", "G", "--kitti-rule"]) == 2
-        assert capsys.readouterr().out.splitlines()[0] == (
+        assert capsys.readouterr().err.splitlines()[0] == (
             "config: eval pred='P' gt='G' kitti_rule=True")
         assert main(["describe"]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == "config: describe"
+        assert capsys.readouterr().err.splitlines()[0] == "config: describe"
 
     # The range is MAX_DISPARITY, and flags are the one way to set a run.
     @pytest.mark.parametrize("removed", [["--max-disp", "64"], ["--config", "run.cfg"]],
@@ -216,7 +231,7 @@ class TestConfigResolution:
     def test_negative_seed_rejected(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         assert main([command, "--out", str(out), "--seed", "-1"]) == 2
-        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert error_lines(capsys.readouterr().err) == "error: seed must be >= 0\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--width", "--height"])
@@ -299,7 +314,8 @@ class TestDispatch:
         write_image(Image(np.zeros((3, 4, 6))), tmp_path / "a.ppm")
         proc = run_python("-c", CAPPED_CLI, *args, "--out", "o.pfm", cwd=tmp_path,
                           OPENBLAS_NUM_THREADS="1")
-        assert (proc.returncode, proc.stderr) == (2, "error: /dev/zero: not a regular file\n")
+        assert proc.returncode == 2
+        assert error_lines(proc.stderr) == "error: /dev/zero: not a regular file\n"
         assert [p.name for p in tmp_path.iterdir()] == ["a.ppm"]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
@@ -317,7 +333,8 @@ class TestDispatch:
         write_image(Image(np.zeros((3, 4, 6))), tmp_path / "a.ppm")
         write_pfm(DisparityMap(np.full((4, 6), 2.0)), tmp_path / "gt.pfm")
         proc = run_module(*args, cwd=tmp_path, timeout=5)
-        assert (proc.returncode, proc.stderr) == (2, "error: ff: not a regular file\n")
+        assert proc.returncode == 2
+        assert error_lines(proc.stderr) == "error: ff: not a regular file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm", "ff", "gt.pfm"]
 
     # A FIFO, held open by a reader or not, as each writing command's first
@@ -337,7 +354,8 @@ class TestDispatch:
         finally:
             if fd is not None:
                 os.close(fd)
-        assert (proc.returncode, proc.stderr) == (2, f"error: {out}: not a regular file\n")
+        assert proc.returncode == 2
+        assert error_lines(proc.stderr) == f"error: {out}: not a regular file\n"
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("args,out", WRITERS, ids=WRITER_IDS)
@@ -347,7 +365,7 @@ class TestDispatch:
         before = sorted(tmp_path.rglob("*"))
         monkeypatch.chdir(tmp_path)
         assert main(args) == 2
-        assert capsys.readouterr().err == f"error: {out}: not a regular file\n"
+        assert error_lines(capsys.readouterr().err) == f"error: {out}: not a regular file\n"
         assert sorted(tmp_path.rglob("*")) == before
 
     # Not trad-match: where outputs need not be regular files, its
@@ -359,7 +377,44 @@ class TestDispatch:
         monkeypatch.chdir(tmp_path)
         args = next(args for args, _ in WRITERS if args[0] == command)
         assert main([*args[:-1], "/dev/null"]) == 2
-        assert capsys.readouterr().err == "error: /dev/null: not a regular file\n"
+        assert error_lines(capsys.readouterr().err) == "error: /dev/null: not a regular file\n"
+
+    # Rejections that no other test reaches from the command line: a PPM
+    # header with width 0, loss over maps of different sizes, and an output
+    # in a directory that does not exist (the writer re-raises os.open's error).
+    @pytest.mark.parametrize("args,message", [
+        (["trad-match", "--left", "zero.ppm", "--right", "zero.ppm", "--out", "o.pfm"],
+         "bad dimensions 0x4"),
+        (["loss", "--pred", "small.pfm", "--gt", "gt.pfm"], "disparity map dimensions differ"),
+        (["mask", "--gt", "gt.pfm", "--out", "nodir/m.pgm"],
+         "[Errno 2] No such file or directory: 'nodir/m.pgm'"),
+    ], ids=["zero-width-ppm", "loss-size-mismatch", "out-in-missing-dir"])
+    def test_rejection_exits_2_with_its_message(self, tmp_path, monkeypatch, capsys,
+                                                args, message):
+        write_inputs(tmp_path)  # gt.pfm is 4x6
+        (tmp_path / "zero.ppm").write_bytes(b"P6\n0 4\n255\n")
+        write_pfm(DisparityMap(np.full((4, 5), 2.0)), tmp_path / "small.pfm")
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 2
+        assert error_lines(capsys.readouterr().err) == f"error: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    # Status lines go to stderr, so an output written through /dev/stdout,
+    # bound to a regular file, holds the encoder's bytes and nothing else.
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize("command", ["mask", "init-weights"])
+    def test_output_through_stdout_equals_output_file(self, tmp_path, command):
+        write_inputs(tmp_path)
+        args = next(args for args, _ in WRITERS if args[0] == command)[:-1]
+        assert run_module(*args, "direct", cwd=tmp_path).returncode == 0
+        with open(tmp_path / "piped", "wb") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "mscv.cli", *args, "/dev/stdout"],
+                                  cwd=tmp_path, env=run_env(), stdout=stdout,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("wrote /dev/stdout")
+        assert (tmp_path / "piped").read_bytes() == (tmp_path / "direct").read_bytes()
 
     def test_synth_trad_match_eval_chain(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -409,7 +464,7 @@ class TestDispatch:
         assert main(["infer", "--left", str(tmp_path / "left.ppm"),
                      "--right", str(tmp_path / "right.ppm"), "--weights", str(tmp_path / "w.bin"),
                      "--out", str(out), "--threads", threads]) == 2
-        assert capsys.readouterr().err == "error: threads must be >= 1\n"
+        assert error_lines(capsys.readouterr().err) == "error: threads must be >= 1\n"
         assert not out.exists()
 
     def test_mask_and_loss_commands(self, tmp_path, capsys):
@@ -484,7 +539,7 @@ class TestDispatch:
         monkeypatch.chdir(tmp_path)
         assert main([*command, "--left", str(left), "--right", str(right),
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err.strip() == (
+        assert error_lines(capsys.readouterr().err).strip() == (
             "error: stereo matching expects an RGB pair, got 1 channel(s)")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["l.pgm", "r.pgm", "w.bin"]
 
@@ -498,14 +553,14 @@ class TestDispatch:
         bad = tmp_path / "long.pfm"
         bad.write_bytes(b"x" * 20_000_000)
         assert main(["mask", "--gt", str(bad), "--out", str(tmp_path / "m.pgm")]) == 2
-        err = capsys.readouterr().err
+        err = error_lines(capsys.readouterr().err)
         assert err.startswith("error: ") and len(err) < 200
 
     def test_unallocatable_size_exits_2(self, tmp_path, capsys):
         # 10^6 x 10^6 RGB is 21.8 TiB: refused at once, never overcommitted.
         assert main(["synth", "--out", str(tmp_path / "d"),
                      "--width", "1000000", "--height", "1000000"]) == 2
-        err = capsys.readouterr().err
+        err = error_lines(capsys.readouterr().err)
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_infer_with_malformed_weights_exits_2(self, tmp_path, capsys):
@@ -517,7 +572,7 @@ class TestDispatch:
                 + b"k" + (2).to_bytes(1, "little") + (100000).to_bytes(4, "little") * 2)
         raw = good.read_bytes()
         tiny = tmp_path / "tiny.bin"
-        save_weights(WeightStore({"a": np.float32([1.0])}), tiny)
+        save_weights({"a": np.float32([1.0])}, tiny)
         entry = tiny.read_bytes()[9:]  # after the magic and the entry count
         repeated = b"MSCV1" + (2).to_bytes(4, "little") + entry * 2
         for i, content in enumerate([raw[:5], raw[:7], raw[:12], raw[:-1], huge,
@@ -545,7 +600,7 @@ class TestDispatch:
         assert main(["infer", "--left", str(tmp_path / "left.ppm"),
                      "--right", str(tmp_path / "right.ppm"),
                      "--weights", str(weights), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.strip() == f"error: parameter {name!r} {error}"
+        assert error_lines(capsys.readouterr().err).strip() == f"error: parameter {name!r} {error}"
         assert not out.exists()
 
     def test_infer_with_foreign_parameter_exits_2(self, tmp_path, capsys):
@@ -559,7 +614,7 @@ class TestDispatch:
         assert main(["infer", "--left", str(tmp_path / "left.ppm"),
                      "--right", str(tmp_path / "right.ppm"),
                      "--weights", str(weights), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip()
+        err = error_lines(capsys.readouterr().err).strip()
         assert err == "error: parameter 'hg1.down2.c1.w' is not in the architecture"
         assert not out.exists()
 
@@ -639,6 +694,23 @@ class TestTraditionalMatchBands:
         want = traditional_match_reference(left, right, MAX_DISPARITY)
         assert np.array_equal(got.values, want.values)
         assert got.values.max() == 180 and (got.values[:, 200:390] == 180).all()
+
+    # Any size: odd sizes, which traditional_costs pads to even, one or two
+    # cost bands (half-scale heights 16 and 17), and half-scale widths
+    # around DEPTH.
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.one_of(st.sampled_from([1, 2 * _BAND_ROWS, 2 * _BAND_ROWS + 1, 80]),
+                       st.integers(1, 80)),
+           w=st.one_of(st.sampled_from([2 * DEPTH - 1, 2 * DEPTH, 2 * DEPTH + 1, 440]),
+                       st.integers(1, 440)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_reference_over_shapes(self, h, w, seed):
+        r = np.random.default_rng(seed)
+        left, right = Image(r.random((3, h, w))), Image(r.random((3, h, w)))
+        got = traditional_match(left, right)
+        want = traditional_match_reference(left, right, MAX_DISPARITY)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.valid.tobytes() == want.valid.tobytes()
 
     # Odd widths are padded to even first; W is the padded half width, and
     # the candidates past it change nothing.

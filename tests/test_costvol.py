@@ -13,7 +13,7 @@ from mscv.costvol import (
     correlate_1d,
     traditional_costs,
 )
-from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
+from mscv.imagekit import Image, mean_pool_2x, pad_reflect, rgb_to_yuv
 
 from oracles import (
     ad_volume_oracle,
@@ -188,9 +188,22 @@ class TestTraditionalCosts:
         assert again == first
         assert len(first) == 2 * DEPTH
 
+    # An odd-sized pair streams the planes, and pools the left image, of its
+    # pad_reflect(·, 2) pair: the front end pads it to even itself.
+    @pytest.mark.parametrize("hw", [(33, 27), (34, 27), (33, 28), (1, 1)],
+                             ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_odd_pair_streams_its_padded_pair(self, rng, hw):
+        left, right = Image(rng.random((3, *hw))), Image(rng.random((3, *hw)))
+
+        def stream(l, r):
+            left_half, costs = traditional_costs(l, r)
+            return left_half.data.tobytes(), [(y0, d, p.tobytes()) for y0, d, p in costs]
+
+        assert stream(left, right) == stream(pad_reflect(left, 2), pad_reflect(right, 2))
+
     # Equal pixel counts (8x16 and 16x8) would pair unrelated pixels along
-    # the flat runs; unequal ones would fail inside NumPy.
-    @pytest.mark.parametrize("right_hw", [(16, 8), (8, 20), (10, 16)],
+    # the flat runs; unequal ones would fail inside NumPy; 8x15 pads to 8x16.
+    @pytest.mark.parametrize("right_hw", [(16, 8), (8, 20), (10, 16), (8, 15)],
                              ids=lambda hw: f"{hw[0]}x{hw[1]}")
     def test_mismatched_pair_rejected(self, rng, right_hw):
         left = Image(rng.random((3, 8, 16)))

@@ -24,7 +24,7 @@ from mscv.imagekit import (
     write_image,
     write_pfm,
 )
-from mscv.network import WeightError, WeightStore, load_weights, save_weights
+from mscv.network import WeightError, load_weights, save_weights
 from oracles import (
     ad_volume_oracle,
     census_oracle,
@@ -104,11 +104,11 @@ def test_pfm_decoder(tmp_path, capsys, data):
 def test_mscv1_decoder(tmp_path, capsys, data):
     good = tmp_path / "good.mscv1"
     # A rank-2, a rank-1 and a rank-0 entry.
-    save_weights(WeightStore({
+    save_weights({
         "a.w": np.ones((2, 3), np.float32),
         "b": np.arange(2, dtype=np.float32),
         "s": np.full((), 5.0, np.float32),
-    }), good)
+    }, good)
     image = tmp_path / "img.ppm"
     write_image(_image(), image)
     path = tmp_path / "bad.mscv1"

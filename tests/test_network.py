@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mscv.network
 from mscv.costvol import _BAND_ROWS, _CORR_COLS, CostVolume
@@ -14,7 +16,6 @@ from mscv.imagekit import Image, mean_pool_2x, rgb_to_yuv
 from mscv.network import (
     DEPTH,
     WeightError,
-    WeightStore,
     _layer,
     architecture,
     architecture_manifest,
@@ -32,7 +33,7 @@ from mscv.network import (
     unet_features,
     validate_store,
 )
-from mscv.tensorops import ConvParams, concat_channels, conv2d, relu
+from mscv.tensorops import _BAND_PIXELS, ConvParams, concat_channels, conv2d, relu
 
 from oracles import (
     ad_volume_oracle,
@@ -70,7 +71,7 @@ class TestWeightContainer:
 
     def test_empty_store_header_only(self, tmp_path):
         path = tmp_path / "empty.bin"
-        save_weights(WeightStore(), path)
+        save_weights({}, path)
         assert path.read_bytes() == b"MSCV1" + b"\x00" * 4
         assert load_weights(path) == {}
 
@@ -118,10 +119,10 @@ class TestWeightContainer:
             load_weights(path)
 
     def test_truncation_at_every_offset_rejected(self, tmp_path):
-        small = WeightStore({
+        small = {
             "a": np.float32([1.5]).reshape(()),
             "bb": np.arange(6, dtype=np.float32).reshape(2, 3),
-        })
+        }
         path = tmp_path / "small.bin"
         save_weights(small, path)
         raw = path.read_bytes()
@@ -149,7 +150,7 @@ class TestWeightContainer:
 
     def test_repeated_name_rejected(self, tmp_path):
         path = tmp_path / "w.bin"
-        save_weights(WeightStore({"a": np.float32([1.0])}), path)
+        save_weights({"a": np.float32([1.0])}, path)
         entry = path.read_bytes()[9:]  # after the magic and the entry count
         path.write_bytes(b"MSCV1" + (2).to_bytes(4, "little") + entry + entry)
         with pytest.raises(WeightError, match="repeated parameter 'a'"):
@@ -198,7 +199,8 @@ class TestInitWeights:
             init_weights(-1)
 
     def test_param_count_invariant_across_seeds(self):
-        assert init_weights(0).param_count() == init_weights(99).param_count()
+        count = lambda store: sum(a.size for a in store.values())
+        assert count(init_weights(0)) == count(init_weights(99))
 
     def test_nonzero_variance_per_entry(self, store):
         # Running BN statistics (mean 0 / var 1 constants) excluded.
@@ -230,26 +232,26 @@ class TestInitWeights:
             assert arr.tobytes() == value.astype(np.float32).tobytes(), name
 
     def test_validate_store_flags_bad_shape(self, store):
-        broken = WeightStore(store)
+        broken = dict(store)
         broken["head.conv.w"] = np.zeros((1, 31, 1, 1), dtype=np.float32)
         with pytest.raises(WeightError, match="head.conv.w"):
             validate_store(broken)
 
     def test_validate_store_flags_missing(self, store):
-        broken = WeightStore(store)
+        broken = dict(store)
         del broken["unet.enc0.b"]
         with pytest.raises(WeightError, match="unet.enc0.b"):
             validate_store(broken)
 
     def test_validate_store_flags_bn_length(self, store):
-        broken = WeightStore(store)
+        broken = dict(store)
         broken["unet.up2.deconv.bn.var"] = np.ones(63, dtype=np.float32)
         with pytest.raises(WeightError, match="unet.up2.deconv.bn.var"):
             validate_store(broken)
 
     def test_validate_store_flags_unexpected(self, store):
         # Layers of a 4-level network: the first extra in file order is named.
-        bigger = WeightStore(store)
+        bigger = dict(store)
         bigger["hg1.down2.c1.w"] = np.zeros((32, 32, 3, 3), dtype=np.float32)
         bigger["guide.d4.a.w"] = np.zeros((32, 32, 3, 3), dtype=np.float32)
         with pytest.raises(WeightError, match=r"^parameter 'hg1.down2.c1.w' is not in the architecture$"):
@@ -265,7 +267,7 @@ class TestDescribe:
         text = describe_architecture()
         for name, _ in architecture_manifest():
             assert name in text
-        assert str(store.param_count()) in text
+        assert str(sum(a.size for a in store.values())) in text
 
 
 class TestLayer:
@@ -282,7 +284,7 @@ class TestLayer:
         o = store[f"{name}.b"].shape[0]
         stats = {"mean": np.zeros(o), "var": np.ones(o), "gamma": np.ones(o),
                  "beta": np.zeros(o), **bn}
-        layer = WeightStore(store)
+        layer = dict(store)
         for k, v in stats.items():
             layer[f"{name}.bn.{k}"] = v.astype(np.float32)
         x = rng.standard_normal((in_c, 4, 6)).astype(np.float32)
@@ -335,7 +337,7 @@ class TestLayerWeights:
     @staticmethod
     def run_broken(rng, store, run, name, value, error):
         # validate_store and the block both reject ``value`` for ``name``.
-        broken = WeightStore(store)
+        broken = dict(store)
         broken[name] = value
         want = re.escape(f"parameter {name!r} {error}")
         with pytest.raises(WeightError, match=want):
@@ -393,7 +395,7 @@ class TestLayerWeights:
         self.run_broken(rng, store, run, name, arr, error)
 
     def test_zero_variance_accepted(self, rng, store):
-        broken = WeightStore(store)
+        broken = dict(store)
         broken["unet.enc0.bn.var"] = np.zeros_like(store["unet.enc0.bn.var"])
         validate_store(broken)
         assert all(np.isfinite(f).all() for f in self.RUNS["unet"](broken, rng))
@@ -556,7 +558,7 @@ class TestReductions:
             np.testing.assert_allclose(out, expected, rtol=0, atol=1e-6)
 
     def test_correlation_wrong_depth_rejected(self, rng, store):
-        shallow = WeightStore(store)
+        shallow = dict(store)
         shallow["corr.reduce.w"] = rng.random((32, 48, 1, 1)).astype(np.float32)
         fl = rng.random((32, 6, 10)).astype(np.float32)
         with pytest.raises(WeightError, match=r"'corr.reduce.w' has shape \(32, 48, 1, 1\)"):
@@ -637,7 +639,7 @@ class TestCascade:
         # non-negative input unchanged.
         from mscv.network import _residual
 
-        zeroed = WeightStore(store)
+        zeroed = dict(store)
         for suffix in ("c1", "c2"):
             name = f"hg1.res0.{suffix}"
             zeroed[f"{name}.w"] = np.zeros_like(store[f"{name}.w"])
@@ -668,7 +670,7 @@ class TestDisparityHead:
         assert np.allclose(dmap.values, dmap.values[0, 0], atol=1e-6)
 
     def test_negative_head_output_clamped_to_zero(self, rng, store):
-        forced = WeightStore(store)
+        forced = dict(store)
         forced["head.conv.w"] = np.zeros((1, 32, 1, 1), dtype=np.float32)
         forced["head.conv.b"] = np.array([-3.0], dtype=np.float32)
         refined = rng.random((32, 4, 4)).astype(np.float32)
@@ -718,7 +720,7 @@ class TestFullForward:
         w[0, 5] = np.nan
         left = Image(rng.random((3, 32, 48)))
         with pytest.raises(WeightError, match=r"parameter 'head\.conv\.w' is not finite"):
-            full_forward(left, left, WeightStore({**store, "head.conv.w": w}))
+            full_forward(left, left, {**store, "head.conv.w": w})
 
     def test_trace_channels(self, rng, store, forward_probe):
         left = Image(rng.random((3, 32, 48)))
@@ -813,6 +815,24 @@ def scaled_weights(seed, gain):
     return weights
 
 
+@pytest.fixture(scope="module")
+def he_weights():
+    return scaled_weights(7, 6 ** 0.5)
+
+
+def assert_matches_oracle(left, right, weights, forward_probe):
+    """``full_forward`` at ``threads`` 1 and 2 gives ``forward_oracle``'s
+    ``refined`` and map within ``FORWARD_RTOL``."""
+    ref_refined, ref_disp = forward_oracle(left, right, weights)
+    assert np.abs(ref_refined).max() > 0.05  # a live, non-trivial reference
+    atol = FORWARD_RTOL * np.abs(ref_refined).max()
+    for threads in (1, 2):
+        dmap = full_forward(left, right, weights, threads=threads)
+        refined = forward_probe.refined.pop()
+        np.testing.assert_allclose(refined, ref_refined, rtol=0, atol=atol)
+        np.testing.assert_allclose(dmap.values, ref_disp, rtol=0, atol=atol)
+
+
 def kitti_pair():
     # The right view shifted by 20 px: a pair whose disparity map is not
     # all zero under scaled_weights(7, sqrt(6)).  Values are those of an
@@ -893,14 +913,28 @@ class TestForwardOracle:
                     draw_k = draw[name.rsplit(".", 1)[1]]
                     weights[name] = draw_k(arr.size).astype(np.float32)
         left, right = Image(r.random((3, h, w))), Image(r.random((3, h, w)))
-        ref_refined, ref_disp = forward_oracle(left, right, weights)
-        assert np.abs(ref_refined).max() > 0.05  # a live, non-trivial reference
-        atol = FORWARD_RTOL * np.abs(ref_refined).max()
-        for threads in (1, 2):
-            dmap = full_forward(left, right, weights, threads=threads)
-            refined = forward_probe.refined.pop()
-            np.testing.assert_allclose(refined, ref_refined, rtol=0, atol=atol)
-            np.testing.assert_allclose(dmap.values, ref_disp, rtol=0, atol=atol)
+        assert_matches_oracle(left, right, weights, forward_probe)
+
+    # Shapes the fixed cases miss.  The pair is padded to multiples of 16,
+    # so the edges are stated on the padded sizes: one or two 16-row cost
+    # bands (half-scale heights 16 and 24), half-scale widths around DEPTH,
+    # one or two _CORR_COLS blocks at 1/2 and 1/4 scale, and full-scale
+    # conv bands of 4 or 3 rows.  Odd sizes come from the integer draws.
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(h=st.one_of(st.sampled_from([1, 2 * _BAND_ROWS, 2 * _BAND_ROWS + 1, 80]),
+                       st.integers(1, 80)),
+           w=st.one_of(st.sampled_from([2 * DEPTH - 1, 2 * DEPTH, 2 * DEPTH + 1,
+                                        2 * _CORR_COLS, 2 * _CORR_COLS + 1,
+                                        4 * _CORR_COLS, 4 * _CORR_COLS + 1,
+                                        _BAND_PIXELS // 4, _BAND_PIXELS // 4 + 1, 440]),
+                       st.integers(1, 440)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_full_forward_matches_reference_over_shapes(self, he_weights, forward_probe,
+                                                        h, w, seed):
+        r = np.random.default_rng(seed)
+        left, right = Image(r.random((3, h, w))), Image(r.random((3, h, w)))
+        assert_matches_oracle(left, right, he_weights, forward_probe)
 
     @pytest.mark.slow
     def test_kitti_size_bit_identical_across_threads(self, forward_probe):
